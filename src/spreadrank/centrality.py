@@ -29,71 +29,60 @@ KATZ_ALPHA_FRACTION = 0.85
 class Direction(Enum):
     IN = "in"
     OUT = "out"
-    TOTAL = "total"
+
+
+def _incident_sum(view: GraphView, direction: Direction,
+                  weights: np.ndarray | None) -> np.ndarray:
+    """Per-node sum of ``weights`` (1 when None) over leaving or entering edges."""
+    ends = view.dst if direction is Direction.IN else view.src
+    return np.bincount(ends, weights=weights, minlength=view.n)
 
 
 def degree(view: GraphView, direction: Direction = Direction.OUT) -> ScoreVector:
-    """Count of incident edges per node, split by direction on directed views."""
-    n = view.n
-    if view.undirected:
-        # every undirected edge appears once per endpoint as a source
-        values = np.bincount(view.src, minlength=n).astype(np.float64)
-        return ScoreVector(f"degree_{direction.value}", values)
-    out = np.bincount(view.src, minlength=n).astype(np.float64)
-    inc = np.bincount(view.dst, minlength=n).astype(np.float64)
-    if direction is Direction.OUT:
-        values = out
-    elif direction is Direction.IN:
-        values = inc
-    else:
-        values = out + inc
-    return ScoreVector(f"degree_{direction.value}", values)
+    """Count of edges leaving (OUT) or entering (IN) each node.
+
+    Undirected views list every edge in both directions, so both give the degree.
+    """
+    return ScoreVector(f"degree_{direction.value}", _incident_sum(view, direction, None))
 
 
 def strength(view: GraphView, direction: Direction = Direction.OUT) -> ScoreVector:
-    """Sum of incident edge weights per node."""
-    n = view.n
-    if view.undirected:
-        values = np.bincount(view.src, weights=view.weight, minlength=n)
-        return ScoreVector(f"strength_{direction.value}", values)
-    out = np.bincount(view.src, weights=view.weight, minlength=n)
-    inc = np.bincount(view.dst, weights=view.weight, minlength=n)
-    if direction is Direction.OUT:
-        values = out
-    elif direction is Direction.IN:
-        values = inc
-    else:
-        values = out + inc
-    return ScoreVector(f"strength_{direction.value}", values)
+    """Sum of the weights of edges leaving (OUT) or entering (IN) each node."""
+    return ScoreVector(f"strength_{direction.value}",
+                       _incident_sum(view, direction, view.weight))
 
 
-def _sssp(view: GraphView, source: int) -> tuple[list[int], np.ndarray]:
-    """Distances and settle order from ``source`` over the view's weights.
+def _sssp(view: GraphView, source: int, hops: int | None = None,
+          allowed: np.ndarray | None = None) -> tuple[list[int], np.ndarray]:
+    """Distances and settle order from ``source``.
 
-    Unit-weight views use breadth-first search, others Dijkstra.
+    Unit-weight views, and every search with a ``hops`` limit, use
+    breadth-first search, which counts edges and ignores weights; others
+    use Dijkstra over the view's weights.  ``hops`` stops the search after
+    that many edges; ``allowed`` is a boolean node mask outside which the
+    search never steps (the source itself is always entered).
     """
-    n = view.n
-    dist = np.full(n, np.inf)
+    dist = [math.inf] * view.n
     dist[source] = 0.0
     order: list[int] = []
-    if view.unit_weights:
+    if view.unit_weights or hops is not None:
+        limit = math.inf if hops is None else hops
         frontier = [source]
         order.append(source)
         d = 0.0
-        while frontier:
+        while frontier and d < limit:
             d += 1.0
             nxt = []
             for u in frontier:
-                targets, _ = view.neighbors(u)
-                for v in targets:
-                    if dist[v] == np.inf:
+                for v in view.neighbors(u)[0].tolist():
+                    if dist[v] == math.inf and (allowed is None or allowed[v]):
                         dist[v] = d
-                        nxt.append(int(v))
-                        order.append(int(v))
+                        nxt.append(v)
+            order += nxt
             frontier = nxt
-        return order, dist
+        return order, np.array(dist)
     heap: list[tuple[float, int]] = [(0.0, source)]
-    settled = np.zeros(n, dtype=bool)
+    settled = [False] * view.n
     while heap:
         d, u = heapq.heappop(heap)
         if settled[u]:
@@ -101,12 +90,12 @@ def _sssp(view: GraphView, source: int) -> tuple[list[int], np.ndarray]:
         settled[u] = True
         order.append(u)
         targets, weights = view.neighbors(u)
-        for v, w in zip(targets, weights):
+        for v, w in zip(targets.tolist(), weights.tolist()):
             nd = d + w
-            if nd < dist[v]:
+            if nd < dist[v] and (allowed is None or allowed[v]):
                 dist[v] = nd
-                heapq.heappush(heap, (nd, int(v)))
-    return order, dist
+                heapq.heappush(heap, (nd, v))
+    return order, np.array(dist)
 
 
 def betweenness(view: GraphView) -> ScoreVector:
@@ -144,14 +133,12 @@ def betweenness(view: GraphView) -> ScoreVector:
     return ScoreVector("betweenness", bc)
 
 
-def closeness(view: GraphView, direction: str = "outbound") -> ScoreVector:
+def closeness(view: GraphView) -> ScoreVector:
     """Reciprocal average outbound distance, scaled to the reachable set.
 
     For a node reaching ``r`` others with total distance ``t`` the score is
     ``(r / (n - 1)) * (r / t)``; nodes reaching nothing score 0.
     """
-    if direction != "outbound":
-        raise ParameterError(f"unsupported closeness direction {direction!r}")
     n = view.n
     values = np.zeros(n)
     if n < 2:
@@ -219,7 +206,10 @@ def spectral_radius_estimate(view: GraphView, iterations: int = 200) -> float:
 
 def default_katz_alpha(view: GraphView) -> float:
     """Attenuation guaranteeing convergence: 0.85 over the spectral radius."""
-    radius = spectral_radius_estimate(view)
+    return _katz_alpha(spectral_radius_estimate(view))
+
+
+def _katz_alpha(radius: float) -> float:
     if radius <= 1e-12:
         return KATZ_ALPHA_FRACTION
     return KATZ_ALPHA_FRACTION / radius
@@ -232,13 +222,11 @@ def katz(view: GraphView, direction: Direction = Direction.IN,
     Walk counts of length k are damped by ``alpha**k``; the empty walk is
     excluded, so sources (IN) respectively sinks (OUT) score 0.
     """
-    if direction not in (Direction.IN, Direction.OUT):
-        raise ParameterError("katz direction must be IN or OUT")
+    radius = spectral_radius_estimate(view)
     if alpha is None:
-        alpha = default_katz_alpha(view)
+        alpha = _katz_alpha(radius)
     if alpha <= 0:
         raise ParameterError("katz alpha must be positive")
-    radius = spectral_radius_estimate(view)
     if radius > 0 and alpha * radius >= 1.0:
         raise ParameterError(
             f"katz alpha {alpha} >= 1/spectral_radius ({1.0 / radius:.6g}); series diverges")

@@ -12,9 +12,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import DEFAULT_MEASURES, RunConfig, graph_fingerprint, simulation_hash
-from .errors import (CapacityError, ConvergenceError, DataError, DependencyError,
-                     ParameterError, ParseError, SpreadrankError,
-                     UndefinedCorrelationError, ValidationError)
+from .errors import (ConvergenceError, DataError, ParameterError, ParseError,
+                     SpreadrankError, ValidationError)
 from .graph import apply_wcs, load_edge_list, orient_undirected
 from .measures import MeasureContext, measure_ids
 from .propagation import spread_all
@@ -47,6 +46,11 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     measures = tuple(m.strip() for m in args.measures.split(",") if m.strip()) \
         if hasattr(args, "measures") else DEFAULT_MEASURES
+    unknown = [m for m in (*measures, getattr(args, "measure", None))
+               if m is not None and m not in measure_ids()]
+    if unknown:
+        raise ParameterError(f"unknown measure {', '.join(map(repr, unknown))}; "
+                             f"valid ids: {', '.join(measure_ids())}")
     return RunConfig(
         runs=getattr(args, "runs", 20000),
         master_seed=getattr(args, "seed", 1),
@@ -55,10 +59,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         gravity_radius=getattr(args, "radius", 3),
         measures=measures,
     )
-
-
-def _write_config(cfg: RunConfig, out_dir: Path) -> None:
-    (out_dir / "config.json").write_text(cfg.to_json(), encoding="utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,7 +138,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     expected_hash = simulation_hash(net, cfg.runs, cfg.master_seed)
     if cache_path.exists() and not args.force:
         try:
-            _, stored_hash = storage.read_spread(cache_path)
+            _, stored_hash = storage.read_spread(cache_path, net.node_count)
         except (ParseError, DataError, ValidationError):
             stored_hash = ""
         if stored_hash == expected_hash:
@@ -154,16 +154,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spread = spread_all(net, cfg, progress=None if args.quiet else progress)
     storage.write_spread(spread, cache_path, expected_hash,
                          timestamps=not args.no_timestamps)
-    _write_config(cfg, args.out_dir)
+    storage.write_config(cfg, args.out_dir / "config.json")
     print(f"wrote {cache_path} (config_hash={expected_hash})")
     return 0
 
 
 def cmd_centrality(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if args.measure not in measure_ids():
-        raise ParameterError(
-            f"unknown measure {args.measure!r}; valid ids: {', '.join(measure_ids())}")
     net = storage.read_canonical_network(args.graph)
     ctx = MeasureContext(net, cfg)
     scores = ctx.get(args.measure)
@@ -171,14 +168,18 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     out_path = args.out_dir / f"{args.graph.stem}.{args.measure}.csv"
     storage.write_scores(scores, out_path, graph_fingerprint(net),
                          timestamps=not args.no_timestamps)
-    _write_config(cfg, args.out_dir)
+    storage.write_config(cfg, args.out_dir / "config.json")
     print(f"wrote {out_path}")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    dataset = args.dataset or args.graph.stem
+    if "," in dataset:
+        raise ParameterError(f"dataset name {dataset!r} contains a comma, "
+                             "which would split its report rows")
     net = storage.read_canonical_network(args.graph)
-    spread, stored_hash = storage.read_spread(args.spread)
+    spread, stored_hash = storage.read_spread(args.spread, net.node_count)
     # provenance records the simulation knobs the spread file was built with
     args.runs = spread.runs
     args.seed = spread.master_seed
@@ -187,9 +188,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if stored_hash and stored_hash != expected_hash:
         raise DataError(f"spread cache {args.spread} does not match graph {args.graph} "
                         f"(hash {stored_hash} != {expected_hash})")
-    if spread.values.size != net.node_count:
-        raise DataError("spread cache covers a different node count than the graph")
-    dataset = args.dataset or args.graph.stem
     ctx = MeasureContext(net, cfg)
     wanted = list(dict.fromkeys(("c_od", "c_os") + cfg.measures))
     scores = {measure_id: ctx.get(measure_id) for measure_id in wanted}
@@ -199,7 +197,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_path = args.out_dir / f"{dataset}.evaluation.csv"
     storage.write_evaluation(report, out_path, expected_hash,
                              timestamps=not args.no_timestamps)
-    _write_config(cfg, args.out_dir)
+    storage.write_config(cfg, args.out_dir / "config.json")
     print(f"wrote {out_path}")
     return 0
 
@@ -238,18 +236,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParameterError,) as exc:
+    except (SpreadrankError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConvergenceError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (ParseError, ValidationError, CapacityError, DependencyError,
-            UndefinedCorrelationError, DataError, SpreadrankError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ParameterError):
+            return EXIT_USAGE
+        if isinstance(exc, ConvergenceError):
+            return EXIT_CONVERGENCE
         return EXIT_DATA
 
 

@@ -30,14 +30,6 @@ def modified_closeness(c: ScoreVector, threshold: float = DEFAULT_CLOSENESS_THRE
     return ScoreVector("closeness_mod", out)
 
 
-def derive_coefficients(k_local: float, k_global: float) -> tuple[float, float]:
-    """Split a unit budget between two measures in proportion to their strength."""
-    if k_local <= 0 or k_global <= 0:
-        raise ValidationError("coefficient derivation needs positive strengths")
-    total = k_local + k_global
-    return k_local / total, k_global / total
-
-
 def sc1(c_os: ScoreVector, c_mod_closeness: ScoreVector,
         gamma: float = DEFAULT_GAMMA, delta: float = DEFAULT_DELTA) -> ScoreVector:
     """Convex combination ``gamma * out_strength + delta * folded_closeness``.

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParameterError
 from .graph import Network
 
 DEFAULT_MEASURES = (
@@ -36,19 +36,16 @@ class RunConfig:
     sc1_gamma: float = 0.64
     sc1_delta: float = 0.36
     measures: tuple[str, ...] = DEFAULT_MEASURES
-    parallel_width: int = 1
 
     def __post_init__(self):
         if self.runs < 1:
-            raise ValidationError("runs must be >= 1")
+            raise ParameterError("runs must be >= 1")
         if self.top_k < 1:
-            raise ValidationError("top_k must be >= 1")
+            raise ParameterError("top_k must be >= 1")
         if self.gravity_radius < 1:
-            raise ValidationError("gravity radius must be >= 1")
+            raise ParameterError("gravity radius must be >= 1")
         if self.eps_guard <= 0:
-            raise ValidationError("eps_guard must be > 0")
-        if self.parallel_width < 1:
-            raise ValidationError("parallel_width must be >= 1")
+            raise ParameterError("eps_guard must be > 0")
 
     def to_json(self) -> str:
         payload = asdict(self)

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: parameter and usage problems exit
-with 2, data-level problems with 3, iterative-solver failures with 4.
+The CLI maps these onto exit codes: a :class:`ParameterError` (an
+out-of-range setting, an unknown measure id, an unusable dataset name)
+exits with 2, a :class:`ConvergenceError` with 4, and every other toolkit
+error, like a missing input file, with 3.
 """
 
 
@@ -23,12 +25,8 @@ class ValidationError(SpreadrankError):
     """Input data violates a documented precondition or invariant."""
 
 
-class CapacityError(SpreadrankError):
-    """Input exceeds a hard size limit of an exhaustive algorithm."""
-
-
 class ParameterError(SpreadrankError):
-    """A numeric parameter is outside its valid range."""
+    """A user-supplied parameter is outside its valid range or names nothing known."""
 
 
 class ConvergenceError(SpreadrankError):
@@ -39,10 +37,6 @@ class ConvergenceError(SpreadrankError):
             message = f"{message} (residual={residual:.3e})"
         super().__init__(message)
         self.residual = residual
-
-
-class DependencyError(SpreadrankError):
-    """A derived measure is missing one of its input score vectors."""
 
 
 class UndefinedCorrelationError(SpreadrankError):

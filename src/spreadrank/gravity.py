@@ -8,76 +8,14 @@ neighborhood; on weighted views callers pass inverted weights.
 """
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-
 import numpy as np
 
-from .centrality import kshell, weighted_kshell
-from .errors import DependencyError, ValidationError
+from .centrality import _sssp, kshell, weighted_kshell
+from .errors import ValidationError
 from .graph import GraphView, Network, ViewKind, WeightMode, view
 from .scores import ScoreVector
 
 DEFAULT_RADIUS = 3
-
-MGC_VARIANTS = ("ods", "s", "sc", "sk", "wk")
-
-
-@dataclass(frozen=True)
-class GravityConfig:
-    radius: int = DEFAULT_RADIUS
-    mass: str = "kshell"
-
-    def __post_init__(self):
-        if self.radius < 1:
-            raise ValidationError("gravity radius must be >= 1")
-
-
-def rhop_neighborhood(net: Network, u: int, r: int) -> set[int]:
-    """Nodes reachable from ``u`` by traversing at most ``r`` directed edges."""
-    if r < 1:
-        raise ValidationError("hop radius must be >= 1")
-    return _hop_set(view(net, ViewKind.DW), u, r)
-
-
-def _hop_set(g: GraphView, u: int, r: int) -> set[int]:
-    seen = {u}
-    frontier = [u]
-    for _ in range(r):
-        nxt = []
-        for a in frontier:
-            targets, _ = g.neighbors(a)
-            for b in targets:
-                if b not in seen:
-                    seen.add(int(b))
-                    nxt.append(int(b))
-        if not nxt:
-            break
-        frontier = nxt
-    seen.discard(u)
-    return seen
-
-
-def _induced_distances(g: GraphView, u: int, members: set[int]) -> dict[int, float]:
-    """Dijkstra from ``u`` using only nodes of ``members`` (plus ``u``)."""
-    dist = {u: 0.0}
-    heap: list[tuple[float, int]] = [(0.0, u)]
-    settled: set[int] = set()
-    while heap:
-        d, a = heapq.heappop(heap)
-        if a in settled:
-            continue
-        settled.add(a)
-        targets, weights = g.neighbors(a)
-        for b, w in zip(targets, weights):
-            b = int(b)
-            if b != u and b not in members:
-                continue
-            nd = d + float(w)
-            if nd < dist.get(b, np.inf):
-                dist[b] = nd
-                heapq.heappush(heap, (nd, b))
-    return dist
 
 
 def gravity(distance_view: GraphView, mass: ScoreVector | np.ndarray,
@@ -90,18 +28,16 @@ def gravity(distance_view: GraphView, mass: ScoreVector | np.ndarray,
     if radius < 1:
         raise ValidationError("gravity radius must be >= 1")
     scores = np.zeros(n)
-    for u in range(n):
-        if masses[u] == 0.0:
+    for u in np.flatnonzero(masses):
+        u = int(u)
+        _, hops = _sssp(distance_view, u, hops=radius)
+        members = np.isfinite(hops)
+        members[u] = False
+        if not members.any():
             continue
-        members = _hop_set(distance_view, u, radius)
-        if not members:
-            continue
-        dist = _induced_distances(distance_view, u, members)
-        total = 0.0
-        for v in members:
-            # hop-reachable implies weight-reachable inside the induced search
-            total += masses[v] / dist[v] ** 2
-        scores[u] = masses[u] * total
+        # hop-reachable implies weight-reachable inside the induced search
+        _, dist = _sssp(distance_view, u, allowed=members)
+        scores[u] = masses[u] * np.sum(masses[members] / dist[members] ** 2)
     return ScoreVector("gravity", scores)
 
 
@@ -129,34 +65,3 @@ def gc_weighted(net: Network, radius: int = DEFAULT_RADIUS) -> ScoreVector:
     """Gravity with weighted-shell masses over inverted weighted distances."""
     dw_inv = view(net, ViewKind.DW, WeightMode.INVERTED)
     return gravity(dw_inv, weighted_kshell(net), radius).with_measure("gc_w")
-
-
-def mgc(net: Network, variant: str, deps: dict[str, ScoreVector],
-        radius: int = DEFAULT_RADIUS) -> ScoreVector:
-    """Gravity over inverted weighted distances with a selectable mass.
-
-    variant: "ods" (out-degree * out-strength), "s" (out-strength),
-    "sc" (sc1), "sk" (sk3), or "wk" (ods * outgoing weighted Katz).
-    ``deps`` provides the score vectors the mass needs.
-    """
-    if variant not in MGC_VARIANTS:
-        raise ValidationError(f"unknown mgc variant {variant!r}")
-    if variant == "ods":
-        mass = mass_ods(net)
-    elif variant == "s":
-        mass = _require(deps, "c_os", variant)
-    elif variant == "sc":
-        mass = _require(deps, "sc1", variant)
-    elif variant == "sk":
-        mass = _require(deps, "sk3", variant)
-    else:
-        mass = mass_wk(net, _require(deps, "c_katz_dw_out", variant))
-    dw_inv = view(net, ViewKind.DW, WeightMode.INVERTED)
-    return gravity(dw_inv, mass, radius).with_measure(f"mgc_{variant}")
-
-
-def _require(deps: dict[str, ScoreVector], key: str, variant: str) -> ScoreVector:
-    try:
-        return deps[key]
-    except KeyError:
-        raise DependencyError(f"mgc_{variant} needs the {key!r} score vector") from None

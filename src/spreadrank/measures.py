@@ -122,18 +122,12 @@ def _sk(variant: str) -> Callable[[MeasureContext], ScoreVector]:
     return build
 
 
-def _mgc(variant: str) -> Callable[[MeasureContext], ScoreVector]:
+def _mgc(mass: Callable[[MeasureContext], ScoreVector]
+         ) -> Callable[[MeasureContext], ScoreVector]:
+    """Gravity over inverted weighted distances with the mass ``mass`` builds."""
     def build(ctx: MeasureContext) -> ScoreVector:
-        deps: dict[str, ScoreVector] = {}
-        if variant == "s":
-            deps["c_os"] = ctx.get("c_os")
-        elif variant == "sc":
-            deps["sc1"] = ctx.get("sc1")
-        elif variant == "sk":
-            deps["sk3"] = ctx.get("sk3")
-        elif variant == "wk":
-            deps["c_katz_dw_out"] = ctx.get("c_katz_dw_out")
-        return gravity.mgc(ctx.net, variant, deps, ctx.cfg.gravity_radius)
+        return gravity.gravity(view(ctx.net, ViewKind.DW, WeightMode.INVERTED), mass(ctx),
+                               ctx.cfg.gravity_radius)
     return build
 
 
@@ -156,9 +150,9 @@ _BUILDERS: dict[str, Callable[[MeasureContext], ScoreVector]] = {
     "sk1": _sk("sk1"),
     "sk2": _sk("sk2"),
     "sk3": _sk("sk3"),
-    "mgc_ods": _mgc("ods"),
-    "mgc_s": _mgc("s"),
-    "mgc_sc": _mgc("sc"),
-    "mgc_sk": _mgc("sk"),
-    "mgc_wk": _mgc("wk"),
+    "mgc_ods": _mgc(lambda ctx: gravity.mass_ods(ctx.net)),
+    "mgc_s": _mgc(lambda ctx: ctx.get("c_os")),
+    "mgc_sc": _mgc(lambda ctx: ctx.get("sc1")),
+    "mgc_sk": _mgc(lambda ctx: ctx.get("sk3")),
+    "mgc_wk": _mgc(lambda ctx: gravity.mass_wk(ctx.net, ctx.get("c_katz_dw_out"))),
 }

@@ -24,13 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .graph import Network
 
 BLOCK = 4096
 _MASK64 = (1 << 64) - 1
-MAX_EXACT_EDGES = 20
-MAX_EXACT_NODES = 64  # reachability is tracked in a 64-bit node set
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +45,7 @@ class SpreadEstimate:
         err = np.asarray(self.std_error, np.float64)
         if self.runs < 2:
             raise ValidationError("std_error reporting requires runs >= 2")
-        if np.any(values < 1.0) or np.any(err < 0.0):
+        if not (np.all(values >= 1.0) and np.all(err >= 0.0)):
             raise ValidationError("spread values must be >= 1 and errors >= 0")
         values.setflags(write=False)
         err.setflags(write=False)
@@ -135,39 +133,6 @@ def simulate_ic(net: Network, seed_node: int, cfg) -> tuple[float, float]:
     mean = float(sizes.mean())
     std_error = float(sizes.std(ddof=1) / math.sqrt(cfg.runs))
     return mean, std_error
-
-
-def exact_spread(net: Network, seed_node: int) -> float:
-    """Expected cascade size by enumerating all 2^|E| edge-success outcomes.
-
-    Intended as an oracle for small graphs; limited to
-    :data:`MAX_EXACT_EDGES` edges and :data:`MAX_EXACT_NODES` nodes.
-    """
-    _check_probabilities(net)
-    if not 0 <= seed_node < net.node_count:
-        raise ValidationError(f"seed node {seed_node} out of range")
-    m = net.edge_count
-    if m > MAX_EXACT_EDGES:
-        raise CapacityError(f"exact enumeration supports at most {MAX_EXACT_EDGES} edges, got {m}")
-    if net.node_count > MAX_EXACT_NODES:
-        raise CapacityError(f"exact enumeration supports at most {MAX_EXACT_NODES} nodes")
-    outcomes = np.arange(1 << m, dtype=np.uint64)
-    prob = np.ones(1 << m)
-    for j in range(m):
-        succeeded = ((outcomes >> np.uint64(j)) & np.uint64(1)).astype(bool)
-        prob *= np.where(succeeded, net.weight[j], 1.0 - net.weight[j])
-    reach = np.full(1 << m, np.uint64(1) << np.uint64(seed_node), dtype=np.uint64)
-    one = np.uint64(1)
-    while True:
-        before = reach.copy()
-        for j in range(m):
-            u, v = int(net.src[j]), int(net.dst[j])
-            has_u = (reach >> np.uint64(u)) & one
-            succeeded = (outcomes >> np.uint64(j)) & one
-            reach |= (has_u & succeeded) << np.uint64(v)
-        if np.array_equal(before, reach):
-            break
-    return float(np.sum(prob * np.bitwise_count(reach)))
 
 
 def spread_all(net: Network, cfg, progress=None) -> SpreadEstimate:

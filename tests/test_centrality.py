@@ -33,7 +33,7 @@ class TestDegreeStrength:
         net = Network.from_edges(3, [(0, 1), (2, 1)])
         g = view(net, ViewKind.DU)
         assert degree(g, Direction.IN).values.tolist() == [0.0, 2.0, 0.0]
-        assert degree(g, Direction.TOTAL).values.tolist() == [1.0, 2.0, 1.0]
+        assert degree(g, Direction.OUT).values.tolist() == [1.0, 0.0, 1.0]
 
     def test_undirected_counts_each_edge_once(self):
         net = Network.from_edges(3, [(0, 1), (1, 2)])
@@ -114,10 +114,6 @@ class TestCloseness:
             g = view(net, ViewKind.DW)
             np.testing.assert_allclose(closeness(g).values,
                                        bf_closeness(n, edges, directed=True), atol=1e-12)
-
-    def test_rejects_unknown_direction(self):
-        with pytest.raises(ParameterError):
-            closeness(view(star(), ViewKind.DU), direction="inbound")
 
 
 class TestEigenvector:
@@ -204,10 +200,6 @@ class TestKatz:
         alpha = default_katz_alpha(g)
         values = katz(g, Direction.OUT, alpha).values
         assert np.all(np.isfinite(values))
-
-    def test_total_direction_invalid(self):
-        with pytest.raises(ParameterError):
-            katz(view(star(), ViewKind.DU), Direction.TOTAL, alpha=0.1)
 
 
 class TestWeightScaleInvariance:

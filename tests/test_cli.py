@@ -114,6 +114,23 @@ class TestSimulate:
         spread, _ = storage.read_spread(cache)
         assert spread.runs == 50
 
+    @pytest.mark.parametrize("damage", [
+        lambda lines: lines[:-1],
+        lambda lines: lines[:-1] + [lines[-1].replace("1.0,", "x,", 1)],
+        lambda lines: lines[:-1] + [lines[-1].replace("1.0,", "nan,", 1)],
+    ], ids=["truncated", "non_numeric", "nan"])
+    def test_damaged_cache_recomputed(self, tmp_path, ingested, capsys, damage):
+        argv = ("simulate", ingested, "--runs", "50", "--out-dir", tmp_path,
+                "--no-timestamps", "--quiet")
+        run(capsys, *argv)
+        cache = tmp_path / "toy.spread.csv"
+        first = cache.read_text()
+        cache.write_text("\n".join(damage(first.splitlines())) + "\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert "cache hit" not in out and "mismatch" in err
+        assert cache.read_text() == first
+
     def test_nonprobability_weights_rejected_at_simulate(self, tmp_path, capsys):
         raw = tmp_path / "ratings.txt"
         raw.write_text("0 1 3\n1 2 2\n")
@@ -171,6 +188,30 @@ class TestEvaluate:
         report, _ = storage.read_evaluation(tmp_path / "raw.evaluation.csv")
         assert set(report.metrics) == {"c_od", "c_os", "sk3", "mgc_wk"}
         assert report.metrics["c_od"].tau_norm == pytest.approx(1.0)
+
+    def test_non_numeric_spread_is_data_error(self, tmp_path, capsys):
+        graph, spread = self._prepare(tmp_path, capsys)
+        lines = spread.read_text().splitlines()
+        lines[-1] = lines[-1].replace(",", ",?", 1)
+        spread.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "evaluate", graph, spread, "--out-dir", tmp_path)
+        assert code == 3
+        assert "could not convert" in err
+
+    def test_unknown_measure_is_usage_error(self, tmp_path, capsys):
+        graph, spread = self._prepare(tmp_path, capsys)
+        code, _, err = run(capsys, "evaluate", graph, spread, "--measures", "c_os,bogus",
+                           "--out-dir", tmp_path)
+        assert code == 2
+        assert "'bogus'" in err and "valid ids" in err
+
+    def test_comma_in_dataset_is_usage_error(self, tmp_path, capsys):
+        graph, spread = self._prepare(tmp_path, capsys)
+        code, _, err = run(capsys, "evaluate", graph, spread, "--dataset", "club,2020",
+                           "--measures", "c_os", "--out-dir", tmp_path)
+        assert code == 2
+        assert "comma" in err
+        assert not list(tmp_path.glob("*.evaluation.csv"))
 
     def test_mismatched_spread_rejected(self, tmp_path, capsys):
         graph, spread = self._prepare(tmp_path, capsys)
@@ -237,6 +278,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "simulate", tmp_path / "nope.edges",
                            "--out-dir", tmp_path, "--quiet")
         assert code == 3
+
+    @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--top-k", "0"),
+                                             ("--radius", "0")])
+    def test_out_of_range_setting_is_usage_error(self, tmp_path, ingested, capsys,
+                                                 flag, value):
+        code, _, err = run(capsys, "simulate", ingested, flag, value,
+                           "--out-dir", tmp_path, "--quiet")
+        assert code == 2
+        assert "must be >= 1" in err
 
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

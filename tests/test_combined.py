@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spreadrank.combined import (derive_coefficients, modified_closeness, sc1,
+from spreadrank.combined import (DEFAULT_DELTA, DEFAULT_GAMMA, modified_closeness, sc1,
                                  sk_family)
 from spreadrank.errors import ValidationError
 from spreadrank.scores import ScoreVector
@@ -45,21 +45,13 @@ class TestModifiedCloseness:
 
 class TestDeriveCoefficients:
     def test_published_strengths_round_to_64_36(self):
-        gamma, delta = derive_coefficients(1.29864, 0.725396)
+        # the sc1 defaults split a unit budget in proportion to the published strengths
+        k_local, k_global = 1.29864, 0.725396
+        gamma, delta = k_local / (k_local + k_global), k_global / (k_local + k_global)
         assert math.isclose(gamma, 0.6417, abs_tol=5e-4)
-        assert round(gamma, 2) == 0.64
-        assert round(delta, 2) == 0.36
+        assert round(gamma, 2) == DEFAULT_GAMMA
+        assert round(delta, 2) == DEFAULT_DELTA
         assert math.isclose(gamma + delta, 1.0, abs_tol=1e-15)
-
-    def test_symmetry(self):
-        assert derive_coefficients(1.0, 1.0) == (0.5, 0.5)
-
-    def test_ratio(self):
-        assert derive_coefficients(3.0, 1.0) == (0.75, 0.25)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValidationError):
-            derive_coefficients(0.0, 1.0)
 
 
 class TestSC1:

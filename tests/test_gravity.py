@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from spreadrank.centrality import kshell
-from spreadrank.errors import DependencyError, ValidationError
-from spreadrank.gravity import (gc_classic, gc_weighted, gravity, mass_ods,
-                                mass_wk, mgc, rhop_neighborhood)
+from spreadrank.centrality import _sssp, kshell
+from spreadrank.errors import ValidationError
+from spreadrank.gravity import gc_classic, gc_weighted, gravity, mass_ods, mass_wk
 from spreadrank.graph import Network, ViewKind, WeightMode, apply_wcs, view
+from spreadrank.measures import MeasureContext
 from spreadrank.scores import ScoreVector
 
 from oracles import bf_gravity, bf_hop_set, random_digraph
+
+
+def rhop_neighborhood(net, u, r):
+    """Nodes other than ``u`` within ``r`` directed edges, by the hop-limited search."""
+    _, hops = _sssp(view(net, ViewKind.DW), u, hops=r)
+    return set(np.flatnonzero(np.isfinite(hops)).tolist()) - {u}
 
 
 class TestHopNeighborhood:
@@ -34,8 +40,9 @@ class TestHopNeighborhood:
             assert rhop_neighborhood(net, u, r) == bf_hop_set(n, edges, u, r)
 
     def test_rejects_zero_radius(self):
+        g = view(Network.from_edges(2, [(0, 1)]), ViewKind.DW)
         with pytest.raises(ValidationError):
-            rhop_neighborhood(Network.from_edges(2, [(0, 1)]), 0, 0)
+            gravity(g, np.ones(2), 0)
 
 
 class TestGravityKernel:
@@ -130,24 +137,36 @@ class TestMGC:
     def test_complete_digraph_unit_strength(self):
         edges = [(u, v, 1.0) for u in range(3) for v in range(3) if u != v]
         net = Network.from_edges(3, edges)
-        c_os = ScoreVector("c_os", np.ones(3))
-        out = mgc(net, "s", {"c_os": c_os})
-        assert out.values.tolist() == [2.0, 2.0, 2.0]
+        unit = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), np.ones(3))
+        assert unit.values.tolist() == [2.0, 2.0, 2.0]
+        # out-strength 2 everywhere: two neighbors at distance 1, each 2 * 2
+        assert MeasureContext(net).get("mgc_s").values.tolist() == [8.0, 8.0, 8.0]
 
     def test_zero_sk3_all_zero(self):
         net = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.5)])
-        out = mgc(net, "sk", {"sk3": ScoreVector("sk3", np.zeros(3))})
+        dw_inv = view(net, ViewKind.DW, WeightMode.INVERTED)
+        out = gravity(dw_inv, ScoreVector("sk3", np.zeros(3)))
         assert np.all(out.values == 0.0)
-
-    def test_missing_dependency(self):
-        net = Network.from_edges(2, [(0, 1, 0.5)])
-        with pytest.raises(DependencyError):
-            mgc(net, "sc", {})
 
     def test_unknown_variant(self):
         net = Network.from_edges(2, [(0, 1, 0.5)])
         with pytest.raises(ValidationError):
-            mgc(net, "bogus", {})
+            MeasureContext(net).get("mgc_bogus")
+
+    @pytest.mark.parametrize("variant, mass", [
+        ("ods", lambda ctx: mass_ods(ctx.net)),
+        ("s", lambda ctx: ctx.get("c_os")),
+        ("sc", lambda ctx: ctx.get("sc1")),
+        ("sk", lambda ctx: ctx.get("sk3")),
+        ("wk", lambda ctx: mass_wk(ctx.net, ctx.get("c_katz_dw_out"))),
+    ])
+    def test_registry_passes_mass_to_gravity(self, variant, mass):
+        rng = np.random.default_rng(11)
+        n, edges = random_digraph(rng, max_n=8, p=0.35)
+        net = apply_wcs(Network.from_edges(n, edges))
+        ctx = MeasureContext(net)
+        expected = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), mass(ctx), 3).values
+        assert np.array_equal(ctx.get(f"mgc_{variant}").values, expected)
 
     def test_gc_weighted_composition(self):
         # equals assembling the pieces by hand
@@ -164,5 +183,5 @@ class TestMGC:
         # strong tie (p=1) at distance 1, weak tie (p=0.25) at distance 4
         net = Network.from_edges(3, [(0, 1, 1.0), (0, 2, 0.25)])
         mass = ScoreVector("c_os", np.array([1.0, 1.0, 1.0]))
-        out = mgc(net, "s", {"c_os": mass})
+        out = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), mass)
         assert np.isclose(out.values[0], 1.0 / 1.0 + 1.0 / 16.0)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from spreadrank.config import RunConfig
-from spreadrank.errors import CapacityError, ValidationError
+from spreadrank.errors import ValidationError
 from spreadrank.graph import Network, apply_wcs
-from spreadrank.propagation import (cascade_sizes, exact_spread, simulate_ic,
-                                    spread_all, SpreadEstimate)
+from spreadrank.propagation import cascade_sizes, simulate_ic, spread_all, SpreadEstimate
 
 from oracles import bf_exact_spread, random_sparse_digraph
 
@@ -66,46 +65,29 @@ class TestSimulateIC:
 
 
 class TestExactSpread:
+    """Hand-checked values and a monotonicity property of the enumeration oracle."""
+
     def test_isolated(self):
-        net = Network.from_edges(1, [])
-        assert exact_spread(net, 0) == 1.0
+        assert bf_exact_spread(1, [], 0) == 1.0
 
     def test_single_edge(self):
-        net = Network.from_edges(2, [(0, 1, 0.3)])
-        assert math.isclose(exact_spread(net, 0), 1.3, rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(bf_exact_spread(2, [(0, 1, 0.3)], 0), 1.3, rel_tol=0, abs_tol=1e-12)
 
     def test_chain(self):
-        net = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.5)])
-        assert math.isclose(exact_spread(net, 0), 1.75, abs_tol=1e-12)
-
-    def test_capacity_limit(self):
-        edges = [(0, v, 0.5) for v in range(1, 22)]
-        net = Network.from_edges(22, edges)
-        with pytest.raises(CapacityError):
-            exact_spread(net, 0)
-
-    def test_matches_independent_enumeration(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            n, edges = random_sparse_digraph(rng, max_edges=8, max_n=6)
-            weighted = [(u, v, float(rng.uniform(0.1, 1.0))) for u, v in edges]
-            net = Network.from_edges(n, weighted)
-            seed = int(rng.integers(0, n))
-            assert math.isclose(exact_spread(net, seed),
-                                bf_exact_spread(n, weighted, seed), abs_tol=1e-10)
+        assert math.isclose(bf_exact_spread(3, [(0, 1, 0.5), (1, 2, 0.5)], 0), 1.75,
+                            abs_tol=1e-12)
 
     def test_monotone_in_edge_probability(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             n, edges = random_sparse_digraph(rng, max_edges=8, max_n=6)
             weighted = [(u, v, float(rng.uniform(0.1, 0.8))) for u, v in edges]
-            net = Network.from_edges(n, weighted)
             seed = int(rng.integers(0, n))
-            base = exact_spread(net, seed)
+            base = bf_exact_spread(n, weighted, seed)
             bump = int(rng.integers(0, len(weighted)))
             raised = [(u, v, min(1.0, w + 0.15) if j == bump else w)
                       for j, (u, v, w) in enumerate(weighted)]
-            assert exact_spread(Network.from_edges(n, raised), seed) >= base - 1e-12
+            assert bf_exact_spread(n, raised, seed) >= base - 1e-12
 
 
 class TestSpreadAll:
@@ -124,7 +106,7 @@ class TestSpreadAll:
                                                (1, 0), (2, 1), (0, 2)]))
         est = spread_all(net, cfg(runs=20000, seed=5))
         for u in range(3):
-            exact = exact_spread(net, u)
+            exact = bf_exact_spread(3, list(net.edges()), u)
             assert abs(est.values[u] - exact) <= 3 * max(est.std_error[u], 1e-9)
 
     def test_progress_callback(self):

@@ -1,7 +1,12 @@
+import builtins
+import errno
+import io
+
 import numpy as np
 import pytest
 
 from spreadrank.config import RunConfig, graph_fingerprint, simulation_hash
+from spreadrank.errors import DataError, ParseError
 from spreadrank.graph import Network
 from spreadrank.propagation import SpreadEstimate
 from spreadrank.ranking import EvaluationReport, MeasureMetrics
@@ -20,7 +25,7 @@ def test_edge_list_roundtrip(net, tmp_path):
     back = storage.read_canonical_network(path)
     assert np.array_equal(back.src, net.src)
     assert np.array_equal(back.weight, net.weight)
-    assert storage.read_comments(path)["dataset"] == "g"
+    assert path.read_text().startswith("# dataset=g\n")
 
 
 def test_id_map(net, tmp_path):
@@ -101,3 +106,98 @@ def test_config_json_roundtrip():
     cfg = RunConfig(runs=500, master_seed=9, measures=("c_os", "sk3"))
     back = RunConfig.from_json(cfg.to_json())
     assert back == cfg
+
+
+def _spread_file(tmp_path):
+    est = SpreadEstimate(np.array([2.5, 1.0, 1.5]), np.array([0.01, 0.0, 0.02]),
+                         runs=100, master_seed=7)
+    path = tmp_path / "spread.csv"
+    storage.write_spread(est, path, config_hash="h1", timestamps=False)
+    return path
+
+
+@pytest.mark.parametrize("old, new", [
+    ("1,1.0,", "1,one,"),
+    ("2,1.5,0.02,100,7", "2,1.5,0.02,100"),
+    ("2,1.5,", "3,1.5,"),
+    ("2,1.5,0.02,100,", "2,1.5,0.02,101,"),
+    ("node,expected_spread", "node,spread"),
+], ids=["non_numeric", "missing_cell", "node_gap", "runs_vary", "header"])
+def test_damaged_spread_is_parse_error(tmp_path, old, new):
+    path = _spread_file(tmp_path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ParseError):
+        storage.read_spread(path)
+
+
+def test_spread_row_count_checked_against_graph(tmp_path):
+    path = _spread_file(tmp_path)
+    storage.read_spread(path, 3)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(DataError, match="2 rows for 3 nodes"):
+        storage.read_spread(path, 3)
+
+
+def test_non_numeric_score_and_metric_are_parse_errors(tmp_path):
+    scores = tmp_path / "scores.csv"
+    storage.write_scores(ScoreVector("c_os", np.array([0.5, 1.25])), scores, "h",
+                         timestamps=False)
+    scores.write_text(scores.read_text().replace("1.25", "1.2.5"))
+    with pytest.raises(ParseError):
+        storage.read_scores(scores)
+    report = EvaluationReport("ds", 120, 0.05,
+                              {"c_os": MeasureMetrics(0.9, 1.1, 0.2, 1.0, 0.99)})
+    evaluation = tmp_path / "eval.csv"
+    storage.write_evaluation(report, evaluation, "h", timestamps=False)
+    evaluation.write_text(evaluation.read_text().replace("0.99", "high"))
+    with pytest.raises(ParseError):
+        storage.read_evaluation(evaluation)
+
+
+class _FailsMidway:
+    """A text file whose first write stores half its text, then reports a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def write(self, text):
+        self.handle.write(text[:len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = _spread_file(tmp_path)
+    before = path.read_bytes()
+    real_open = io.open
+
+    def open_failing(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        return _FailsMidway(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(io, "open", open_failing)
+    monkeypatch.setattr(builtins, "open", open_failing)
+    other = SpreadEstimate(np.array([9.0, 8.0, 7.0]), np.array([0.5, 0.5, 0.5]),
+                           runs=200, master_seed=8)
+    with pytest.raises(OSError):
+        storage.write_spread(other, path, config_hash="h2", timestamps=False)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spread.csv"]
+
+
+def test_combined_report_is_not_an_evaluation(tmp_path):
+    metrics = {"c_os": MeasureMetrics(0.9, 1.1, 0.2, 1.0, 0.99)}
+    reports = [EvaluationReport(name, 120, 0.05, metrics) for name in ("d1", "d2")]
+    path = tmp_path / "report.csv"
+    storage.write_combined_report(reports[:1], reports[1], path, timestamps=False)
+    with pytest.raises(DataError, match="mixes datasets"):
+        storage.read_evaluation(path)
