@@ -297,6 +297,7 @@ def weighted_kshell(net: Network) -> ScoreVector:
     cur_str = out_str.copy()
     alive = np.ones(n, dtype=bool)
     shell = np.zeros(n, dtype=np.int64)
+    in_indptr, in_order = net.in_csr
 
     def level(u: int) -> int:
         mass = max(cur_deg[u] * cur_str[u], 0.0)  # float drift guard
@@ -322,7 +323,7 @@ def weighted_kshell(net: Network) -> ScoreVector:
             shell[u] = k
             remaining -= 1
             # removing u deletes its incoming edges, shrinking the sources' mass
-            for eid in net.in_edge_ids(u):
+            for eid in in_order[in_indptr[u]:in_indptr[u + 1]]:
                 s = int(net.src[eid])
                 if alive[s]:
                     cur_deg[s] -= 1

@@ -32,10 +32,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="omit generated-at comments for reproducible bytes")
 
 
-def _add_config(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--runs", type=int, default=20000, help="cascades per seed node")
-    parser.add_argument("--seed", type=int, default=1, help="master RNG seed")
-    parser.add_argument("--top-k", type=int, default=50, help="top-k size for ranking error")
+def _add_config(parser: argparse.ArgumentParser, simulation: bool = True,
+                top_k: bool = True) -> None:
+    if simulation:
+        parser.add_argument("--runs", type=int, default=20000, help="cascades per seed node")
+        parser.add_argument("--seed", type=int, default=1, help="master RNG seed")
+    if top_k:
+        parser.add_argument("--top-k", type=int, default=50, help="top-k size for ranking error")
     parser.add_argument("--katz-alpha", type=float, default=None,
                         help="fixed Katz attenuation (default: 0.85/spectral radius)")
     parser.add_argument("--radius", type=int, default=3, help="gravity hop radius")
@@ -91,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cent.add_argument("--measure", type=str, required=True,
                         help=f"one of: {', '.join(measure_ids())}")
     _add_common(p_cent)
-    _add_config(p_cent)
+    _add_config(p_cent, simulation=False, top_k=False)
 
     p_eval = sub.add_parser("evaluate", help="score measures against simulated spread")
     p_eval.add_argument("graph", type=Path)
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--dataset", type=str, default=None,
                         help="dataset name for report rows (default: graph stem)")
     _add_common(p_eval)
-    _add_config(p_eval)
+    _add_config(p_eval, simulation=False)  # runs and seed come from the spread file
 
     p_rep = sub.add_parser("report", help="aggregate evaluation reports")
     p_rep.add_argument("evaluations", type=Path, nargs="+", help="evaluation CSV files")

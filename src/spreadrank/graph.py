@@ -86,13 +86,12 @@ class Network:
             raise ValidationError("labels length must equal node_count")
         for arr in (src, dst, weight):
             arr.setflags(write=False)
-        out_indptr, out_order = _csr(src, n) if n else (np.zeros(1, np.int64), np.zeros(0, np.int64))
         in_indptr, in_order = _csr(dst, n) if n else (np.zeros(1, np.int64), np.zeros(0, np.int64))
+        for arr in (in_indptr, in_order):
+            arr.setflags(write=False)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "_out_indptr", out_indptr)
-        object.__setattr__(self, "_out_order", out_order)
         object.__setattr__(self, "_in_indptr", in_indptr)
         object.__setattr__(self, "_in_order", in_order)
 
@@ -100,15 +99,10 @@ class Network:
     def edge_count(self) -> int:
         return int(self.src.size)
 
-    def out_edge_ids(self, u: int) -> np.ndarray:
-        """Edge indices leaving node ``u``."""
-        lo, hi = self._out_indptr[u], self._out_indptr[u + 1]
-        return self._out_order[lo:hi]
-
-    def in_edge_ids(self, u: int) -> np.ndarray:
-        """Edge indices entering node ``u``."""
-        lo, hi = self._in_indptr[u], self._in_indptr[u + 1]
-        return self._in_order[lo:hi]
+    @property
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only in-edge CSR: edges entering ``v`` are ``order[indptr[v]:indptr[v + 1]]``."""
+        return self._in_indptr, self._in_order
 
     def out_degree(self) -> np.ndarray:
         return np.bincount(self.src, minlength=self.node_count)
@@ -247,12 +241,6 @@ def apply_wcs(net: Network) -> Network:
                    duplicates_dropped=net.duplicates_dropped)
 
 
-def reversed_network(net: Network) -> Network:
-    """Swap every edge's direction, keeping weights."""
-    return Network(net.node_count, net.dst, net.src, net.weight,
-                   directed=net.directed, labels=net.labels)
-
-
 @dataclass(frozen=True, eq=False)
 class GraphView:
     """A deterministic reinterpretation of a network's edge set.
@@ -319,12 +307,6 @@ class GraphView:
         """Targets and weights of the edges leaving ``u`` in this view."""
         lo, hi = self._indptr[u], self._indptr[u + 1]
         return self._adj_dst[lo:hi], self._adj_w[lo:hi]
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense weighted adjacency; intended for small graphs and tests."""
-        a = np.zeros((self.n, self.n))
-        a[self.src, self.dst] = self.weight
-        return a
 
 
 def view(net: Network, kind: ViewKind, weight_mode: WeightMode = WeightMode.AS_IS) -> GraphView:

@@ -13,9 +13,18 @@ which vectorizes across runs without changing any outcome.
 
 Randomness contract: runs are processed in fixed blocks of :data:`BLOCK`
 rows, and the uniforms of block ``b`` come from a generator seeded with
-``(master_seed, seed_node, b)``.  A run's draws are thus a pure function
-of (master_seed, seed_node, run_index) and the edge count, so results do
-not depend on scheduling or on the total number of runs requested.
+``(master_seed, seed_node, b)``: row ``r`` is run ``b * BLOCK + r`` and
+column ``j`` is edge ``j``.  A run's draws are thus a pure function of
+(master_seed, seed_node, run_index) and the edge count, so results do
+not depend on scheduling or on the total number of runs requested.  A
+block's rows are drawn a few hundred at a time, which yields the same
+doubles as one call.
+
+Packed layout: the outcome of the ``u < P(edge)`` test is kept as bits,
+one row of 64-bit words per edge, where bit ``j`` of word ``w`` is run
+``64 * w + j``.  A breadth-first level ANDs each edge's words with its
+source's frontier words and ORs the result per target, so one word
+operation advances 64 runs.
 """
 from __future__ import annotations
 
@@ -28,7 +37,9 @@ from .errors import ValidationError
 from .graph import Network
 
 BLOCK = 4096
+_CHUNK = 512  # uniform rows drawn at once: a multiple of 64 that divides BLOCK
 _MASK64 = (1 << 64) - 1
+_WORD = np.dtype("<u8")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,51 +69,46 @@ def _check_probabilities(net: Network) -> None:
         raise ValidationError("edge weights must be probabilities in (0, 1]")
 
 
-def _block_uniforms(master_seed: int, seed_node: int, block_index: int,
-                    rows: int, cols: int) -> np.ndarray:
-    seq = np.random.SeedSequence([master_seed & _MASK64, seed_node, block_index])
-    return np.random.default_rng(seq).random((rows, cols))
+def _live_edges(net: Network, seed_node: int, runs: int, master_seed: int) -> np.ndarray:
+    """Packed live-edge bits: one row per edge, bit ``j`` of word ``w`` is run ``64*w + j``."""
+    m = net.edge_count
+    live = np.zeros((m, -(-runs // 64)), _WORD)
+    live_bytes = live.view(np.uint8)
+    for block in range(math.ceil(runs / BLOCK)):
+        seq = np.random.SeedSequence([master_seed & _MASK64, seed_node, block])
+        rng = np.random.default_rng(seq)
+        block_end = min(runs, (block + 1) * BLOCK)
+        for lo in range(block * BLOCK, block_end, _CHUNK):
+            is_live = rng.random((min(_CHUNK, block_end - lo), m)) < net.weight
+            packed = np.packbits(np.ascontiguousarray(is_live.T), axis=1, bitorder="little")
+            live_bytes[:, lo // 8:lo // 8 + packed.shape[1]] = packed
+    return live
 
 
-def _reach_counts(net: Network, seed_node: int, live: np.ndarray) -> np.ndarray:
-    """Final active-set sizes for a batch of runs with given live edges.
+def _reach_counts(net: Network, seed_node: int, live: np.ndarray, runs: int) -> np.ndarray:
+    """Final active-set size of each run, by breadth-first levels over all runs at once.
 
-    ``live`` has one row per edge and one column per run.  Runs whose
-    frontier died are counted and dropped mid-flight; the loop order is
-    fixed, so results do not depend on batching.
+    Every level fires each edge in the runs where its source joined the
+    frontier and the edge is live, then ORs the fired words per target.
     """
-    runs = live.shape[1]
-    n = net.node_count
-    counts = np.empty(runs, dtype=np.int64)
-    run_ids = np.arange(runs)
-    active = np.zeros((n, runs), dtype=bool)
-    active[seed_node] = True
+    indptr, order = net.in_csr
+    has_in = indptr[1:] > indptr[:-1]
+    targets = np.flatnonzero(has_in)
+    starts = indptr[:-1][has_in]  # reduceat would pass an empty group's next row through
+    src, live = net.src[order], live[order]
+    active = np.zeros((net.node_count, live.shape[1]), _WORD)
+    active[seed_node] = ~np.uint64(0)
     frontier = active.copy()
-    while True:
-        source_has_frontier = frontier.any(axis=1)
-        if not source_has_frontier.any():
-            counts[run_ids] = active.sum(axis=0)
+    while targets.size:  # without edges there is no group to reduce
+        hit = np.bitwise_or.reduceat(frontier[src] & live, starts, axis=0)
+        fresh = hit & ~active[targets]
+        if not fresh.any():
             break
-        hit = np.zeros_like(active)
-        for u in np.flatnonzero(source_has_frontier):
-            eids = net.out_edge_ids(u)
-            if eids.size == 0:
-                continue
-            hit[net.dst[eids]] |= live[eids] & frontier[u]
-        frontier = hit & ~active
-        active |= frontier
-        run_alive = frontier.any(axis=0)
-        finished = ~run_alive
-        if finished.all():
-            counts[run_ids] = active.sum(axis=0)
-            break
-        if finished.mean() > 0.5 and run_ids.size > 512:
-            counts[run_ids[finished]] = active[:, finished].sum(axis=0)
-            run_ids = run_ids[run_alive]
-            active = active[:, run_alive]
-            frontier = frontier[:, run_alive]
-            live = live[:, run_alive]
-    return counts
+        frontier[:] = 0
+        frontier[targets] = fresh
+        active[targets] |= fresh
+    bits = np.unpackbits(active.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :runs].sum(axis=0, dtype=np.int64)
 
 
 def cascade_sizes(net: Network, seed_node: int, runs: int, master_seed: int) -> np.ndarray:
@@ -110,15 +116,7 @@ def cascade_sizes(net: Network, seed_node: int, runs: int, master_seed: int) -> 
     _check_probabilities(net)
     if not 0 <= seed_node < net.node_count:
         raise ValidationError(f"seed node {seed_node} out of range")
-    m = net.edge_count
-    probs = net.weight
-    live = np.empty((m, runs), dtype=bool)
-    for block in range(math.ceil(runs / BLOCK)):
-        lo = block * BLOCK
-        rows = min(BLOCK, runs - lo)
-        uniforms = _block_uniforms(master_seed, seed_node, block, rows, m)
-        live[:, lo:lo + rows] = (uniforms < probs[None, :]).T
-    return _reach_counts(net, seed_node, live)
+    return _reach_counts(net, seed_node, _live_edges(net, seed_node, runs, master_seed), runs)
 
 
 def simulate_ic(net: Network, seed_node: int, cfg) -> tuple[float, float]:

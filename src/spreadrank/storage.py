@@ -129,7 +129,7 @@ def read_canonical_network(path: str | Path) -> Network:
 def write_id_map(net: Network, path: str | Path) -> None:
     """CSV mapping original labels to dense ids."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["original_label", "dense_id"])
     labels = net.labels or tuple(str(i) for i in range(net.node_count))
     for dense_id, label in enumerate(labels):

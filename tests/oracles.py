@@ -101,6 +101,41 @@ def bf_exact_spread(n: int, edges: list[tuple[int, int, float]], seed: int) -> f
     return total
 
 
+CONTRACT_BLOCK = 4096  # runs per generator in the documented randomness contract
+
+
+def bf_cascade_sizes(n: int, edges: list[tuple[int, int, float]], seed_node: int,
+                     runs: int, master_seed: int) -> np.ndarray:
+    """Cascade size of every run: replayed contract draws, then one plain BFS per run.
+
+    The uniforms of runs ``b*4096 .. b*4096+4095`` come from
+    ``default_rng(SeedSequence([master_seed mod 2**64, seed_node, b]))``, one
+    row per run and one column per edge; an edge is live when its uniform is
+    below its probability.
+    """
+    rows = []
+    for block in range(math.ceil(runs / CONTRACT_BLOCK)):
+        seq = np.random.SeedSequence([master_seed % 2**64, seed_node, block])
+        count = min(CONTRACT_BLOCK, runs - block * CONTRACT_BLOCK)
+        rows.extend(np.random.default_rng(seq).random((count, len(edges))).tolist())
+    sizes = []
+    for draws in rows:
+        adj = defaultdict(list)
+        for (u, v, p), r in zip(edges, draws):
+            if r < p:
+                adj[u].append(v)
+        reached = {seed_node}
+        queue = [seed_node]
+        while queue:
+            u = queue.pop()
+            for v in adj[u]:
+                if v not in reached:
+                    reached.add(v)
+                    queue.append(v)
+        sizes.append(len(reached))
+    return np.array(sizes, dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # shortest-path centralities
 # ---------------------------------------------------------------------------
@@ -195,11 +230,17 @@ def bf_eigenvector(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
     return np.abs(lead)  # Perron vector of a connected graph is sign-definite
 
 
-def bf_katz(n: int, edges: list[tuple[int, int, float]], alpha: float,
-            outgoing: bool, terms: int = 80) -> np.ndarray:
+def dense_adjacency(n: int, edges) -> np.ndarray:
+    """Weighted adjacency matrix of (u, v, w) edges."""
     a = np.zeros((n, n))
     for u, v, w in edges:
         a[u, v] = w
+    return a
+
+
+def bf_katz(n: int, edges: list[tuple[int, int, float]], alpha: float,
+            outgoing: bool, terms: int = 80) -> np.ndarray:
+    a = dense_adjacency(n, edges)
     result = np.zeros(n)
     power = np.eye(n)
     for k in range(1, terms + 1):

@@ -182,7 +182,6 @@ class TestEvaluate:
         graph, spread = self._prepare(tmp_path, capsys)
         code, out, _ = run(capsys, "evaluate", graph, spread,
                            "--measures", "c_os,sk3,mgc_wk", "--top-k", "5",
-                           "--seed", "5", "--runs", "200",
                            "--out-dir", tmp_path, "--no-timestamps")
         assert code == 0
         report, _ = storage.read_evaluation(tmp_path / "raw.evaluation.csv")
@@ -287,6 +286,17 @@ class TestExitCodes:
                            "--out-dir", tmp_path, "--quiet")
         assert code == 2
         assert "must be >= 1" in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("centrality", "--runs"), ("centrality", "--seed"), ("centrality", "--top-k"),
+        ("evaluate", "--runs"), ("evaluate", "--seed")])
+    def test_option_the_command_does_not_read_is_rejected(self, tmp_path, ingested,
+                                                          capsys, command, flag):
+        rest = ["--measure", "c_os"] if command == "centrality" else [str(tmp_path / "s.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(ingested), *rest, flag, "5", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

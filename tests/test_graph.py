@@ -3,7 +3,7 @@ import pytest
 
 from spreadrank.errors import ParseError, ValidationError
 from spreadrank.graph import (Network, ViewKind, WeightMode, apply_wcs,
-                              load_edge_list, orient_undirected, reversed_network, view)
+                              load_edge_list, orient_undirected, view)
 from spreadrank.storage import read_canonical_network, write_edge_list
 
 
@@ -190,8 +190,3 @@ class TestViews:
         g = view(net, ViewKind.UW)
         assert g.edge_count == 2  # one pair in both directions
         assert set(g.weight.tolist()) == {0.25}
-
-    def test_reversed_network(self):
-        rev = reversed_network(self.net)
-        assert rev.src.tolist() == self.net.dst.tolist()
-        assert rev.dst.tolist() == self.net.src.tolist()

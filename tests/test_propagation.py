@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadrank.config import RunConfig
 from spreadrank.errors import ValidationError
 from spreadrank.graph import Network, apply_wcs
-from spreadrank.propagation import cascade_sizes, simulate_ic, spread_all, SpreadEstimate
+from spreadrank.propagation import BLOCK, cascade_sizes, simulate_ic, spread_all, SpreadEstimate
 
-from oracles import bf_exact_spread, random_sparse_digraph
+from oracles import bf_cascade_sizes, bf_exact_spread, random_sparse_digraph
 
 
 def cfg(runs=4000, seed=11):
@@ -62,6 +64,62 @@ class TestSimulateIC:
         alone = cascade_sizes(net, 1, 3000, 123)
         again = cascade_sizes(net, 1, 3000, 123)
         assert np.array_equal(alone, again)
+
+
+@st.composite
+def weighted_digraphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) \
+        if pairs else []
+    probs = st.one_of(st.just(1.0), st.floats(0.01, 1.0))
+    return n, [(u, v, draw(probs)) for u, v in chosen]
+
+
+class TestAgainstPerRunOracle:
+    """``cascade_sizes`` equals a per-run BFS over the replayed contract draws."""
+
+    @staticmethod
+    def agree(n, edges, seed_node, runs, master_seed=7):
+        got = cascade_sizes(Network.from_edges(n, edges), seed_node, runs, master_seed)
+        want = bf_cascade_sizes(n, edges, seed_node, runs, master_seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        return got
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_digraphs(), st.integers(0, 7), st.integers(2, 200),
+           st.integers(-2**63, 2**64 - 1))
+    def test_random_digraphs(self, graph, seed_pick, runs, master_seed):
+        n, edges = graph
+        self.agree(n, edges, seed_pick % n, runs, master_seed)
+
+    def test_zero_edge_network(self):
+        sizes = self.agree(3, [], 1, 130)
+        assert sizes.tolist() == [1] * 130
+
+    def test_seed_without_out_edges(self):
+        sizes = self.agree(3, [(0, 1, 0.5), (1, 2, 1.0)], 2, 100)
+        assert sizes.tolist() == [1] * 100
+
+    def test_in_degree_zero_targets_between_reached_ones(self):
+        # nodes 0, 2 and 5 have no in-edges; 2 and 5 sit between targets
+        # that do, where a grouped OR over empty groups would misattribute
+        edges = [(0, 1, 1.0), (1, 3, 1.0), (2, 3, 1.0), (3, 4, 0.5), (5, 6, 1.0),
+                 (4, 6, 1.0), (6, 1, 0.5)]
+        assert set(self.agree(7, edges, 0, 200).tolist()) == {3, 5}
+        assert set(self.agree(7, edges, 2, 200).tolist()) == {2, 4, 5}
+        assert set(self.agree(7, edges, 5, 65).tolist()) == {2, 4, 5}
+
+    @pytest.mark.parametrize("runs", [2, 63, 65, 100, 191])
+    def test_runs_not_a_multiple_of_64(self, runs):
+        self.agree(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5), (0, 2, 0.3)],
+                   0, runs)
+
+    @pytest.mark.parametrize("runs", [BLOCK + 1, BLOCK + 64, 2 * BLOCK + 3])
+    def test_runs_beyond_one_block(self, runs):
+        self.agree(5, [(0, 1, 0.5), (1, 2, 0.7), (2, 0, 0.2), (1, 3, 0.4), (3, 4, 0.9)],
+                   1, runs, master_seed=99)
 
 
 class TestExactSpread:

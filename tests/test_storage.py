@@ -36,6 +36,16 @@ def test_id_map(net, tmp_path):
     assert len(lines) == 4
 
 
+def test_id_map_uses_lf_line_endings(tmp_path):
+    labeled = Network(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 1.0]),
+                      directed=True, labels=("a", "b,c", 'd"e'))
+    path = tmp_path / "g.idmap.csv"
+    storage.write_id_map(labeled, path)
+    data = path.read_bytes()
+    assert b"\r" not in data
+    assert data == b'original_label,dense_id\na,0\n"b,c",1\n"d""e",2\n'
+
+
 def test_scores_roundtrip(tmp_path):
     scores = ScoreVector("c_os", np.array([0.5, 1.25, 0.0]))
     path = tmp_path / "scores.csv"
