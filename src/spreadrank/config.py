@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import propagation
 from .errors import ParameterError
 from .graph import Network
 
@@ -70,8 +71,9 @@ def graph_fingerprint(net: Network) -> str:
 
 
 def simulation_hash(net: Network, runs: int, master_seed: int) -> str:
-    """Cache key for spread results: graph content plus the two knobs that matter."""
+    """Cache key for spread results: graph content, the two knobs that matter, the engine."""
     digest = hashlib.sha256()
     digest.update(graph_fingerprint(net).encode())
     digest.update(f";runs={runs};master_seed={master_seed}".encode())
+    digest.update(f";engine={propagation.ENGINE}".encode())
     return digest.hexdigest()[:16]

@@ -1,16 +1,21 @@
+import functools
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spreadrank import propagation
 from spreadrank.config import RunConfig
 from spreadrank.errors import ValidationError
 from spreadrank.graph import Network, apply_wcs
 from spreadrank.propagation import BLOCK, cascade_sizes, simulate_ic, spread_all, SpreadEstimate
 
 from oracles import bf_cascade_sizes, bf_exact_spread, random_sparse_digraph
+from test_cascade_digests import NETWORKS
 
 
 def cfg(runs=4000, seed=11):
@@ -148,6 +153,27 @@ class TestExactSpread:
             assert bf_exact_spread(n, raised, seed) >= base - 1e-12
 
 
+def usable_cpus(mp, cpus):
+    """Make ``spread_all`` see ``cpus`` usable CPUs (``None``: the host's own)."""
+    if cpus is not None:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def one_by_one(net, config):
+    pairs = [simulate_ic(net, u, config) for u in range(net.node_count)]
+    return [mean for mean, _ in pairs], [err for _, err in pairs]
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_one_by_one(name, runs):
+    return one_by_one(NETWORKS[name], cfg(runs=runs, seed=2020))
+
+
+def ring_with_chords(n=120):
+    return apply_wcs(Network.from_edges(n, [(u, (u + step) % n)
+                                            for u in range(n) for step in (1, 7, 13)]))
+
+
 class TestSpreadAll:
     def test_two_node_deterministic(self):
         net = Network.from_edges(2, [(0, 1, 1.0)])
@@ -168,13 +194,78 @@ class TestSpreadAll:
             assert abs(est.values[u] - exact) <= 3 * max(est.std_error[u], 1e-9)
 
     def test_progress_callback(self):
-        net = Network.from_edges(2, [(0, 1, 1.0)])
+        # called on the caller's thread, in node order, though seeds run concurrently
         seen = []
-        spread_all(net, cfg(runs=10), progress=lambda done, total: seen.append((done, total)))
-        assert seen == [(1, 2), (2, 2)]
+        spread_all(ring_with_chords(30), cfg(runs=200),
+                   progress=lambda done, total: seen.append((done, total, threading.get_ident())))
+        assert seen == [(u + 1, 30, threading.get_ident()) for u in range(30)]
 
     def test_estimate_validation(self):
         with pytest.raises(ValidationError):
             SpreadEstimate(np.array([0.5]), np.array([0.0]), runs=10, master_seed=0)
         with pytest.raises(ValidationError):
             SpreadEstimate(np.array([1.5]), np.array([0.1]), runs=1, master_seed=0)
+
+
+class TestConcurrentSeeds:
+    """``spread_all`` runs seeds concurrently yet equals the serial per-seed loop."""
+
+    @pytest.mark.parametrize("cpus", [None, 1, 3])
+    @pytest.mark.parametrize("runs", [65, 4160])
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_bundled_bit_identical(self, monkeypatch, name, runs, cpus):
+        usable_cpus(monkeypatch, cpus)
+        est = spread_all(NETWORKS[name], cfg(runs=runs, seed=2020))
+        values, errors = bundled_one_by_one(name, runs)
+        assert est.values.tolist() == values
+        assert est.std_error.tolist() == errors
+
+    @pytest.mark.parametrize("cpus", [None, 1, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(weighted_digraphs(), st.integers(2, 200), st.integers(0, 2**64 - 1))
+    def test_random_digraphs_bit_identical(self, cpus, graph, runs, master_seed):
+        net = Network.from_edges(*graph)
+        config = cfg(runs=runs, seed=master_seed)
+        with pytest.MonkeyPatch.context() as mp:
+            usable_cpus(mp, cpus)
+            est = spread_all(net, config)
+        assert (est.values.tolist(), est.std_error.tolist()) == one_by_one(net, config)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_one_worker_per_usable_cpu(self, monkeypatch, cpus):
+        usable_cpus(monkeypatch, cpus)
+        workers = set()
+        simulate = propagation.simulate_ic
+
+        def recorded(*args):
+            workers.add(threading.get_ident())
+            return simulate(*args)
+
+        monkeypatch.setattr(propagation, "simulate_ic", recorded)
+        spread_all(ring_with_chords(30), cfg(runs=65))
+        assert 1 <= len(workers) <= cpus
+        assert threading.get_ident() not in workers
+
+    def test_progress_exception_cancels_pending_seeds(self, monkeypatch):
+        net = ring_with_chords(120)
+        started = []
+        simulate = propagation.simulate_ic
+
+        def counted(*args):
+            started.append(args[1])
+            return simulate(*args)
+
+        def progress(done, total):
+            raise RuntimeError(f"stop at {done}")
+
+        monkeypatch.setattr(propagation, "simulate_ic", counted)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="stop at 1"):
+            spread_all(net, cfg(runs=4160), progress=progress)
+        assert 1 <= len(started) < net.node_count
+        assert threading.active_count() == threads
+
+    def test_rejects_probability_above_one(self):
+        net = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 1.5)])
+        with pytest.raises(ValidationError, match="probabilities"):
+            spread_all(net, cfg(runs=100))

@@ -11,7 +11,7 @@ from spreadrank.graph import Network
 from spreadrank.propagation import SpreadEstimate
 from spreadrank.ranking import EvaluationReport, MeasureMetrics
 from spreadrank.scores import ScoreVector
-from spreadrank import storage
+from spreadrank import propagation, storage
 
 
 @pytest.fixture
@@ -104,12 +104,15 @@ def test_timestamps_toggle(net, tmp_path):
     assert "generated=" not in b.read_text()
 
 
-def test_fingerprint_sensitivity(net):
+def test_fingerprint_sensitivity(net, monkeypatch):
     other = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.25), (2, 0, 0.9)])
     assert graph_fingerprint(net) != graph_fingerprint(other)
     assert simulation_hash(net, 100, 1) != simulation_hash(net, 100, 2)
     assert simulation_hash(net, 100, 1) != simulation_hash(net, 200, 1)
     assert simulation_hash(net, 100, 1) == simulation_hash(net, 100, 1)
+    before = simulation_hash(net, 100, 1)
+    monkeypatch.setattr(propagation, "ENGINE", propagation.ENGINE + "-next")
+    assert simulation_hash(net, 100, 1) != before
 
 
 def test_config_json_roundtrip():
