@@ -7,6 +7,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -108,6 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("evaluations", type=Path, nargs="+", help="evaluation CSV files")
     _add_common(p_rep)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """This process's parser, built on first use and shared by every :func:`main` call."""
+    return build_parser()
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -235,8 +242,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (SpreadrankError, FileNotFoundError) as exc:

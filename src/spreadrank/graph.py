@@ -117,8 +117,7 @@ class Network:
         return np.bincount(self.dst, weights=self.weight, minlength=self.node_count)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        for u, v, w in zip(self.src, self.dst, self.weight):
-            yield int(u), int(v), float(w)
+        return zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist())
 
     def density(self) -> float:
         if self.node_count < 2:

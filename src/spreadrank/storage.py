@@ -8,7 +8,8 @@ Every file is written to a temporary sibling and renamed over its target,
 so a write that fails midway leaves the previous file as it was.  The
 readers check each table's header, cell count, numbers and node ids and
 raise :class:`ParseError` (or :class:`DataError` for a table that parses
-but does not fit) instead of passing a damaged file on.
+but does not fit) instead of passing a damaged file on.  A canonical graph
+is read back with the ids it was written with; it is never repaired.
 """
 from __future__ import annotations
 
@@ -23,8 +24,9 @@ from typing import Iterable
 import numpy as np
 
 from .config import RunConfig
-from .errors import DataError, ParseError
-from .graph import Network, load_edge_list
+from .errors import DataError, ParseError, ValidationError
+# load_edge_list is not called here; perfbench's tracer rebinds it in this module
+from .graph import Network, load_edge_list  # noqa: F401
 from .propagation import SpreadEstimate
 from .ranking import EvaluationReport, MeasureMetrics
 from .scores import ScoreVector
@@ -34,6 +36,7 @@ _SCORES_HEADER = "node,score"
 _SPREAD_HEADER = "node,expected_spread,std_error,runs,master_seed"
 _REPORT_HEADER = "dataset,measure,tau,tau_norm,epsilon,epsilon_norm,monotonicity"
 _SCATTER_HEADER = "dataset,density,measure,metric,value"
+_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
 def _fmt(x: float) -> str:
@@ -48,8 +51,9 @@ def _write_text(path: str | Path, text: str) -> None:
         with open(tmp, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_table(path: str | Path, comments: dict[str, str], header: str | None,
@@ -73,6 +77,13 @@ def _parsing(path: str | Path):
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _take_comment(line: str, comments: dict[str, str]) -> None:
+    """Record a ``# key=value`` line; a comment without ``=`` carries nothing."""
+    key, sep, value = line[1:].partition("=")
+    if sep:
+        comments[key.strip()] = value.strip()
+
+
 def _read_table(path: str | Path, header: str) -> tuple[dict[str, str], list[list[str]]]:
     """Leading ``# key=value`` comments and the comma-split rows under ``header``.
 
@@ -87,9 +98,8 @@ def _read_table(path: str | Path, header: str) -> tuple[dict[str, str], list[lis
         for number, line in enumerate(handle, start=1):
             line = line.strip()
             if line.startswith("#"):
-                key, sep, value = line[1:].partition("=")
-                if sep and not in_body:
-                    comments[key.strip()] = value.strip()
+                if not in_body:
+                    _take_comment(line, comments)
             elif not line:
                 continue
             elif not in_body:
@@ -116,14 +126,48 @@ def _node_rows(path: str | Path, rows: list[list[str]]) -> list[list[str]]:
 
 def write_edge_list(net: Network, path: str | Path, comments: dict[str, str] | None = None,
                     timestamps: bool = True) -> None:
-    """Canonical whitespace edge list ``u v w`` over dense ids."""
-    _write_table(path, comments or {}, None,
+    """Canonical whitespace edge list ``u v w`` over dense ids.
+
+    A ``# nodes=N`` comment follows ``comments``, so that a node without
+    edges keeps its id when the file is read back.
+    """
+    _write_table(path, {**(comments or {}), "nodes": str(net.node_count)}, None,
                  (f"{u} {v} {_fmt(w)}" for u, v, w in net.edges()), timestamps)
 
 
 def read_canonical_network(path: str | Path) -> Network:
-    """Load a canonical (directed, weighted) edge list written by this toolkit."""
-    return load_edge_list(path, declared_directed=True, declared_weighted=True)
+    """A canonical (directed, weighted) edge list written by :func:`write_edge_list`.
+
+    Ids are taken as written.  The node count is the ``# nodes=`` comment's,
+    or the largest id plus one in a file written before that comment was
+    added.  A row that is not ``u v w`` with integer ids in range and a
+    finite positive weight, a self-loop or a repeated ``(u, v)`` pair raises
+    :class:`ParseError`: a damaged graph is rejected, never repaired.
+    """
+    with _parsing(path):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        comments: dict[str, str] = {}
+        body = len(lines)
+        for index, line in enumerate(lines):
+            line = line.strip()
+            if line.startswith("#"):
+                _take_comment(line, comments)
+            elif line:
+                body = index
+                break
+        rows = (np.loadtxt(lines[body:], dtype=_EDGE_ROW, comments="#", ndmin=1)
+                if body < len(lines) else np.zeros(0, _EDGE_ROW))
+        src, dst, weight = rows["u"], rows["v"], rows["w"]
+        if "nodes" in comments:
+            node_count = int(comments["nodes"])
+        else:
+            node_count = int(max(src.max(), dst.max())) + 1 if rows.size else 0
+    if not np.all(np.isfinite(weight)):
+        raise ParseError(f"{path}: edge weights must be finite")
+    try:
+        return Network(node_count, src, dst, weight, directed=True)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def write_id_map(net: Network, path: str | Path) -> None:
@@ -146,7 +190,7 @@ def write_scores(scores: ScoreVector, path: str | Path, config_hash: str,
                  timestamps: bool = True) -> None:
     _write_table(path, {"measure": scores.measure, "config_hash": config_hash},
                  _SCORES_HEADER,
-                 (f"{node},{_fmt(value)}" for node, value in enumerate(scores.values)),
+                 (f"{node},{_fmt(value)}" for node, value in enumerate(scores.values.tolist())),
                  timestamps)
 
 

@@ -1,19 +1,30 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spreadrank import cli, storage
 from spreadrank.cli import main
-from spreadrank import storage
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python(*argv):
+    """A fresh interpreter that imports spreadrank from this checkout."""
+    path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 @pytest.fixture
@@ -71,6 +82,22 @@ class TestIngest:
         run(capsys, "ingest", toy_edges, "--directed", "--out-dir", tmp_path)
         lines = (tmp_path / "toy.idmap.csv").read_text().splitlines()
         assert lines[1] == "a,0"
+
+    def test_node_only_in_a_self_loop_keeps_its_id(self, tmp_path, capsys):
+        raw = tmp_path / "loop.txt"
+        raw.write_text("a a\nb c\nc d\n")
+        code, out, _ = run(capsys, "ingest", raw, "--directed", "--out-dir", tmp_path,
+                           "--no-timestamps")
+        assert code == 0 and "nodes=4" in out
+        code, _, _ = run(capsys, "simulate", tmp_path / "loop.edges", "--runs", "10",
+                         "--out-dir", tmp_path, "--no-timestamps", "--quiet")
+        assert code == 0
+        ids = dict(line.split(",") for line in
+                   (tmp_path / "loop.idmap.csv").read_text().splitlines()[1:])
+        spread, _ = storage.read_spread(tmp_path / "loop.spread.csv")
+        assert spread.values.size == 4
+        assert {label: spread.values[int(i)] for label, i in ids.items()} == \
+            {"a": 1.0, "b": 3.0, "c": 2.0, "d": 1.0}
 
 
 class TestSimulate:
@@ -261,6 +288,125 @@ class TestReport:
         code, _, err = run(capsys, "report", eval_csv, eval_csv, "--out-dir", tmp_path)
         assert code == 3
         assert "duplicate" in err
+
+
+class TestDamagedCanonicalGraph:
+    """A canonical graph that is not as ``ingest`` writes it exits 3, never repaired."""
+
+    @pytest.mark.parametrize("old, new", [
+        ("0 1 1.0", "0 1.5 1.0"),
+        ("0 1 1.0", "x 1 1.0"),
+        ("0 1 1.0", "-1 1 1.0"),
+        ("1 2 1.0", "1 3 1.0"),
+        ("1 2 1.0", "1 2"),
+        ("1 2 1.0", "1 2 1.0 1.0"),
+        ("1 2 1.0", "1 2 nan"),
+        ("1 2 1.0", "1 2 inf"),
+        ("1 2 1.0", "1 2 0.0"),
+        ("1 2 1.0", "1 2 -1.0"),
+        ("1 2 1.0", "1 2 1.0\n0 1 1.0"),
+        ("1 2 1.0", "1 2 1.0\n1 1 1.0"),
+        ("# nodes=3", "# nodes=three"),
+    ], ids=["non_integer_id", "label_id", "negative_id", "out_of_range_id", "two_cells",
+            "four_cells", "nan_weight", "infinite_weight", "zero_weight",
+            "negative_weight", "duplicate_row", "self_loop", "non_integer_node_count"])
+    @pytest.mark.parametrize("command", ["simulate", "centrality", "evaluate"])
+    def test_rejected_with_exit_3(self, tmp_path, ingested, capsys, command, old, new):
+        code, _, _ = run(capsys, "simulate", ingested, "--runs", "10",
+                         "--out-dir", tmp_path, "--no-timestamps", "--quiet")
+        assert code == 0
+        spread = tmp_path / "toy.spread.csv"
+        before = spread.read_bytes()
+        text = ingested.read_text()
+        assert old in text
+        ingested.write_text(text.replace(old, new))
+        rest = {"simulate": ["--runs", "10", "--force", "--quiet"],
+                "centrality": ["--measure", "c_os"],
+                "evaluate": [spread]}[command]
+        code, out, err = run(capsys, command, ingested, *rest, "--out-dir", tmp_path,
+                             "--no-timestamps")
+        assert code == 3
+        assert err.startswith("error: ") and str(ingested) in err
+        assert out == ""
+        assert spread.read_bytes() == before
+        assert not list(tmp_path.glob("toy.c_os.csv")) + list(tmp_path.glob("*.evaluation.csv"))
+
+
+class TestCachedParser:
+    """``main`` reuses one parser; no call may see another call's options."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """argv and parsed options of every command ``main`` runs."""
+        calls = []
+        for name, command in list(cli._COMMANDS.items()):
+            def recording(args, command=command):
+                calls.append(dict(vars(args)))
+                return command(args)
+            monkeypatch.setitem(cli._COMMANDS, name, recording)
+        return calls
+
+    @staticmethod
+    def fresh(*argv):
+        return vars(cli.build_parser().parse_args([str(a) for a in argv]))
+
+    def test_force_is_not_carried_over(self, tmp_path, ingested, capsys, parsed):
+        argv = ["simulate", ingested, "--runs", "20", "--out-dir", tmp_path,
+                "--no-timestamps", "--quiet"]
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0 and "wrote" in out
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "cache hit" in out
+        assert parsed == [self.fresh(*argv, "--force"), self.fresh(*argv)]
+        assert [call["force"] for call in parsed] == [True, False]
+
+    def test_dataset_is_not_carried_over(self, tmp_path, ingested, capsys, parsed):
+        run(capsys, "simulate", ingested, "--runs", "20", "--out-dir", tmp_path,
+            "--no-timestamps", "--quiet")
+        argv = ["evaluate", ingested, tmp_path / "toy.spread.csv", "--measures", "c_os",
+                "--top-k", "2", "--out-dir", tmp_path, "--no-timestamps"]
+        assert run(capsys, *argv, "--dataset", "club")[0] == 0
+        assert run(capsys, *argv)[0] == 0
+        assert parsed[1:] == [self.fresh(*argv, "--dataset", "club"), self.fresh(*argv)]
+        club, _ = storage.read_evaluation(tmp_path / "club.evaluation.csv")
+        toy, _ = storage.read_evaluation(tmp_path / "toy.evaluation.csv")
+        assert (club.dataset, toy.dataset) == ("club", "toy")
+        assert club.metrics == toy.metrics
+
+    def test_usage_error_after_a_successful_call(self, tmp_path, ingested, capsys, parsed):
+        argv = ["centrality", ingested, "--measure", "c_os", "--out-dir", tmp_path,
+                "--no-timestamps"]
+        assert run(capsys, *argv)[0] == 0
+        first = (tmp_path / "toy.c_os.csv").read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["centrality", str(ingested), "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--measure" in capsys.readouterr().err
+        assert run(capsys, *argv)[0] == 0
+        assert (tmp_path / "toy.c_os.csv").read_bytes() == first
+        assert parsed == [self.fresh(*argv)] * 2
+
+    def test_build_parser_runs_once_per_process(self, tmp_path, toy_edges):
+        script = (
+            "import sys\n"
+            "import spreadrank.cli as cli\n"
+            "build, built = cli.build_parser, []\n"
+            "cli.build_parser = lambda: built.append(1) or build()\n"
+            "for name in ('a', 'b', 'c'):\n"
+            "    cli.main(['ingest', sys.argv[1], '--name', name, '--directed',\n"
+            "              '--out-dir', sys.argv[2]])\n"
+            "print(len(built))\n")
+        done = python("-c", script, toy_edges, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "1"
+        assert sorted(p.name for p in tmp_path.glob("*.edges")) == ["a.edges", "b.edges",
+                                                                     "c.edges"]
+
+
+def test_python_dash_m_runs_the_cli():
+    done = python("-m", "spreadrank", "--version")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"spreadrank {cli.__version__}"
 
 
 class TestConfigProvenance:

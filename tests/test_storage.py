@@ -1,6 +1,7 @@
 import builtins
 import errno
 import io
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +27,25 @@ def test_edge_list_roundtrip(net, tmp_path):
     assert np.array_equal(back.src, net.src)
     assert np.array_equal(back.weight, net.weight)
     assert path.read_text().startswith("# dataset=g\n")
+
+
+def test_node_count_survives_nodes_without_edges(tmp_path):
+    path = tmp_path / "g.edges"
+    for net in (Network.from_edges(5, [(1, 2, 0.5), (2, 3, 1.0)]), Network.from_edges(2, [])):
+        storage.write_edge_list(net, path, comments={"dataset": "g"}, timestamps=False)
+        assert f"\n# nodes={net.node_count}\n" in path.read_text()
+        back = storage.read_canonical_network(path)
+        assert back.node_count == net.node_count
+        assert graph_fingerprint(back) == graph_fingerprint(net)
+
+
+def test_canonical_file_without_node_count_counts_to_the_largest_id(tmp_path):
+    path = tmp_path / "old.edges"
+    path.write_text("# dataset=old\n# graph_fingerprint=0\n0 3 0.5\n\n2 1 0.25\n")
+    back = storage.read_canonical_network(path)
+    assert back.node_count == 4
+    assert (back.src.tolist(), back.dst.tolist(), back.weight.tolist()) == \
+        ([0, 2], [3, 1], [0.5, 0.25])
 
 
 def test_id_map(net, tmp_path):
@@ -205,6 +225,17 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spread.csv"]
+
+
+def test_successful_write_unlinks_nothing(net, tmp_path, monkeypatch):
+    unlinked = []
+    monkeypatch.setattr(os, "unlink", lambda path, *args, **kwargs: unlinked.append(path))
+    storage.write_edge_list(net, tmp_path / "g.edges", timestamps=False)
+    storage.write_spread(SpreadEstimate(np.ones(3), np.zeros(3), runs=2, master_seed=1),
+                         tmp_path / "spread.csv", config_hash="h", timestamps=False)
+    monkeypatch.undo()
+    assert unlinked == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.edges", "spread.csv"]
 
 
 def test_combined_report_is_not_an_evaluation(tmp_path):
