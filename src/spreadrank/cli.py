@@ -55,7 +55,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise ParameterError(f"unknown measure {', '.join(map(repr, unknown))}; "
                              f"valid ids: {', '.join(measure_ids())}")
-    return RunConfig(
+    cfg = RunConfig(
         runs=getattr(args, "runs", 20000),
         master_seed=getattr(args, "seed", 1),
         top_k=getattr(args, "top_k", 50),
@@ -63,6 +63,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         gravity_radius=getattr(args, "radius", 3),
         measures=measures,
     )
+    if cfg.runs < 2:
+        raise ParameterError("runs must be >= 2 for error reporting")
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:

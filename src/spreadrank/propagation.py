@@ -21,23 +21,31 @@ block's rows are drawn :data:`_CHUNK` at a time, which yields the same
 doubles as one call.  :data:`ENGINE` names this contract and engine in
 every spread cache key; it is bumped whenever counts could change.
 
-Seed nodes run concurrently, one worker thread per usable CPU (numpy
-releases the GIL while it draws, compares and packs).  Each seed's counts
-depend only on its own stream, so they are the same for any worker count
-and completion order, and the ``progress`` callback of :func:`spread_all`
-runs on the caller's thread in node order.
-
 Packed layout: the outcome of the ``u < P(edge)`` test is kept as bits,
-one row of 64-bit words per edge, where bit ``j`` of word ``w`` is run
-``64 * w + j``.  A breadth-first level ANDs each edge's words with its
-source's frontier words and ORs the result per target, so one word
-operation advances 64 runs.
+one row of 64-bit words per edge.  Seeds are simulated in batches that
+share these rows: each seed owns a block of ``W = ceil(runs / 64)``
+consecutive words, where bit ``j`` of its word ``w`` is its run
+``64 * w + j``, and fills the block from its own stream alone.  A
+breadth-first level ANDs each edge's words with its source's frontier
+words and ORs the result per target, so one word operation advances 64
+(seed, run) pairs; bits never cross columns, so every seed's counts are
+those it would have alone.  A batch holds ``64 // W`` seeds (at least one),
+so about 64 words, but no more than ``node_count // workers`` seeds so
+that every worker gets a batch; from 2 049 runs on a batch is one seed.
+
+Batches run concurrently, one worker thread per usable CPU (numpy
+releases the GIL while it draws, compares and packs).  Counts depend only
+on each seed's stream, so they are the same for any worker count, batch
+size and completion order, and the ``progress`` callback of
+:func:`spread_all` still fires once per node, in node order, on the
+caller's thread.
 """
 from __future__ import annotations
 
 import contextlib
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -50,7 +58,8 @@ from .graph import Network
 ENGINE = "ic-packed-1"
 BLOCK = 4096
 # Uniform rows drawn at once: a multiple of 64 that divides BLOCK.  Small, as
-# every concurrent seed holds a (_CHUNK x edges) float64 buffer of its own.
+# every concurrent batch holds a (_CHUNK x edges) float64 buffer of its own;
+# a batch draws its seeds one after another, never stacking their uniforms.
 _CHUNK = 128
 _MASK64 = (1 << 64) - 1
 _WORD = np.dtype("<u8")
@@ -83,35 +92,44 @@ def _check_probabilities(net: Network) -> None:
         raise ValidationError("edge weights must be probabilities in (0, 1]")
 
 
-def _live_edges(net: Network, seed_node: int, runs: int, master_seed: int) -> np.ndarray:
-    """Packed live-edge bits: one row per edge, bit ``j`` of word ``w`` is run ``64*w + j``."""
+def _live_edges(net: Network, seeds: Sequence[int], runs: int, master_seed: int) -> np.ndarray:
+    """Packed live-edge bits of a batch: one row per edge, one block of words per seed.
+
+    Bit ``j`` of word ``w`` in seed ``i``'s block (words ``i * W`` to
+    ``(i + 1) * W - 1``, ``W = ceil(runs / 64)``) is that seed's run ``64*w + j``.
+    """
     m = net.edge_count
-    live = np.zeros((m, -(-runs // 64)), _WORD)
+    words = -(-runs // 64)
+    live = np.zeros((m, len(seeds) * words), _WORD)
     live_bytes = live.view(np.uint8)
-    for block in range(math.ceil(runs / BLOCK)):
-        seq = np.random.SeedSequence([master_seed & _MASK64, seed_node, block])
-        rng = np.random.default_rng(seq)
-        block_end = min(runs, (block + 1) * BLOCK)
-        for lo in range(block * BLOCK, block_end, _CHUNK):
-            is_live = rng.random((min(_CHUNK, block_end - lo), m)) < net.weight
-            packed = np.packbits(np.ascontiguousarray(is_live.T), axis=1, bitorder="little")
-            live_bytes[:, lo // 8:lo // 8 + packed.shape[1]] = packed
+    for i, seed_node in enumerate(seeds):
+        base = i * words * 8
+        for block in range(math.ceil(runs / BLOCK)):
+            seq = np.random.SeedSequence([master_seed & _MASK64, seed_node, block])
+            rng = np.random.default_rng(seq)
+            block_end = min(runs, (block + 1) * BLOCK)
+            for lo in range(block * BLOCK, block_end, _CHUNK):
+                is_live = rng.random((min(_CHUNK, block_end - lo), m)) < net.weight
+                packed = np.packbits(np.ascontiguousarray(is_live.T), axis=1, bitorder="little")
+                live_bytes[:, base + lo // 8:base + lo // 8 + packed.shape[1]] = packed
     return live
 
 
-def _reach_counts(net: Network, seed_node: int, live: np.ndarray, runs: int) -> np.ndarray:
-    """Final active-set size of each run, by breadth-first levels over all runs at once.
+def _reach_counts(net: Network, seeds: Sequence[int], live: np.ndarray, runs: int) -> np.ndarray:
+    """Final active-set size of each (seed, run), by breadth-first levels over all at once.
 
-    Every level fires each edge in the runs where its source joined the
+    Every level fires each edge in the columns where its source joined the
     frontier and the edge is live, then ORs the fired words per target.
+    Columns never mix, so each seed's block evolves as if it ran alone.
     """
     indptr, order = net.in_csr
     has_in = indptr[1:] > indptr[:-1]
     targets = np.flatnonzero(has_in)
     starts = indptr[:-1][has_in]  # reduceat would pass an empty group's next row through
     src, live = net.src[order], live[order]
-    active = np.zeros((net.node_count, live.shape[1]), _WORD)
-    active[seed_node] = ~np.uint64(0)
+    active = np.zeros((net.node_count, len(seeds), live.shape[1] // len(seeds)), _WORD)
+    active[seeds, range(len(seeds))] = ~np.uint64(0)
+    active = active.reshape(net.node_count, -1)
     frontier = active.copy()
     while targets.size:  # without edges there is no group to reduce
         hit = np.bitwise_or.reduceat(frontier[src] & live, starts, axis=0)
@@ -122,7 +140,11 @@ def _reach_counts(net: Network, seed_node: int, live: np.ndarray, runs: int) -> 
         frontier[targets] = fresh
         active[targets] |= fresh
     bits = np.unpackbits(active.view(np.uint8), axis=1, bitorder="little")
-    return bits[:, :runs].sum(axis=0, dtype=np.int64)
+    return bits.reshape(net.node_count, len(seeds), -1)[:, :, :runs].sum(axis=0, dtype=np.int64)
+
+
+def _batch_sizes(net: Network, seeds: Sequence[int], runs: int, master_seed: int) -> np.ndarray:
+    return _reach_counts(net, seeds, _live_edges(net, seeds, runs, master_seed), runs)
 
 
 def cascade_sizes(net: Network, seed_node: int, runs: int, master_seed: int) -> np.ndarray:
@@ -130,7 +152,11 @@ def cascade_sizes(net: Network, seed_node: int, runs: int, master_seed: int) -> 
     _check_probabilities(net)
     if not 0 <= seed_node < net.node_count:
         raise ValidationError(f"seed node {seed_node} out of range")
-    return _reach_counts(net, seed_node, _live_edges(net, seed_node, runs, master_seed), runs)
+    return _batch_sizes(net, [seed_node], runs, master_seed)[0]
+
+
+def _mean_and_error(sizes: np.ndarray) -> tuple[float, float]:
+    return float(sizes.mean()), float(sizes.std(ddof=1) / math.sqrt(sizes.size))
 
 
 def simulate_ic(net: Network, seed_node: int, cfg) -> tuple[float, float]:
@@ -141,10 +167,19 @@ def simulate_ic(net: Network, seed_node: int, cfg) -> tuple[float, float]:
     """
     if cfg.runs < 2:
         raise ValidationError("runs must be >= 2 for error reporting")
-    sizes = cascade_sizes(net, seed_node, cfg.runs, cfg.master_seed)
-    mean = float(sizes.mean())
-    std_error = float(sizes.std(ddof=1) / math.sqrt(cfg.runs))
-    return mean, std_error
+    return _mean_and_error(cascade_sizes(net, seed_node, cfg.runs, cfg.master_seed))
+
+
+def _simulate_batch(net: Network, seeds: Sequence[int], cfg) -> list[tuple[float, float]]:
+    """:func:`simulate_ic` of each seed in ``seeds``, from one shared BFS."""
+    return [_mean_and_error(sizes)
+            for sizes in _batch_sizes(net, seeds, cfg.runs, cfg.master_seed)]
+
+
+def _batches(node_count: int, runs: int, workers: int) -> list[range]:
+    """Consecutive seed nodes sharing a BFS: about 64 words, and a batch per worker."""
+    size = max(1, min(64 // -(-runs // 64), node_count // workers))
+    return [range(lo, min(node_count, lo + size)) for lo in range(0, node_count, size)]
 
 
 def _usable_cpus() -> int:
@@ -156,24 +191,28 @@ def _usable_cpus() -> int:
 def spread_all(net: Network, cfg, progress=None) -> SpreadEstimate:
     """Expected spread of every node as a single seed.
 
-    Seed nodes are simulated concurrently, one worker per usable CPU; the
-    values are the same for any worker count and completion order.
+    Batches of seed nodes are simulated concurrently, one worker per usable
+    CPU; the values are the same for any worker count and completion order.
     ``progress`` is an optional callable invoked as ``progress(done, total)``
     on the calling thread, in node order, as each node's result arrives.
-    An exception from a worker or from ``progress`` cancels the seeds that
-    have not started.
+    An exception from a worker or from ``progress`` cancels the batches
+    that have not started.
     """
     if cfg.runs < 2:
         raise ValidationError("runs must be >= 2 for error reporting")
+    _check_probabilities(net)
     n = net.node_count
     values = np.empty(n)
     errors = np.empty(n)
-    with ThreadPoolExecutor(_usable_cpus()) as pool, contextlib.closing(
-            pool.map(simulate_ic, repeat(net), range(n), repeat(cfg))) as results:
-        # closing the result iterator cancels the pending seeds before the
+    workers = _usable_cpus()
+    batches = _batches(n, cfg.runs, workers)
+    with ThreadPoolExecutor(workers) as pool, contextlib.closing(
+            pool.map(_simulate_batch, repeat(net), batches, repeat(cfg))) as results:
+        # closing the result iterator cancels the pending batches before the
         # pool's shutdown waits for the running ones
-        for u, (mean, std_error) in enumerate(results):
-            values[u], errors[u] = mean, std_error
-            if progress is not None:
-                progress(u + 1, n)
+        for seeds, pairs in zip(batches, results):
+            for u, (mean, std_error) in zip(seeds, pairs):
+                values[u], errors[u] = mean, std_error
+                if progress is not None:
+                    progress(u + 1, n)
     return SpreadEstimate(values, errors, runs=cfg.runs, master_seed=cfg.master_seed)

@@ -181,17 +181,18 @@ def evaluate_measures(dataset: str, node_count: int, density: float,
         except UndefinedCorrelationError:
             return None
 
-    tau_base = tau_or_none(scores["c_od"])
     use_epsilon = k <= node_count
-    eps_base = ranking_error(scores["c_os"], spread, k) if use_epsilon else None
+    taus = {measure_id: tau_or_none(vec) for measure_id, vec in scores.items()}
+    epsilons = {measure_id: ranking_error(vec, spread, k) if use_epsilon else None
+                for measure_id, vec in scores.items()}
+    tau_base, eps_base = taus["c_od"], epsilons["c_os"]
 
     metrics: dict[str, MeasureMetrics] = {}
     for measure_id, vec in scores.items():
-        tau = tau_or_none(vec)
+        tau, epsilon = taus[measure_id], epsilons[measure_id]
         tau_norm = None
         if tau is not None and tau_base is not None and tau_base != 0.0:
             tau_norm = tau / tau_base
-        epsilon = ranking_error(vec, spread, k) if use_epsilon else None
         epsilon_norm = None
         if epsilon is not None and eps_base is not None and eps_base != 0.0:
             epsilon_norm = epsilon / eps_base

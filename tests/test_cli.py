@@ -433,6 +433,14 @@ class TestExitCodes:
         assert code == 2
         assert "must be >= 1" in err
 
+    def test_single_run_is_usage_error(self, tmp_path, ingested, capsys):
+        # a standard error needs two runs
+        code, _, err = run(capsys, "simulate", ingested, "--runs", "1",
+                           "--out-dir", tmp_path, "--quiet")
+        assert code == 2
+        assert "runs must be >= 2" in err
+        assert not (tmp_path / f"{ingested.stem}.spread.csv").exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("centrality", "--runs"), ("centrality", "--seed"), ("centrality", "--top-k"),
         ("evaluate", "--runs"), ("evaluate", "--seed")])

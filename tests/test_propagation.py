@@ -207,11 +207,38 @@ class TestSpreadAll:
             SpreadEstimate(np.array([1.5]), np.array([0.1]), runs=1, master_seed=0)
 
 
+class TestSeedBatches:
+    """Seeds share a BFS in batches of about 64 words; their counts do not change."""
+
+    @pytest.mark.parametrize("runs", [2, 64, 65, 100, 1000, 2048, 2049, 4096, 4160])
+    @pytest.mark.parametrize("node_count, workers", [(1, 1), (1, 2), (70, 1), (70, 2),
+                                                      (80, 3), (250, 2)])
+    def test_batch_rule(self, node_count, workers, runs):
+        batches = propagation._batches(node_count, runs, workers)
+        assert [u for seeds in batches for u in seeds] == list(range(node_count))
+        size = len(batches[0])
+        assert all(len(seeds) == size for seeds in batches[:-1])
+        assert len(batches[-1]) <= size
+        assert size * -(-runs // 64) <= max(64, -(-runs // 64))
+        assert len(batches) >= min(node_count, workers)
+        if runs > 2048:
+            assert all(len(seeds) == 1 for seeds in batches)
+
+    @pytest.mark.parametrize("runs", [2, 63, 64, 65, 100, 130, 1000])
+    def test_batch_counts_equal_single_seed_counts(self, runs):
+        net = NETWORKS["synth_forum"]
+        seeds = range(3, 3 + 64 // -(-runs // 64))
+        batch = propagation._batch_sizes(net, seeds, runs, 77)
+        assert batch.shape == (len(seeds), runs)
+        for row, u in zip(batch, seeds):
+            assert np.array_equal(row, cascade_sizes(net, u, runs, 77))
+
+
 class TestConcurrentSeeds:
     """``spread_all`` runs seeds concurrently yet equals the serial per-seed loop."""
 
     @pytest.mark.parametrize("cpus", [None, 1, 3])
-    @pytest.mark.parametrize("runs", [65, 4160])
+    @pytest.mark.parametrize("runs", [2, 65, 100, 4160])
     @pytest.mark.parametrize("name", sorted(NETWORKS))
     def test_bundled_bit_identical(self, monkeypatch, name, runs, cpus):
         usable_cpus(monkeypatch, cpus)
@@ -235,35 +262,50 @@ class TestConcurrentSeeds:
     def test_one_worker_per_usable_cpu(self, monkeypatch, cpus):
         usable_cpus(monkeypatch, cpus)
         workers = set()
-        simulate = propagation.simulate_ic
+        simulate = propagation._simulate_batch
 
         def recorded(*args):
             workers.add(threading.get_ident())
             return simulate(*args)
 
-        monkeypatch.setattr(propagation, "simulate_ic", recorded)
+        monkeypatch.setattr(propagation, "_simulate_batch", recorded)
         spread_all(ring_with_chords(30), cfg(runs=65))
         assert 1 <= len(workers) <= cpus
         assert threading.get_ident() not in workers
 
-    def test_progress_exception_cancels_pending_seeds(self, monkeypatch):
-        net = ring_with_chords(120)
+    @staticmethod
+    def started_before_stop(monkeypatch, net, config):
+        """Seeds of the batches that started before ``progress`` raised at node 1."""
         started = []
-        simulate = propagation.simulate_ic
+        simulate = propagation._simulate_batch
 
         def counted(*args):
-            started.append(args[1])
+            started.extend(args[1])
             return simulate(*args)
 
         def progress(done, total):
             raise RuntimeError(f"stop at {done}")
 
-        monkeypatch.setattr(propagation, "simulate_ic", counted)
+        monkeypatch.setattr(propagation, "_simulate_batch", counted)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="stop at 1"):
-            spread_all(net, cfg(runs=4160), progress=progress)
-        assert 1 <= len(started) < net.node_count
+            spread_all(net, config, progress=progress)
         assert threading.active_count() == threads
+        return started
+
+    def test_progress_exception_cancels_pending_seeds(self, monkeypatch):
+        net = ring_with_chords(120)
+        started = self.started_before_stop(monkeypatch, net, cfg(runs=4160))
+        assert 1 <= len(started) < net.node_count
+
+    def test_progress_exception_cancels_later_batches(self, monkeypatch):
+        # at 100 runs and one CPU the 240 seeds form batches of 32; the lone
+        # worker may pick up the second batch before the caller cancels, but
+        # never a later one
+        usable_cpus(monkeypatch, 1)
+        started = self.started_before_stop(monkeypatch, ring_with_chords(240), cfg(runs=100))
+        assert started[:32] == list(range(32))
+        assert started in (list(range(32)), list(range(64)))
 
     def test_rejects_probability_above_one(self):
         net = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 1.5)])

@@ -244,6 +244,23 @@ class TestEvaluateMeasures:
         probe = m["probe"]
         assert probe.tau_norm == pytest.approx(probe.tau / m["c_od"].tau)
 
+    def test_each_metric_computed_once_per_measure(self, monkeypatch):
+        from spreadrank import ranking
+        rng = np.random.default_rng(12)
+        n = 40
+        scores = self._scores(n, rng)
+        spread = spread_of(1 + rng.random(n))
+        expected = evaluate_measures("d", n, 0.1, scores, spread, k=10)
+        calls = {"kendall_tau": [], "ranking_error": []}
+        for name, seen in calls.items():
+            def counted(vec, *rest, _original=getattr(ranking, name), _seen=seen):
+                _seen.append(vec.measure)
+                return _original(vec, *rest)
+            monkeypatch.setattr(ranking, name, counted)
+        report = evaluate_measures("d", n, 0.1, scores, spread, k=10)
+        assert report == expected
+        assert calls == {"kendall_tau": list(scores), "ranking_error": list(scores)}
+
     def test_requires_baselines(self):
         with pytest.raises(ValidationError):
             evaluate_measures("d", 3, 0.1, {"x": ScoreVector("x", np.ones(3))},
