@@ -29,9 +29,11 @@ consecutive words, where bit ``j`` of its word ``w`` is its run
 breadth-first level ANDs each edge's words with its source's frontier
 words and ORs the result per target, so one word operation advances 64
 (seed, run) pairs; bits never cross columns, so every seed's counts are
-those it would have alone.  A batch holds ``64 // W`` seeds (at least one),
-so about 64 words, but no more than ``node_count // workers`` seeds so
-that every worker gets a batch; from 2 049 runs on a batch is one seed.
+those it would have alone.  A batch holds at most ``64 // W`` seeds (at
+least one), so at most 64 words; from 2 049 runs on a batch is one seed.
+The nodes are split evenly, in node order, into the fewest such batches
+whose count is a multiple of the worker count (or one per node), so every
+worker gets a batch and no batch is left nearly empty.
 
 Batches run concurrently, one worker thread per usable CPU (numpy
 releases the GIL while it draws, compares and packs).  Counts depend only
@@ -177,9 +179,10 @@ def _simulate_batch(net: Network, seeds: Sequence[int], cfg) -> list[tuple[float
 
 
 def _batches(node_count: int, runs: int, workers: int) -> list[range]:
-    """Consecutive seed nodes sharing a BFS: about 64 words, and a batch per worker."""
-    size = max(1, min(64 // -(-runs // 64), node_count // workers))
-    return [range(lo, min(node_count, lo + size)) for lo in range(0, node_count, size)]
+    """Consecutive seed nodes sharing a BFS: at most 64 words, split evenly over the workers."""
+    rounds = -(-node_count // (max(1, 64 // -(-runs // 64)) * workers))
+    count = min(node_count, rounds * workers)
+    return [range(i * node_count // count, (i + 1) * node_count // count) for i in range(count)]
 
 
 def _usable_cpus() -> int:

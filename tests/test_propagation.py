@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -208,21 +209,25 @@ class TestSpreadAll:
 
 
 class TestSeedBatches:
-    """Seeds share a BFS in batches of about 64 words; their counts do not change."""
+    """Seeds share a BFS in batches of at most 64 words; their counts do not change."""
 
     @pytest.mark.parametrize("runs", [2, 64, 65, 100, 1000, 2048, 2049, 4096, 4160])
-    @pytest.mark.parametrize("node_count, workers", [(1, 1), (1, 2), (70, 1), (70, 2),
-                                                      (80, 3), (250, 2)])
+    @pytest.mark.parametrize("node_count, workers", [(1, 1), (1, 2), (40, 3), (70, 1),
+                                                      (70, 2), (80, 2), (80, 3), (250, 2)])
     def test_batch_rule(self, node_count, workers, runs):
         batches = propagation._batches(node_count, runs, workers)
+        words = -(-runs // 64)
+        seats = max(1, 64 // words)
+        sizes = [len(seeds) for seeds in batches]
         assert [u for seeds in batches for u in seeds] == list(range(node_count))
-        size = len(batches[0])
-        assert all(len(seeds) == size for seeds in batches[:-1])
-        assert len(batches[-1]) <= size
-        assert size * -(-runs // 64) <= max(64, -(-runs // 64))
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= seats
+        # every worker gets as many batches, and a round fewer would not seat all seeds
+        assert len(batches) % workers == 0 or len(batches) == node_count
         assert len(batches) >= min(node_count, workers)
+        assert (len(batches) - workers) * seats < node_count
         if runs > 2048:
-            assert all(len(seeds) == 1 for seeds in batches)
+            assert sizes == [1] * node_count
 
     @pytest.mark.parametrize("runs", [2, 63, 64, 65, 100, 130, 1000])
     def test_batch_counts_equal_single_seed_counts(self, runs):
@@ -269,19 +274,25 @@ class TestConcurrentSeeds:
             return simulate(*args)
 
         monkeypatch.setattr(propagation, "_simulate_batch", recorded)
-        spread_all(ring_with_chords(30), cfg(runs=65))
+        # one seed per batch, so there are more batches than a right-sized pool has threads
+        assert len(propagation._batches(30, 4160, cpus)) > cpus
+        spread_all(ring_with_chords(30), cfg(runs=4160))
         assert 1 <= len(workers) <= cpus
         assert threading.get_ident() not in workers
 
     @staticmethod
-    def started_before_stop(monkeypatch, net, config):
-        """Seeds of the batches that started before ``progress`` raised at node 1."""
+    def started_before_stop(monkeypatch, net, config, hold=lambda seeds: None):
+        """Seeds of the batches that started before ``progress`` raised at node 1.
+
+        ``hold(seeds)`` runs on the worker as each batch starts.
+        """
         started = []
         simulate = propagation._simulate_batch
 
-        def counted(*args):
-            started.extend(args[1])
-            return simulate(*args)
+        def counted(net, seeds, config):
+            started.extend(seeds)
+            hold(seeds)
+            return simulate(net, seeds, config)
 
         def progress(done, total):
             raise RuntimeError(f"stop at {done}")
@@ -299,13 +310,29 @@ class TestConcurrentSeeds:
         assert 1 <= len(started) < net.node_count
 
     def test_progress_exception_cancels_later_batches(self, monkeypatch):
-        # at 100 runs and one CPU the 240 seeds form batches of 32; the lone
-        # worker may pick up the second batch before the caller cancels, but
-        # never a later one
+        # At 100 runs and one CPU the lone worker runs batches of 30 seeds in
+        # node order.  It may start the second batch before the caller cancels,
+        # but that batch then waits until the pool shuts down, which follows
+        # the cancelling, so no later batch can start.
         usable_cpus(monkeypatch, 1)
-        started = self.started_before_stop(monkeypatch, ring_with_chords(240), cfg(runs=100))
-        assert started[:32] == list(range(32))
-        assert started in (list(range(32)), list(range(64)))
+        net = ring_with_chords(240)
+        batches = propagation._batches(net.node_count, 100, 1)
+        assert len(batches) > 2
+        first, second = list(batches[0]), list(batches[1])
+        shutting_down = threading.Event()
+
+        class Pool(ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                shutting_down.set()
+                super().shutdown(*args, **kwargs)
+
+        def hold(seeds):
+            if seeds[0] != 0:
+                shutting_down.wait(timeout=60)
+
+        monkeypatch.setattr(propagation, "ThreadPoolExecutor", Pool)
+        started = self.started_before_stop(monkeypatch, net, cfg(runs=100), hold)
+        assert started in (first, first + second)
 
     def test_rejects_probability_above_one(self):
         net = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 1.5)])
