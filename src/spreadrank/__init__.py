@@ -5,17 +5,17 @@ __version__ = "0.1.0"
 from .config import RunConfig
 from .graph import Network, GraphView, ViewKind, WeightMode, view, load_edge_list, \
     orient_undirected, apply_wcs
-from .propagation import SpreadEstimate, simulate_ic, spread_all
+from .propagation import SpreadEstimate, spread_all
 from .scores import ScoreVector
-from .measures import compute_measure, measure_ids, MeasureContext
+from .measures import measure_ids, MeasureContext
 from .ranking import kendall_tau, ranking_error, monotonicity, aggregate, \
     evaluate_measures, EvaluationReport
 
 __all__ = [
     "RunConfig", "Network", "GraphView", "ViewKind", "WeightMode", "view",
     "load_edge_list", "orient_undirected", "apply_wcs",
-    "SpreadEstimate", "simulate_ic", "spread_all",
-    "ScoreVector", "compute_measure", "measure_ids", "MeasureContext",
+    "SpreadEstimate", "spread_all",
+    "ScoreVector", "measure_ids", "MeasureContext",
     "kendall_tau", "ranking_error", "monotonicity", "aggregate",
     "evaluate_measures", "EvaluationReport",
 ]

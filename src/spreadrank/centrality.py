@@ -31,25 +31,18 @@ class Direction(Enum):
     OUT = "out"
 
 
-def _incident_sum(view: GraphView, direction: Direction,
-                  weights: np.ndarray | None) -> np.ndarray:
-    """Per-node sum of ``weights`` (1 when None) over leaving or entering edges."""
-    ends = view.dst if direction is Direction.IN else view.src
-    return np.bincount(ends, weights=weights, minlength=view.n)
+def degree(view: GraphView) -> ScoreVector:
+    """Count of edges leaving each node.
 
-
-def degree(view: GraphView, direction: Direction = Direction.OUT) -> ScoreVector:
-    """Count of edges leaving (OUT) or entering (IN) each node.
-
-    Undirected views list every edge in both directions, so both give the degree.
+    Undirected views list every edge in both directions, so this is the degree.
     """
-    return ScoreVector(f"degree_{direction.value}", _incident_sum(view, direction, None))
+    return ScoreVector("out_degree", np.bincount(view.src, minlength=view.n))
 
 
-def strength(view: GraphView, direction: Direction = Direction.OUT) -> ScoreVector:
-    """Sum of the weights of edges leaving (OUT) or entering (IN) each node."""
-    return ScoreVector(f"strength_{direction.value}",
-                       _incident_sum(view, direction, view.weight))
+def strength(view: GraphView) -> ScoreVector:
+    """Sum of the weights of edges leaving each node."""
+    return ScoreVector("out_strength",
+                       np.bincount(view.src, weights=view.weight, minlength=view.n))
 
 
 def _sssp(view: GraphView, source: int, hops: int | None = None,
@@ -204,12 +197,8 @@ def spectral_radius_estimate(view: GraphView, iterations: int = 200) -> float:
     return estimate
 
 
-def default_katz_alpha(view: GraphView) -> float:
-    """Attenuation guaranteeing convergence: 0.85 over the spectral radius."""
-    return _katz_alpha(spectral_radius_estimate(view))
-
-
 def _katz_alpha(radius: float) -> float:
+    """Attenuation guaranteeing convergence: 0.85 over the spectral radius."""
     if radius <= 1e-12:
         return KATZ_ALPHA_FRACTION
     return KATZ_ALPHA_FRACTION / radius

@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .config import DEFAULT_MEASURES, RunConfig, graph_fingerprint, simulation_hash
+from .config import RunConfig, graph_fingerprint, simulation_hash
 from .errors import (ConvergenceError, DataError, ParameterError, ParseError,
                      SpreadrankError, ValidationError)
 from .graph import apply_wcs, load_edge_list, orient_undirected
@@ -35,37 +36,34 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_config(parser: argparse.ArgumentParser, simulation: bool = True,
                 top_k: bool = True) -> None:
+    """Options named by their :class:`RunConfig` field, which also gives their defaults."""
     if simulation:
-        parser.add_argument("--runs", type=int, default=20000, help="cascades per seed node")
-        parser.add_argument("--seed", type=int, default=1, help="master RNG seed")
+        parser.add_argument("--runs", type=int, default=RunConfig.runs,
+                            help="cascades per seed node")
+        parser.add_argument("--seed", dest="master_seed", type=int,
+                            default=RunConfig.master_seed, help="master RNG seed")
     if top_k:
-        parser.add_argument("--top-k", type=int, default=50, help="top-k size for ranking error")
-    parser.add_argument("--katz-alpha", type=float, default=None,
+        parser.add_argument("--top-k", type=int, default=RunConfig.top_k,
+                            help="top-k size for ranking error")
+    parser.add_argument("--katz-alpha", type=float, default=RunConfig.katz_alpha,
                         help="fixed Katz attenuation (default: 0.85/spectral radius)")
-    parser.add_argument("--radius", type=int, default=3, help="gravity hop radius")
-    parser.add_argument("--measures", type=str, default=",".join(DEFAULT_MEASURES),
+    parser.add_argument("--radius", dest="gravity_radius", type=int,
+                        default=RunConfig.gravity_radius, help="gravity hop radius")
+    parser.add_argument("--measures", type=str, default=",".join(RunConfig.measures),
                         help="comma-separated measure ids")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    measures = tuple(m.strip() for m in args.measures.split(",") if m.strip()) \
-        if hasattr(args, "measures") else DEFAULT_MEASURES
+def _config_from_args(args: argparse.Namespace, **known) -> RunConfig:
+    """The configuration a command's options give; ``known`` sets fields it has no option for."""
+    measures = tuple(m.strip() for m in args.measures.split(",") if m.strip())
     unknown = [m for m in (*measures, getattr(args, "measure", None))
                if m is not None and m not in measure_ids()]
     if unknown:
         raise ParameterError(f"unknown measure {', '.join(map(repr, unknown))}; "
                              f"valid ids: {', '.join(measure_ids())}")
-    cfg = RunConfig(
-        runs=getattr(args, "runs", 20000),
-        master_seed=getattr(args, "seed", 1),
-        top_k=getattr(args, "top_k", 50),
-        katz_alpha=getattr(args, "katz_alpha", None),
-        gravity_radius=getattr(args, "radius", 3),
-        measures=measures,
-    )
-    if cfg.runs < 2:
-        raise ParameterError("runs must be >= 2 for error reporting")
-    return cfg
+    options = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+               if f.name != "measures" and hasattr(args, f.name)}
+    return RunConfig(**options, **known, measures=measures)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,9 +192,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     net = storage.read_canonical_network(args.graph)
     spread, stored_hash = storage.read_spread(args.spread, net.node_count)
     # provenance records the simulation knobs the spread file was built with
-    args.runs = spread.runs
-    args.seed = spread.master_seed
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, runs=spread.runs, master_seed=spread.master_seed)
     expected_hash = simulation_hash(net, spread.runs, spread.master_seed)
     if stored_hash and stored_hash != expected_hash:
         raise DataError(f"spread cache {args.spread} does not match graph {args.graph} "

@@ -11,6 +11,8 @@ import numpy as np
 from .errors import ValidationError
 from .scores import ScoreVector
 
+# Fixed by the paper: the closeness fold point, sc1's weights (the published
+# correlation strengths split over a unit budget), and sk's zero-Katz stand-in.
 DEFAULT_CLOSENESS_THRESHOLD = 0.04
 DEFAULT_GAMMA = 0.64
 DEFAULT_DELTA = 0.36

@@ -6,9 +6,9 @@ smaller to the larger node id; unweighted graphs receive cascade
 probabilities of ``1 / in-degree(target)`` (:func:`apply_wcs`).
 
 A :class:`GraphView` reinterprets the same edge set in one of four ways
-(directed or not, weighted or not) and optionally substitutes unit or
-inverted (``1/w``) weights, which distance-based measures use so that a
-strong tie reads as a short distance.
+(directed or not, weighted or not) and optionally substitutes inverted
+(``1/w``) weights, which distance-based measures use so that a strong tie
+reads as a short distance.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ class ViewKind(Enum):
 
 class WeightMode(Enum):
     AS_IS = "as_is"
-    UNIT = "unit"
     INVERTED = "inverted"
 
 
@@ -112,9 +111,6 @@ class Network:
 
     def out_strength(self) -> np.ndarray:
         return np.bincount(self.src, weights=self.weight, minlength=self.node_count)
-
-    def in_strength(self) -> np.ndarray:
-        return np.bincount(self.dst, weights=self.weight, minlength=self.node_count)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         return zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist())
@@ -245,9 +241,8 @@ class GraphView:
     """A deterministic reinterpretation of a network's edge set.
 
     Undirected kinds collapse reciprocal pairs (first occurrence wins) and
-    expose each surviving edge in both directions.  ``weight_mode`` is
-    applied on top of the kind's weights: UNIT replaces them with 1,
-    INVERTED with ``1/w``.
+    expose each surviving edge in both directions; unweighted kinds carry
+    weight 1.  ``weight_mode`` INVERTED replaces the kind's weights by ``1/w``.
     """
 
     kind: ViewKind
@@ -269,9 +264,7 @@ class GraphView:
             src = np.concatenate([lo, hi])
             dst = np.concatenate([hi, lo])
             w = np.concatenate([kept_w, kept_w])
-        if self.weight_mode is WeightMode.UNIT:
-            w = np.ones(src.size)
-        elif self.weight_mode is WeightMode.INVERTED:
+        if self.weight_mode is WeightMode.INVERTED:
             w = 1.0 / w
         indptr, order = _csr(src, n) if n else (np.zeros(1, np.int64), np.zeros(0, np.int64))
         w = np.asarray(w, np.float64)

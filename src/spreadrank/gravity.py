@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .centrality import _sssp, kshell, weighted_kshell
+from .centrality import _sssp
 from .errors import ValidationError
-from .graph import GraphView, Network, ViewKind, WeightMode, view
+from .graph import GraphView, Network
 from .scores import ScoreVector
 
 DEFAULT_RADIUS = 3
@@ -53,15 +53,3 @@ def mass_wk(net: Network, katz_out_dw: ScoreVector) -> ScoreVector:
         raise ValidationError("katz vector must cover every node")
     values = mass_ods(net).values * katz_out_dw.values
     return ScoreVector("wk", values)
-
-
-def gc_classic(net: Network, radius: int = DEFAULT_RADIUS) -> ScoreVector:
-    """Gravity with k-shell masses over the undirected unweighted view."""
-    uu = view(net, ViewKind.UU, WeightMode.UNIT)
-    return gravity(uu, kshell(uu), radius).with_measure("gc")
-
-
-def gc_weighted(net: Network, radius: int = DEFAULT_RADIUS) -> ScoreVector:
-    """Gravity with weighted-shell masses over inverted weighted distances."""
-    dw_inv = view(net, ViewKind.DW, WeightMode.INVERTED)
-    return gravity(dw_inv, weighted_kshell(net), radius).with_measure("gc_w")

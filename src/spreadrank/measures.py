@@ -5,7 +5,9 @@ cascade probabilities.  Each id encodes which view a measure runs on,
 e.g. ``c_b_uw`` is betweenness on the undirected weighted view with
 inverted distances, ``c_katz_du`` is incoming Katz on the directed
 unweighted view.  Combination measures (``sc1``, ``sk*``) consume
-max-normalized inputs.
+max-normalized inputs and use the fixed constants of :mod:`.combined`.
+Only the Katz attenuation and the gravity radius come from the
+:class:`RunConfig`.
 """
 from __future__ import annotations
 
@@ -40,28 +42,20 @@ class MeasureContext:
         return self._cache[measure_id]
 
 
-def compute_measure(net: Network, measure_id: str, cfg: RunConfig | None = None,
-                    ctx: MeasureContext | None = None) -> ScoreVector:
-    """Compute one measure, resolving its dependency chain."""
-    if ctx is None:
-        ctx = MeasureContext(net, cfg)
-    return ctx.get(measure_id)
-
-
 def measure_ids() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
 def _c_od(ctx: MeasureContext) -> ScoreVector:
-    return degree(view(ctx.net, ViewKind.DU), Direction.OUT)
+    return degree(view(ctx.net, ViewKind.DU))
 
 
 def _c_os(ctx: MeasureContext) -> ScoreVector:
-    return strength(view(ctx.net, ViewKind.DW), Direction.OUT)
+    return strength(view(ctx.net, ViewKind.DW))
 
 
 def _c_b_uu(ctx: MeasureContext) -> ScoreVector:
-    return betweenness(view(ctx.net, ViewKind.UU, WeightMode.UNIT))
+    return betweenness(view(ctx.net, ViewKind.UU))
 
 
 def _c_b_uw(ctx: MeasureContext) -> ScoreVector:
@@ -69,7 +63,7 @@ def _c_b_uw(ctx: MeasureContext) -> ScoreVector:
 
 
 def _c_c_du(ctx: MeasureContext) -> ScoreVector:
-    return closeness(view(ctx.net, ViewKind.DU, WeightMode.UNIT))
+    return closeness(view(ctx.net, ViewKind.DU))
 
 
 def _c_c_dw(ctx: MeasureContext) -> ScoreVector:
@@ -77,7 +71,7 @@ def _c_c_dw(ctx: MeasureContext) -> ScoreVector:
 
 
 def _c_c_dw_mod(ctx: MeasureContext) -> ScoreVector:
-    return combined.modified_closeness(ctx.get("c_c_dw"), ctx.cfg.closeness_threshold)
+    return combined.modified_closeness(ctx.get("c_c_dw"))
 
 
 def _c_e_uu(ctx: MeasureContext) -> ScoreVector:
@@ -101,24 +95,18 @@ def _wks(ctx: MeasureContext) -> ScoreVector:
 
 
 def _gc(ctx: MeasureContext) -> ScoreVector:
-    return gravity.gc_classic(ctx.net, ctx.cfg.gravity_radius)
-
-
-def _gc_w(ctx: MeasureContext) -> ScoreVector:
-    return gravity.gc_weighted(ctx.net, ctx.cfg.gravity_radius)
+    """Classic gravity: k-shell masses over undirected hop distances."""
+    return gravity.gravity(view(ctx.net, ViewKind.UU), ctx.get("ks"), ctx.cfg.gravity_radius)
 
 
 def _sc1(ctx: MeasureContext) -> ScoreVector:
-    return combined.sc1(ctx.get("c_os").normalize(),
-                        ctx.get("c_c_dw_mod").normalize(),
-                        ctx.cfg.sc1_gamma, ctx.cfg.sc1_delta)
+    return combined.sc1(ctx.get("c_os").normalize(), ctx.get("c_c_dw_mod").normalize())
 
 
 def _sk(variant: str) -> Callable[[MeasureContext], ScoreVector]:
     def build(ctx: MeasureContext) -> ScoreVector:
         return combined.sk_family(ctx.get("c_os").normalize(),
-                                  ctx.get("c_katz_du").normalize(),
-                                  variant, ctx.cfg.eps_guard)
+                                  ctx.get("c_katz_du").normalize(), variant)
     return build
 
 
@@ -145,7 +133,7 @@ _BUILDERS: dict[str, Callable[[MeasureContext], ScoreVector]] = {
     "ks": _ks,
     "wks": _wks,
     "gc": _gc,
-    "gc_w": _gc_w,
+    "gc_w": _mgc(lambda ctx: ctx.get("wks")),
     "sc1": _sc1,
     "sk1": _sk("sk1"),
     "sk2": _sk("sk2"),

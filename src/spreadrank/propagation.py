@@ -157,24 +157,9 @@ def cascade_sizes(net: Network, seed_node: int, runs: int, master_seed: int) -> 
     return _batch_sizes(net, [seed_node], runs, master_seed)[0]
 
 
-def _mean_and_error(sizes: np.ndarray) -> tuple[float, float]:
-    return float(sizes.mean()), float(sizes.std(ddof=1) / math.sqrt(sizes.size))
-
-
-def simulate_ic(net: Network, seed_node: int, cfg) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the cascade size for one seed.
-
-    ``cfg`` supplies ``runs`` (>= 2) and ``master_seed``.  Identical inputs
-    give bit-identical results.
-    """
-    if cfg.runs < 2:
-        raise ValidationError("runs must be >= 2 for error reporting")
-    return _mean_and_error(cascade_sizes(net, seed_node, cfg.runs, cfg.master_seed))
-
-
 def _simulate_batch(net: Network, seeds: Sequence[int], cfg) -> list[tuple[float, float]]:
-    """:func:`simulate_ic` of each seed in ``seeds``, from one shared BFS."""
-    return [_mean_and_error(sizes)
+    """Mean cascade size and its standard error for each seed in ``seeds``, from one BFS."""
+    return [(float(sizes.mean()), float(sizes.std(ddof=1) / math.sqrt(sizes.size)))
             for sizes in _batch_sizes(net, seeds, cfg.runs, cfg.master_seed)]
 
 
@@ -192,17 +177,17 @@ def _usable_cpus() -> int:
 
 
 def spread_all(net: Network, cfg, progress=None) -> SpreadEstimate:
-    """Expected spread of every node as a single seed.
+    """Expected spread of every node as a single seed, with standard errors.
 
-    Batches of seed nodes are simulated concurrently, one worker per usable
-    CPU; the values are the same for any worker count and completion order.
+    ``cfg`` (a :class:`~spreadrank.config.RunConfig`, whose ``runs`` is at
+    least 2) supplies ``runs`` and ``master_seed``.  Batches of seed nodes
+    are simulated concurrently, one worker per usable CPU; the values are
+    bit-identical for any worker count and completion order.
     ``progress`` is an optional callable invoked as ``progress(done, total)``
     on the calling thread, in node order, as each node's result arrives.
     An exception from a worker or from ``progress`` cancels the batches
     that have not started.
     """
-    if cfg.runs < 2:
-        raise ValidationError("runs must be >= 2 for error reporting")
     _check_probabilities(net)
     n = net.node_count
     values = np.empty(n)

@@ -12,14 +12,11 @@ from .errors import ValidationError
 class ScoreVector:
     """One centrality measure's value for every node of a network.
 
-    ``values[i]`` is the score of the node with dense id ``i``.  The
-    ``normalized`` flag records whether the vector has been divided by
-    its maximum absolute value.
+    ``values[i]`` is the score of the node with dense id ``i``.
     """
 
     measure: str
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -38,8 +35,8 @@ class ScoreVector:
         """Divide by the maximum absolute value; all-zero vectors pass through."""
         peak = float(np.max(np.abs(self.values))) if len(self) else 0.0
         if peak == 0.0:
-            return ScoreVector(self.measure, self.values, normalized=True)
-        return ScoreVector(self.measure, self.values / peak, normalized=True)
+            return self
+        return ScoreVector(self.measure, self.values / peak)
 
     def with_measure(self, measure: str) -> "ScoreVector":
-        return ScoreVector(measure, self.values, normalized=self.normalized)
+        return ScoreVector(measure, self.values)

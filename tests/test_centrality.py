@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spreadrank.centrality import (Direction, betweenness, closeness, degree,
-                                   default_katz_alpha, eigenvector, katz, kshell,
+from spreadrank.centrality import (KATZ_ALPHA_FRACTION, Direction, betweenness, closeness,
+                                   degree, eigenvector, katz, kshell,
                                    spectral_radius_estimate, strength, weighted_kshell)
 from spreadrank.errors import ParameterError, ValidationError
 from spreadrank.graph import Network, ViewKind, WeightMode, apply_wcs, view
@@ -26,42 +26,42 @@ def star(n=5):
 class TestDegreeStrength:
     def test_star_out_degree(self):
         g = view(star(), ViewKind.DU)
-        assert degree(g, Direction.OUT).values[0] == 4.0
+        assert degree(g).values[0] == 4.0
 
     def test_isolated_zero(self):
         net = Network.from_edges(3, [(0, 1)])
         g = view(net, ViewKind.DU)
-        assert degree(g, Direction.OUT).values[2] == 0.0
+        assert degree(g).values[2] == 0.0
 
     def test_in_total_split(self):
         net = Network.from_edges(3, [(0, 1), (2, 1)])
         g = view(net, ViewKind.DU)
-        assert degree(g, Direction.IN).values.tolist() == [0.0, 2.0, 0.0]
-        assert degree(g, Direction.OUT).values.tolist() == [1.0, 0.0, 1.0]
+        assert degree(g).values.tolist() == [1.0, 0.0, 1.0]
 
     def test_undirected_counts_each_edge_once(self):
         net = Network.from_edges(3, [(0, 1), (1, 2)])
         g = view(net, ViewKind.UU)
-        assert degree(g, Direction.OUT).values.tolist() == [1.0, 2.0, 1.0]
+        assert degree(g).values.tolist() == [1.0, 2.0, 1.0]
 
     def test_strength_sums_weights(self):
         net = Network.from_edges(3, [(0, 1, 0.5), (0, 2, 0.25)])
         g = view(net, ViewKind.DW)
-        assert strength(g, Direction.OUT).values[0] == 0.75
+        assert strength(g).values[0] == 0.75
 
     def test_unit_strength_equals_degree(self):
         rng = np.random.default_rng(0)
         n, edges = random_digraph(rng, max_n=7)
         net = Network.from_edges(n, edges)
         g = view(net, ViewKind.DU)
-        assert np.array_equal(strength(g, Direction.OUT).values,
-                              degree(g, Direction.OUT).values)
+        assert np.array_equal(strength(g).values, degree(g).values)
 
     def test_wcs_in_strength_counts_fed_nodes(self):
+        # every edge leaves one node and enters another, so the out-strengths
+        # add up to the in-strengths: 1 per node with an in-edge
         net = apply_wcs(Network.from_edges(4, [(0, 1), (2, 1), (1, 3), (0, 3)]))
         g = view(net, ViewKind.DW)
         fed = int(np.sum(net.in_degree() > 0))
-        assert math.isclose(strength(g, Direction.IN).values.sum(), fed, abs_tol=1e-12)
+        assert math.isclose(strength(g).values.sum(), fed, abs_tol=1e-12)
 
 
 class TestBetweenness:
@@ -201,9 +201,13 @@ class TestKatz:
         n, edges = random_digraph(rng, max_n=7)
         net = Network.from_edges(n, edges)
         g = view(net, ViewKind.DW)
-        alpha = default_katz_alpha(g)
-        values = katz(g, Direction.OUT, alpha).values
+        values = katz(g, Direction.OUT).values
         assert np.all(np.isfinite(values))
+        # the default is 0.85 over the spectral radius, or 0.85 itself when the
+        # radius is 0 (an acyclic graph, as here)
+        radius = spectral_radius_estimate(g)
+        alpha = KATZ_ALPHA_FRACTION / radius if radius > 1e-12 else KATZ_ALPHA_FRACTION
+        assert np.array_equal(values, katz(g, Direction.OUT, alpha).values)
 
 
 class TestWeightScaleInvariance:
@@ -215,7 +219,7 @@ class TestWeightScaleInvariance:
         net = Network.from_edges(n, edges)
         scaled = Network.from_edges(n, [(u, v, 3.75 * w) for u, v, w in edges])
         for builder in (
-            lambda g: strength(view(g, ViewKind.DW), Direction.OUT),
+            lambda g: strength(view(g, ViewKind.DW)),
             lambda g: closeness(view(g, ViewKind.DW, WeightMode.INVERTED)),
             lambda g: betweenness(view(g, ViewKind.DW, WeightMode.INVERTED)),
         ):

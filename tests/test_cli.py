@@ -9,6 +9,7 @@ import pytest
 
 from spreadrank import cli, storage
 from spreadrank.cli import main
+from spreadrank.config import RunConfig
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -417,6 +418,14 @@ class TestConfigProvenance:
         assert payload["runs"] == 20
         assert payload["master_seed"] == 9
 
+    @pytest.mark.parametrize("argv", [["simulate", "g.edges"],
+                                      ["centrality", "g.edges", "--measure", "c_os"],
+                                      ["evaluate", "g.edges", "s.csv"]],
+                             ids=["simulate", "centrality", "evaluate"])
+    def test_defaults_are_run_config_defaults(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._config_from_args(args) == RunConfig()
+
 
 class TestExitCodes:
     def test_missing_file(self, tmp_path, capsys):
@@ -424,8 +433,7 @@ class TestExitCodes:
                            "--out-dir", tmp_path, "--quiet")
         assert code == 3
 
-    @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--top-k", "0"),
-                                             ("--radius", "0")])
+    @pytest.mark.parametrize("flag, value", [("--top-k", "0"), ("--radius", "0")])
     def test_out_of_range_setting_is_usage_error(self, tmp_path, ingested, capsys,
                                                  flag, value):
         code, _, err = run(capsys, "simulate", ingested, flag, value,
@@ -433,12 +441,13 @@ class TestExitCodes:
         assert code == 2
         assert "must be >= 1" in err
 
-    def test_single_run_is_usage_error(self, tmp_path, ingested, capsys):
-        # a standard error needs two runs
-        code, _, err = run(capsys, "simulate", ingested, "--runs", "1",
+    @pytest.mark.parametrize("runs", ["0", "1"])
+    def test_single_run_is_usage_error(self, tmp_path, ingested, capsys, runs):
+        # a standard error needs two runs; fewer get the one message
+        code, _, err = run(capsys, "simulate", ingested, "--runs", runs,
                            "--out-dir", tmp_path, "--quiet")
         assert code == 2
-        assert "runs must be >= 2" in err
+        assert "error: runs must be >= 2 for error reporting" in err
         assert not (tmp_path / f"{ingested.stem}.spread.csv").exists()
 
     @pytest.mark.parametrize("command, flag", [

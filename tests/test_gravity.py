@@ -3,7 +3,7 @@ import pytest
 
 from spreadrank.centrality import _sssp, kshell
 from spreadrank.errors import ValidationError
-from spreadrank.gravity import gc_classic, gc_weighted, gravity, mass_ods, mass_wk
+from spreadrank.gravity import gravity, mass_ods, mass_wk
 from spreadrank.graph import Network, ViewKind, WeightMode, apply_wcs, view
 from spreadrank.measures import MeasureContext
 from spreadrank.scores import ScoreVector
@@ -96,13 +96,13 @@ class TestGravityKernel:
         # square 0-1-2-3-0 plus chord 0-2, undirected unit distances
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
         net = Network.from_edges(4, edges, directed=False)
-        uu = view(net, ViewKind.UU, WeightMode.UNIT)
+        uu = view(net, ViewKind.UU)
         ks = kshell(uu).values
         assert ks.tolist() == [2.0, 2.0, 2.0, 2.0]
         out = gravity(uu, ks, 3).values
         # node 0: neighbors 1,2,3 all at distance 1 -> 3 * (2*2)/1
         assert out[0] == 12.0
-        assert gc_classic(net).values.tolist() == out.tolist()
+        assert MeasureContext(net).get("gc").values.tolist() == out.tolist()
 
     def test_mass_length_checked(self):
         net = Network.from_edges(3, [(0, 1)])
@@ -174,7 +174,7 @@ class TestMGC:
         rng = np.random.default_rng(10)
         n, edges = random_digraph(rng, max_n=7, p=0.35)
         net = apply_wcs(Network.from_edges(n, edges))
-        direct = gc_weighted(net).values
+        direct = MeasureContext(net).get("gc_w").values
         dw_inv = view(net, ViewKind.DW, WeightMode.INVERTED)
         assembled = gravity(dw_inv, weighted_kshell(net), 3).values
         np.testing.assert_allclose(direct, assembled, atol=0)

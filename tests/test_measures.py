@@ -1,12 +1,16 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from spreadrank import centrality
 from spreadrank.centrality import weighted_kshell
 from spreadrank.config import DEFAULT_MEASURES, RunConfig
 from spreadrank.errors import ValidationError
 from spreadrank.graph import Network, ViewKind, WeightMode, apply_wcs, view
 from spreadrank.gravity import gravity, mass_ods
-from spreadrank.measures import MeasureContext, compute_measure, measure_ids
+from spreadrank.measures import MeasureContext, measure_ids
 
 from oracles import random_digraph
 
@@ -32,7 +36,7 @@ def test_default_measures_are_known():
 
 def test_unknown_id_lists_valid_ones(net):
     with pytest.raises(ValidationError, match="c_od"):
-        compute_measure(net, "nope")
+        MeasureContext(net).get("nope")
 
 
 def test_cache_returns_same_object(net):
@@ -41,21 +45,20 @@ def test_cache_returns_same_object(net):
 
 
 def test_c_od_is_out_degree(net):
-    values = compute_measure(net, "c_od").values
+    values = MeasureContext(net).get("c_od").values
     assert np.array_equal(values, net.out_degree().astype(float))
 
 
 def test_c_os_is_wcs_out_strength(net):
-    values = compute_measure(net, "c_os").values
+    values = MeasureContext(net).get("c_os").values
     np.testing.assert_allclose(values, net.out_strength())
 
 
 def test_modified_closeness_chain(net):
-    cfg = RunConfig(closeness_threshold=0.1)
-    ctx = MeasureContext(net, cfg)
+    ctx = MeasureContext(net)
     raw = ctx.get("c_c_dw").values
     folded = ctx.get("c_c_dw_mod").values
-    expected = np.where(raw <= 0.1, raw + 0.9, 1.1 - raw)
+    expected = np.where(raw <= 0.04, raw + 0.96, 1.04 - raw)
     np.testing.assert_allclose(folded, expected)
 
 
@@ -86,6 +89,27 @@ def test_gc_w_uses_weighted_shells(net):
     manual = gravity(view(net, ViewKind.DW, WeightMode.INVERTED),
                      weighted_kshell(net), 3).values
     np.testing.assert_allclose(ctx.get("gc_w").values, manual)
+
+
+def test_shells_computed_once_per_context(net, monkeypatch):
+    # gc and gc_w take their masses from the context's ks and wks
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("kshell", "weighted_kshell"):
+        original = getattr(centrality, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("spreadrank")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    ctx = MeasureContext(net)
+    for measure_id in ("wks", "gc_w", "ks", "gc"):
+        ctx.get(measure_id)
+    assert calls == {"kshell": 1, "weighted_kshell": 1}
 
 
 def test_radius_config_respected(net):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from spreadrank import propagation
 from spreadrank.config import RunConfig
-from spreadrank.errors import ValidationError
+from spreadrank.errors import ParameterError, ValidationError
 from spreadrank.graph import Network, apply_wcs
-from spreadrank.propagation import BLOCK, cascade_sizes, simulate_ic, spread_all, SpreadEstimate
+from spreadrank.propagation import BLOCK, cascade_sizes, spread_all, SpreadEstimate
 
 from oracles import bf_cascade_sizes, bf_exact_spread, random_sparse_digraph
 from test_cascade_digests import NETWORKS
@@ -23,39 +23,45 @@ def cfg(runs=4000, seed=11):
     return RunConfig(runs=runs, master_seed=seed)
 
 
+def simulate_one(net, seed_node, config):
+    """One seed's mean cascade size and its standard error, as ``spread_all`` reports them."""
+    sizes = cascade_sizes(net, seed_node, config.runs, config.master_seed)
+    return float(sizes.mean()), float(sizes.std(ddof=1) / math.sqrt(sizes.size))
+
+
 class TestSimulateIC:
     def test_isolated_seed(self):
         net = Network.from_edges(2, [(1, 0, 0.5)])
-        mean, err = simulate_ic(net, 0, cfg(runs=100))
+        mean, err = simulate_one(net, 0, cfg(runs=100))
         assert mean == 1.0
         assert err == 0.0
 
     def test_deterministic_path(self):
         net = Network.from_edges(2, [(0, 1, 1.0)])
-        mean, err = simulate_ic(net, 0, cfg(runs=100))
+        mean, err = simulate_one(net, 0, cfg(runs=100))
         assert mean == 2.0
         assert err == 0.0
 
     def test_two_branches_half(self):
         net = Network.from_edges(3, [(0, 1, 0.5), (0, 2, 0.5)])
-        mean, err = simulate_ic(net, 0, cfg(runs=20000))
+        mean, err = simulate_one(net, 0, cfg(runs=20000))
         assert err > 0
         assert abs(mean - 2.0) < 3 * err
 
     def test_rejects_probability_above_one(self):
         net = Network.from_edges(2, [(0, 1, 1.5)])
         with pytest.raises(ValidationError, match="probabilities"):
-            simulate_ic(net, 0, cfg())
+            simulate_one(net, 0, cfg())
 
     def test_rejects_single_run(self):
-        net = Network.from_edges(2, [(0, 1, 0.5)])
-        with pytest.raises(ValidationError, match="runs"):
-            simulate_ic(net, 0, RunConfig(runs=1))
+        # a standard error needs two runs, so no configuration holds fewer
+        with pytest.raises(ParameterError, match="runs must be >= 2"):
+            RunConfig(runs=1)
 
     def test_bit_identical_reruns(self):
         net = apply_wcs(Network.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 0)]))
-        a = simulate_ic(net, 0, cfg(runs=5000, seed=42))
-        b = simulate_ic(net, 0, cfg(runs=5000, seed=42))
+        a = simulate_one(net, 0, cfg(runs=5000, seed=42))
+        b = simulate_one(net, 0, cfg(runs=5000, seed=42))
         assert a == b
 
     def test_run_streams_are_prefix_stable(self):
@@ -161,7 +167,7 @@ def usable_cpus(mp, cpus):
 
 
 def one_by_one(net, config):
-    pairs = [simulate_ic(net, u, config) for u in range(net.node_count)]
+    pairs = [simulate_one(net, u, config) for u in range(net.node_count)]
     return [mean for mean, _ in pairs], [err for _, err in pairs]
 
 

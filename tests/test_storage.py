@@ -1,6 +1,7 @@
 import builtins
 import errno
 import io
+import json
 import os
 
 import numpy as np
@@ -136,9 +137,10 @@ def test_fingerprint_sensitivity(net, monkeypatch):
 
 
 def test_config_json_roundtrip():
+    # config.json holds every field, so the run's configuration can be rebuilt from it
     cfg = RunConfig(runs=500, master_seed=9, measures=("c_os", "sk3"))
-    back = RunConfig.from_json(cfg.to_json())
-    assert back == cfg
+    payload = json.loads(cfg.to_json())
+    assert RunConfig(**{**payload, "measures": tuple(payload["measures"])}) == cfg
 
 
 def _spread_file(tmp_path):
