@@ -214,8 +214,6 @@ def katz(view: GraphView, direction: Direction = Direction.IN,
     radius = spectral_radius_estimate(view)
     if alpha is None:
         alpha = _katz_alpha(radius)
-    if alpha <= 0:
-        raise ParameterError("katz alpha must be positive")
     if radius > 0 and alpha * radius >= 1.0:
         raise ParameterError(
             f"katz alpha {alpha} >= 1/spectral_radius ({1.0 / radius:.6g}); series diverges")

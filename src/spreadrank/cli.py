@@ -35,35 +35,35 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_config(parser: argparse.ArgumentParser, simulation: bool = True,
-                top_k: bool = True) -> None:
+                scoring: bool = True) -> None:
     """Options named by their :class:`RunConfig` field, which also gives their defaults."""
     if simulation:
         parser.add_argument("--runs", type=int, default=RunConfig.runs,
                             help="cascades per seed node")
         parser.add_argument("--seed", dest="master_seed", type=int,
                             default=RunConfig.master_seed, help="master RNG seed")
-    if top_k:
+    if scoring:
         parser.add_argument("--top-k", type=int, default=RunConfig.top_k,
                             help="top-k size for ranking error")
+        parser.add_argument("--measures", default=RunConfig.measures,
+                            type=lambda ids: tuple(m.strip() for m in ids.split(",") if m.strip()),
+                            help="comma-separated measure ids (default: all)")
     parser.add_argument("--katz-alpha", type=float, default=RunConfig.katz_alpha,
                         help="fixed Katz attenuation (default: 0.85/spectral radius)")
     parser.add_argument("--radius", dest="gravity_radius", type=int,
                         default=RunConfig.gravity_radius, help="gravity hop radius")
-    parser.add_argument("--measures", type=str, default=",".join(RunConfig.measures),
-                        help="comma-separated measure ids")
 
 
 def _config_from_args(args: argparse.Namespace, **known) -> RunConfig:
     """The configuration a command's options give; ``known`` sets fields it has no option for."""
-    measures = tuple(m.strip() for m in args.measures.split(",") if m.strip())
-    unknown = [m for m in (*measures, getattr(args, "measure", None))
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                       if hasattr(args, f.name)}, **known)
+    unknown = [m for m in (*cfg.measures, getattr(args, "measure", None))
                if m is not None and m not in measure_ids()]
     if unknown:
         raise ParameterError(f"unknown measure {', '.join(map(repr, unknown))}; "
                              f"valid ids: {', '.join(measure_ids())}")
-    options = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-               if f.name != "measures" and hasattr(args, f.name)}
-    return RunConfig(**options, **known, measures=measures)
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cent.add_argument("--measure", type=str, required=True,
                         help=f"one of: {', '.join(measure_ids())}")
     _add_common(p_cent)
-    _add_config(p_cent, simulation=False, top_k=False)
+    _add_config(p_cent, simulation=False, scoring=False)
 
     p_eval = sub.add_parser("evaluate", help="score measures against simulated spread")
     p_eval.add_argument("graph", type=Path)

@@ -21,32 +21,31 @@ DEFAULT_EPS = 1e-12
 SK_VARIANTS = ("sk1", "sk2", "sk3")
 
 
-def modified_closeness(c: ScoreVector, threshold: float = DEFAULT_CLOSENESS_THRESHOLD) -> ScoreVector:
-    """Fold raw closeness so that values at or below ``threshold`` score highest.
+def modified_closeness(c: ScoreVector) -> ScoreVector:
+    """Fold raw closeness so that values at or below ``t = DEFAULT_CLOSENESS_THRESHOLD``
+    score highest.
 
-    value <= threshold  ->  value + 1 - threshold
-    value >  threshold  ->  1 - value + threshold
+    value <= t  ->  value + 1 - t
+    value >  t  ->  1 - value + t
     """
-    v = c.values
-    out = np.where(v <= threshold, v + 1.0 - threshold, 1.0 - v + threshold)
+    v, t = c.values, DEFAULT_CLOSENESS_THRESHOLD
+    out = np.where(v <= t, v + 1.0 - t, 1.0 - v + t)
     return ScoreVector("closeness_mod", out)
 
 
-def sc1(c_os: ScoreVector, c_mod_closeness: ScoreVector,
-        gamma: float = DEFAULT_GAMMA, delta: float = DEFAULT_DELTA) -> ScoreVector:
+def sc1(c_os: ScoreVector, c_mod_closeness: ScoreVector) -> ScoreVector:
     """Convex combination ``gamma * out_strength + delta * folded_closeness``.
 
     Both inputs are expected max-normalized over the same node set.
     """
     if len(c_os) != len(c_mod_closeness):
         raise ValidationError("sc1 inputs must cover the same node set")
-    values = gamma * c_os.values + delta * c_mod_closeness.values
+    values = DEFAULT_GAMMA * c_os.values + DEFAULT_DELTA * c_mod_closeness.values
     return ScoreVector("sc1", values)
 
 
-def sk_family(c_os: ScoreVector, c_katz: ScoreVector, variant: str,
-              eps: float = DEFAULT_EPS) -> ScoreVector:
-    """Strength/Katz combinations; ``eps`` replaces zero Katz values.
+def sk_family(c_os: ScoreVector, c_katz: ScoreVector, variant: str) -> ScoreVector:
+    """Strength/Katz combinations; ``DEFAULT_EPS`` replaces zero Katz values.
 
     sk1 = s + s/z      sk2 = s - z/(s+z)      sk3 = s/z
     """
@@ -54,14 +53,12 @@ def sk_family(c_os: ScoreVector, c_katz: ScoreVector, variant: str,
         raise ValidationError(f"unknown sk variant {variant!r}")
     if len(c_os) != len(c_katz):
         raise ValidationError("sk inputs must cover the same node set")
-    if eps <= 0:
-        raise ValidationError("eps must be > 0")
     s = c_os.values
-    z = np.where(c_katz.values == 0.0, eps, c_katz.values)
+    z = np.where(c_katz.values == 0.0, DEFAULT_EPS, c_katz.values)
     if variant == "sk1":
         values = s + s / z
     elif variant == "sk2":
-        denom = np.where(s + z == 0.0, eps, s + z)
+        denom = np.where(s + z == 0.0, DEFAULT_EPS, s + z)
         values = s - z / denom
     else:
         values = s / z

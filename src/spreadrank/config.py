@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,9 +25,9 @@ class RunConfig:
     """All tunable parameters of a pipeline run; the CLI's defaults are these.
 
     ``katz_alpha`` of ``None`` selects the spectral default
-    ``0.85 / lambda_max`` per adjacency operator; a float fixes it.  The
-    combined measures' constants (fold threshold 0.04, sc1 weights
-    0.64/0.36) are fixed by the paper and live in :mod:`.combined`.
+    ``0.85 / lambda_max`` per adjacency operator; a finite positive float
+    fixes it.  The combined measures' constants (fold threshold 0.04, sc1
+    weights 0.64/0.36) are fixed by the paper and live in :mod:`.combined`.
     """
 
     runs: int = 20000
@@ -43,6 +44,8 @@ class RunConfig:
             raise ParameterError("top_k must be >= 1")
         if self.gravity_radius < 1:
             raise ParameterError("gravity radius must be >= 1")
+        if self.katz_alpha is not None and not 0 < self.katz_alpha < math.inf:
+            raise ParameterError("katz alpha must be a finite number > 0")
 
     def to_json(self) -> str:
         payload = asdict(self)

@@ -5,11 +5,13 @@ line, so downstream commands can refuse mixed inputs.  Timestamp comments
 are optional to allow byte-identical reruns.
 
 Every file is written to a temporary sibling and renamed over its target,
-so a write that fails midway leaves the previous file as it was.  The
-readers check each table's header, cell count, numbers and node ids and
-raise :class:`ParseError` (or :class:`DataError` for a table that parses
-but does not fit) instead of passing a damaged file on.  A canonical graph
-is read back with the ids it was written with; it is never repaired.
+so a write that fails midway leaves the previous file as it was.  Each
+table format is a row dtype whose field names are the CSV's header; one
+reader, :func:`_read_table`, parses every table with ``np.loadtxt``
+against its dtype.  The readers raise :class:`ParseError` (or
+:class:`DataError` for a table that parses but does not fit) instead of
+passing a damaged file on.  A canonical graph is read back with the ids it
+was written with; it is never repaired.
 """
 from __future__ import annotations
 
@@ -32,11 +34,20 @@ from .ranking import EvaluationReport, MeasureMetrics
 from .scores import ScoreVector
 
 NA = "NA"
-_SCORES_HEADER = "node,score"
-_SPREAD_HEADER = "node,expected_spread,std_error,runs,master_seed"
-_REPORT_HEADER = "dataset,measure,tau,tau_norm,epsilon,epsilon_norm,monotonicity"
-_SCATTER_HEADER = "dataset,density,measure,metric,value"
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+_SCORE_ROW = np.dtype([("node", np.int64), ("score", np.float64)])
+_SPREAD_ROW = np.dtype([("node", np.int64), ("expected_spread", np.float64),
+                        ("std_error", np.float64), ("runs", np.int64),
+                        ("master_seed", np.int64)])
+# text cells stay Python strings: numpy's str dtype parses slowly, its
+# fixed-width U dtypes truncate long dataset names
+_REPORT_ROW = np.dtype([(name, object) for name in (
+    "dataset", "measure", "tau", "tau_norm", "epsilon", "epsilon_norm", "monotonicity")])
+_SCATTER_HEADER = "dataset,density,measure,metric,value"
+
+
+def _header(row: np.dtype) -> str:
+    return ",".join(row.names)
 
 
 def _fmt(x: float) -> str:
@@ -70,58 +81,51 @@ def _write_table(path: str | Path, comments: dict[str, str], header: str | None,
 
 @contextmanager
 def _parsing(path: str | Path):
-    """Report a cell that is no number, or a file that is no text, as a ParseError."""
+    """Report a cell or row that does not fit, or a file that is no text, as a ParseError."""
     try:
         yield
     except ValueError as exc:  # UnicodeDecodeError is one too
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _take_comment(line: str, comments: dict[str, str]) -> None:
-    """Record a ``# key=value`` line; a comment without ``=`` carries nothing."""
-    key, sep, value = line[1:].partition("=")
-    if sep:
-        comments[key.strip()] = value.strip()
+def _read_table(path: str | Path, row: np.dtype,
+                header: bool = True) -> tuple[dict[str, str], np.ndarray]:
+    """Leading ``# key=value`` comments and the table's rows as ``row`` records.
 
-
-def _read_table(path: str | Path, header: str) -> tuple[dict[str, str], list[list[str]]]:
-    """Leading ``# key=value`` comments and the comma-split rows under ``header``.
-
-    Blank lines and later comment lines are skipped.  The first other line
-    must be ``header`` and every row must have as many cells as it.
+    With ``header``, the first line that is neither blank nor a comment must
+    be the header and the cells under it are comma-separated; without, every
+    such line is a row of whitespace-separated cells.  Blank lines and later
+    comment lines are skipped.  Every row must have one cell per field of
+    ``row``, each parsing as that field's type.
     """
+    with _parsing(path):
+        text = Path(path).read_text(encoding="utf-8")
+    lines = [*filter(None, map(str.strip, text.splitlines()))]
     comments: dict[str, str] = {}
-    rows: list[list[str]] = []
-    width = header.count(",") + 1
-    in_body = False
-    with _parsing(path), Path(path).open("r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line.startswith("#"):
-                if not in_body:
-                    _take_comment(line, comments)
-            elif not line:
-                continue
-            elif not in_body:
-                if line != header:
-                    raise ParseError(f"{path}: expected header {header!r}, got {line!r}",
-                                     number)
-                in_body = True
-            else:
-                cells = line.split(",")
-                if len(cells) != width:
-                    raise ParseError(f"{path}: expected {width} cells, got {line!r}", number)
-                rows.append(cells)
-    if not in_body:
-        raise ParseError(f"{path}: missing header {header!r}")
+    start = 0
+    while start < len(lines) and lines[start].startswith("#"):
+        key, sep, value = lines[start][1:].partition("=")
+        if sep:  # a comment without ``=`` carries nothing
+            comments[key.strip()] = value.strip()
+        start += 1
+    if header:
+        got = lines[start] if start < len(lines) else None
+        if got != _header(row):
+            raise ParseError(f"{path}: expected header {_header(row)!r}, got {got!r}")
+        start += 1
+    body = lines[start:]
+    if all(line.startswith("#") for line in body):  # np.loadtxt would warn of no data
+        return comments, np.zeros(0, row)
+    with _parsing(path):
+        rows = np.loadtxt(body, dtype=row, comments="#", delimiter="," if header else None,
+                          ndmin=1)
     return comments, rows
 
 
-def _node_rows(path: str | Path, rows: list[list[str]]) -> list[list[str]]:
-    """The cells after the node id of rows whose ids count 0, 1, 2, ..."""
-    if [int(cells[0]) for cells in rows] != list(range(len(rows))):
+def _check_node_ids(path: str | Path, rows: np.ndarray) -> None:
+    """Reject a table whose ``node`` column does not count 0, 1, 2, ..."""
+    if not np.array_equal(rows["node"], np.arange(rows.size)):
         raise ParseError(f"non-contiguous node ids in {path}")
-    return [cells[1:] for cells in rows]
 
 
 def write_edge_list(net: Network, path: str | Path, comments: dict[str, str] | None = None,
@@ -144,20 +148,9 @@ def read_canonical_network(path: str | Path) -> Network:
     finite positive weight, a self-loop or a repeated ``(u, v)`` pair raises
     :class:`ParseError`: a damaged graph is rejected, never repaired.
     """
+    comments, rows = _read_table(path, _EDGE_ROW, header=False)
+    src, dst, weight = rows["u"], rows["v"], rows["w"]
     with _parsing(path):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        comments: dict[str, str] = {}
-        body = len(lines)
-        for index, line in enumerate(lines):
-            line = line.strip()
-            if line.startswith("#"):
-                _take_comment(line, comments)
-            elif line:
-                body = index
-                break
-        rows = (np.loadtxt(lines[body:], dtype=_EDGE_ROW, comments="#", ndmin=1)
-                if body < len(lines) else np.zeros(0, _EDGE_ROW))
-        src, dst, weight = rows["u"], rows["v"], rows["w"]
         if "nodes" in comments:
             node_count = int(comments["nodes"])
         else:
@@ -189,22 +182,21 @@ def write_config(cfg: RunConfig, path: str | Path) -> None:
 def write_scores(scores: ScoreVector, path: str | Path, config_hash: str,
                  timestamps: bool = True) -> None:
     _write_table(path, {"measure": scores.measure, "config_hash": config_hash},
-                 _SCORES_HEADER,
+                 _header(_SCORE_ROW),
                  (f"{node},{_fmt(value)}" for node, value in enumerate(scores.values.tolist())),
                  timestamps)
 
 
 def read_scores(path: str | Path) -> tuple[ScoreVector, str]:
-    comments, rows = _read_table(path, _SCORES_HEADER)
-    with _parsing(path):
-        values = [float(value) for value, in _node_rows(path, rows)]
+    comments, rows = _read_table(path, _SCORE_ROW)
+    _check_node_ids(path, rows)
     measure = comments.get("measure", Path(path).stem)
-    return ScoreVector(measure, np.array(values)), comments.get("config_hash", "")
+    return ScoreVector(measure, rows["score"]), comments.get("config_hash", "")
 
 
 def write_spread(spread: SpreadEstimate, path: str | Path, config_hash: str,
                  timestamps: bool = True) -> None:
-    _write_table(path, {"config_hash": config_hash}, _SPREAD_HEADER,
+    _write_table(path, {"config_hash": config_hash}, _header(_SPREAD_ROW),
                  (f"{node},{_fmt(spread.values[node])},{_fmt(spread.std_error[node])},"
                   f"{spread.runs},{spread.master_seed}" for node in range(spread.values.size)),
                  timestamps)
@@ -212,20 +204,18 @@ def write_spread(spread: SpreadEstimate, path: str | Path, config_hash: str,
 
 def read_spread(path: str | Path, node_count: int | None = None) -> tuple[SpreadEstimate, str]:
     """A spread table and its config hash; ``node_count`` is the graph's, when known."""
-    comments, rows = _read_table(path, _SPREAD_HEADER)
-    if not rows:
+    comments, rows = _read_table(path, _SPREAD_ROW)
+    if not rows.size:
         raise DataError(f"spread file {path} holds no rows")
-    if node_count is not None and len(rows) != node_count:
+    if node_count is not None and rows.size != node_count:
         raise DataError(f"spread file {path} does not match the graph: "
-                        f"{len(rows)} rows for {node_count} nodes")
-    with _parsing(path):
-        cells = _node_rows(path, rows)
-        values = np.array([float(c[0]) for c in cells])
-        errors = np.array([float(c[1]) for c in cells])
-        runs, master_seed = int(cells[0][2]), int(cells[0][3])
-    if len({(runs, seed) for _, _, runs, seed in cells}) != 1:
+                        f"{rows.size} rows for {node_count} nodes")
+    _check_node_ids(path, rows)
+    simulation = rows[["runs", "master_seed"]]
+    if np.any(simulation != simulation[0]):
         raise ParseError(f"runs or master_seed differ between the rows of {path}")
-    estimate = SpreadEstimate(values, errors, runs, master_seed)
+    estimate = SpreadEstimate(rows["expected_spread"], rows["std_error"],
+                              int(rows["runs"][0]), int(rows["master_seed"][0]))
     return estimate, comments.get("config_hash", "")
 
 
@@ -240,7 +230,7 @@ def write_evaluation(report: EvaluationReport, path: str | Path, config_hash: st
         "node_count": str(report.node_count),
         "density": _fmt(report.density),
     }
-    _write_table(path, comments, _REPORT_HEADER, _report_rows(report), timestamps)
+    _write_table(path, comments, _header(_REPORT_ROW), _report_rows(report), timestamps)
 
 
 def _report_rows(report: EvaluationReport) -> list[str]:
@@ -254,13 +244,13 @@ def _report_rows(report: EvaluationReport) -> list[str]:
 
 
 def read_evaluation(path: str | Path) -> tuple[EvaluationReport, str]:
-    comments, rows = _read_table(path, _REPORT_HEADER)
-    datasets = {cells[0] for cells in rows}
+    comments, rows = _read_table(path, _REPORT_ROW)
+    datasets = set(rows["dataset"].tolist())
     if len(datasets) > 1:
         raise DataError(f"evaluation file {path} mixes datasets {sorted(datasets)}")
     with _parsing(path):
-        metrics = {cells[1]: MeasureMetrics(*(None if c == NA else float(c) for c in cells[2:]))
-                   for cells in rows}
+        metrics = {measure: MeasureMetrics(*(None if c == NA else float(c) for c in cells))
+                   for _, measure, *cells in rows.tolist()}
         node_count = int(comments.get("node_count", "0"))
         density = float(comments.get("density", "0") or 0.0)
     report = EvaluationReport(datasets.pop() if datasets else "", node_count, density, metrics)
@@ -270,7 +260,7 @@ def read_evaluation(path: str | Path) -> tuple[EvaluationReport, str]:
 def write_combined_report(reports: list[EvaluationReport], aggregate_report: EvaluationReport,
                           path: str | Path, timestamps: bool = True) -> None:
     rows = [row for report in reports for row in _report_rows(report)]
-    _write_table(path, {}, _REPORT_HEADER, rows + _report_rows(aggregate_report), timestamps)
+    _write_table(path, {}, _header(_REPORT_ROW), rows + _report_rows(aggregate_report), timestamps)
 
 
 def write_scatter(reports: list[EvaluationReport], path: str | Path,

@@ -441,6 +441,14 @@ class TestExitCodes:
         assert code == 2
         assert "must be >= 1" in err
 
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+    def test_katz_alpha_checked_without_katz_measure(self, tmp_path, ingested, capsys, alpha):
+        code, _, err = run(capsys, "centrality", ingested, "--measure", "c_os",
+                           "--katz-alpha", alpha, "--out-dir", tmp_path)
+        assert code == 2
+        assert "error: katz alpha must be a finite number > 0" in err
+        assert not (tmp_path / "toy.c_os.csv").exists()
+
     @pytest.mark.parametrize("runs", ["0", "1"])
     def test_single_run_is_usage_error(self, tmp_path, ingested, capsys, runs):
         # a standard error needs two runs; fewer get the one message
@@ -452,7 +460,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, flag", [
         ("centrality", "--runs"), ("centrality", "--seed"), ("centrality", "--top-k"),
-        ("evaluate", "--runs"), ("evaluate", "--seed")])
+        ("centrality", "--measures"), ("evaluate", "--runs"), ("evaluate", "--seed")])
     def test_option_the_command_does_not_read_is_rejected(self, tmp_path, ingested,
                                                           capsys, command, flag):
         rest = ["--measure", "c_os"] if command == "centrality" else [str(tmp_path / "s.csv")]

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -157,14 +158,88 @@ def _spread_file(tmp_path):
     ("2,1.5,", "3,1.5,"),
     ("2,1.5,0.02,100,", "2,1.5,0.02,101,"),
     ("node,expected_spread", "node,spread"),
-], ids=["non_numeric", "missing_cell", "node_gap", "runs_vary", "header"])
+    ("2,1.5,0.02,100,7", "2,1.5,0.02,100,7,0"),
+    (",100,7\n", ",100,7,0\n"),
+], ids=["non_numeric", "missing_cell", "node_gap", "runs_vary", "header", "extra_cell",
+        "extra_cell_every_row"])
 def test_damaged_spread_is_parse_error(tmp_path, old, new):
     path = _spread_file(tmp_path)
     text = path.read_text()
     assert old in text
     path.write_text(text.replace(old, new))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=re.escape(str(path))):
         storage.read_spread(path)
+
+
+def _scores_file(tmp_path):
+    path = tmp_path / "scores.csv"
+    storage.write_scores(ScoreVector("c_os", np.array([0.5, 1.25, 0.0])), path, "h1",
+                         timestamps=False)
+    return path
+
+
+def _evaluation_file(tmp_path):
+    report = EvaluationReport("ds", 120, 0.05, {
+        "c_os": MeasureMetrics(0.9, 1.1, 0.2, 1.0, 0.99),
+        "sk3": MeasureMetrics(0.8, 1.0, 0.3, 1.5, 0.97),
+        "wks": MeasureMetrics(None, None, None, None, 0.0),
+    })
+    path = tmp_path / "eval.csv"
+    storage.write_evaluation(report, path, "h1", timestamps=False)
+    return path
+
+
+# each writes a three-row table
+_TABLES = {"scores": (_scores_file, storage.read_scores),
+           "spread": (_spread_file, storage.read_spread),
+           "evaluation": (_evaluation_file, storage.read_evaluation)}
+
+
+def _plain(table):
+    """A reader's result as comparable Python values."""
+    content, stored_hash = table
+    return stored_hash, {key: value.tolist() if isinstance(value, np.ndarray) else value
+                         for key, value in vars(content).items()}
+
+
+@pytest.mark.parametrize("rows", [slice(-2, -1), slice(-3, None)],
+                         ids=["one_row", "every_row"])
+@pytest.mark.parametrize("kind", ["scores", "evaluation"])
+def test_extra_cell_is_parse_error(tmp_path, kind, rows):
+    write, read = _TABLES[kind]
+    path = write(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[rows] = [line + ",0" for line in lines[rows]]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(str(path))):
+        read(path)
+
+
+@pytest.mark.parametrize("body", ["", "# no rows\n\n"], ids=["empty", "only_comments"])
+@pytest.mark.parametrize("kind", _TABLES)
+def test_table_without_rows(tmp_path, kind, body):
+    write, read = _TABLES[kind]
+    path = write(tmp_path)
+    head = path.read_text().splitlines()[:-3]  # the comments and the header
+    path.write_text("\n".join(head) + "\n" + body)
+    if kind == "spread":
+        with pytest.raises(DataError, match="holds no rows"):
+            read(path)
+    else:
+        content, _ = read(path)
+        assert len(content.values if kind == "scores" else content.metrics) == 0
+
+
+@pytest.mark.parametrize("kind", _TABLES)
+def test_comment_and_blank_lines_between_rows_are_skipped(tmp_path, kind):
+    write, read = _TABLES[kind]
+    path = write(tmp_path)
+    expected = _plain(read(path))
+    lines = path.read_text().splitlines()
+    lines[-2:-2] = ["# between rows", ""]
+    lines[-1:-1] = ["   ", "  # indented"]
+    path.write_text("\n".join(lines) + "\n")
+    assert _plain(read(path)) == expected
 
 
 def test_spread_row_count_checked_against_graph(tmp_path):
@@ -180,14 +255,14 @@ def test_non_numeric_score_and_metric_are_parse_errors(tmp_path):
     storage.write_scores(ScoreVector("c_os", np.array([0.5, 1.25])), scores, "h",
                          timestamps=False)
     scores.write_text(scores.read_text().replace("1.25", "1.2.5"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=re.escape(str(scores))):
         storage.read_scores(scores)
     report = EvaluationReport("ds", 120, 0.05,
                               {"c_os": MeasureMetrics(0.9, 1.1, 0.2, 1.0, 0.99)})
     evaluation = tmp_path / "eval.csv"
     storage.write_evaluation(report, evaluation, "h", timestamps=False)
     evaluation.write_text(evaluation.read_text().replace("0.99", "high"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=re.escape(str(evaluation))):
         storage.read_evaluation(evaluation)
 
 
