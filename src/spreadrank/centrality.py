@@ -24,6 +24,7 @@ EIGEN_MAX_ITERS = 10_000
 KATZ_TOL = 1e-12
 KATZ_MAX_ITERS = 10_000
 KATZ_ALPHA_FRACTION = 0.85
+_SPECTRAL_ITERATIONS = 200
 
 
 class Direction(Enum):
@@ -155,8 +156,7 @@ def _multiply_adjacency(view: GraphView, x: np.ndarray, incoming: bool) -> np.nd
     return np.bincount(view.src, weights=view.weight * x[view.dst], minlength=view.n)
 
 
-def eigenvector(view: GraphView, tol: float = EIGEN_TOL,
-                max_iters: int = EIGEN_MAX_ITERS) -> ScoreVector:
+def eigenvector(view: GraphView, tol: float = EIGEN_TOL) -> ScoreVector:
     """Leading eigenvector of the undirected unweighted adjacency matrix.
 
     Power iteration with an identity shift, which keeps bipartite graphs
@@ -168,7 +168,7 @@ def eigenvector(view: GraphView, tol: float = EIGEN_TOL,
     if n == 0:
         return ScoreVector("eigenvector", np.zeros(0))
     x = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(max_iters):
+    for _ in range(EIGEN_MAX_ITERS):
         y = _multiply_adjacency(view, x, incoming=False) + x
         y /= np.linalg.norm(y)
         if np.linalg.norm(y - x) < tol:
@@ -180,14 +180,14 @@ def eigenvector(view: GraphView, tol: float = EIGEN_TOL,
                            residual=float(np.linalg.norm(ax - rayleigh * x)))
 
 
-def spectral_radius_estimate(view: GraphView, iterations: int = 200) -> float:
+def spectral_radius_estimate(view: GraphView) -> float:
     """Power-iteration estimate of the adjacency spectral radius."""
     n = view.n
     if n == 0 or view.edge_count == 0:
         return 0.0
     x = np.full(n, 1.0 / math.sqrt(n))
     estimate = 0.0
-    for _ in range(iterations):
+    for _ in range(_SPECTRAL_ITERATIONS):
         y = _multiply_adjacency(view, x, incoming=False)
         norm = float(np.linalg.norm(y))
         if norm == 0.0:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -34,36 +33,41 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="omit generated-at comments for reproducible bytes")
 
 
-def _add_config(parser: argparse.ArgumentParser, simulation: bool = True,
-                scoring: bool = True) -> None:
-    """Options named by their :class:`RunConfig` field, which also gives their defaults."""
-    if simulation:
-        parser.add_argument("--runs", type=int, default=RunConfig.runs,
-                            help="cascades per seed node")
-        parser.add_argument("--seed", dest="master_seed", type=int,
-                            default=RunConfig.master_seed, help="master RNG seed")
-    if scoring:
-        parser.add_argument("--top-k", type=int, default=RunConfig.top_k,
-                            help="top-k size for ranking error")
-        parser.add_argument("--measures", default=RunConfig.measures,
-                            type=lambda ids: tuple(m.strip() for m in ids.split(",") if m.strip()),
-                            help="comma-separated measure ids (default: all)")
-    parser.add_argument("--katz-alpha", type=float, default=RunConfig.katz_alpha,
-                        help="fixed Katz attenuation (default: 0.85/spectral radius)")
-    parser.add_argument("--radius", dest="gravity_radius", type=int,
-                        default=RunConfig.gravity_radius, help="gravity hop radius")
+# every RunConfig field's option: its flag and argparse keywords; the field gives the default
+_CONFIG_OPTIONS = {
+    "runs": ("--runs", {"type": int, "help": "cascades per seed node"}),
+    "master_seed": ("--seed", {"type": int, "help": "master RNG seed"}),
+    "top_k": ("--top-k", {"type": int, "help": "top-k size for ranking error"}),
+    "measures": ("--measures", {
+        "type": lambda ids: tuple(m.strip() for m in ids.split(",") if m.strip()),
+        "help": "comma-separated measure ids (default: all)"}),
+    "katz_alpha": ("--katz-alpha", {
+        "type": float, "help": "fixed Katz attenuation (default: 0.85/spectral radius)"}),
+    "gravity_radius": ("--radius", {"type": int, "help": "gravity hop radius"}),
+}
 
 
-def _config_from_args(args: argparse.Namespace, **known) -> RunConfig:
-    """The configuration a command's options give; ``known`` sets fields it has no option for."""
-    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                       if hasattr(args, f.name)}, **known)
+def _add_config(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Options for the :class:`RunConfig` fields ``names``, those the command reads."""
+    for name in names:
+        flag, keywords = _CONFIG_OPTIONS[name]
+        parser.add_argument(flag, dest=name, default=getattr(RunConfig, name), **keywords)
+
+
+def _config_from_args(args: argparse.Namespace, **known) -> tuple[RunConfig, tuple[str, ...]]:
+    """The configuration a command's options give, and the names of the fields it read.
+
+    ``known`` sets fields the command has no option for; the others keep their defaults.
+    """
+    read = {name: getattr(args, name) for name in _CONFIG_OPTIONS if hasattr(args, name)}
+    read.update(known)
+    cfg = RunConfig(**read)
     unknown = [m for m in (*cfg.measures, getattr(args, "measure", None))
                if m is not None and m not in measure_ids()]
     if unknown:
         raise ParameterError(f"unknown measure {', '.join(map(repr, unknown))}; "
                              f"valid ids: {', '.join(measure_ids())}")
-    return cfg
+    return cfg, tuple(read)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,14 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--force", action="store_true", help="ignore an existing cache")
     p_sim.add_argument("--quiet", action="store_true", help="suppress progress output")
     _add_common(p_sim)
-    _add_config(p_sim)
+    _add_config(p_sim, "runs", "master_seed")
 
     p_cent = sub.add_parser("centrality", help="compute one centrality measure")
     p_cent.add_argument("graph", type=Path)
     p_cent.add_argument("--measure", type=str, required=True,
                         help=f"one of: {', '.join(measure_ids())}")
     _add_common(p_cent)
-    _add_config(p_cent, simulation=False, scoring=False)
+    _add_config(p_cent, "katz_alpha", "gravity_radius")
 
     p_eval = sub.add_parser("evaluate", help="score measures against simulated spread")
     p_eval.add_argument("graph", type=Path)
@@ -104,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--dataset", type=str, default=None,
                         help="dataset name for report rows (default: graph stem)")
     _add_common(p_eval)
-    _add_config(p_eval, simulation=False)  # runs and seed come from the spread file
+    # runs and seed come from the spread file
+    _add_config(p_eval, "top_k", "measures", "katz_alpha", "gravity_radius")
 
     p_rep = sub.add_parser("report", help="aggregate evaluation reports")
     p_rep.add_argument("evaluations", type=Path, nargs="+", help="evaluation CSV files")
@@ -119,11 +124,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    net = load_edge_list(args.input, declared_directed=args.directed,
-                         declared_weighted=args.weighted)
+    net = load_edge_list(args.input, declared_weighted=args.weighted)
     if net.edge_count == 0:
         raise DataError(f"no edges in {args.input}")
-    if not net.directed:
+    if not args.directed:
         net = orient_undirected(net)
     if not (args.weighted and args.keep_weights):
         net = apply_wcs(net)
@@ -142,7 +146,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+    cfg, read = _config_from_args(args)
     net = storage.read_canonical_network(args.graph)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = args.out_dir / f"{args.graph.stem}.spread.csv"
@@ -165,13 +169,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spread = spread_all(net, cfg, progress=None if args.quiet else progress)
     storage.write_spread(spread, cache_path, expected_hash,
                          timestamps=not args.no_timestamps)
-    storage.write_config(cfg, args.out_dir / "config.json")
+    storage.write_config(cfg, args.out_dir / "config.json", read)
     print(f"wrote {cache_path} (config_hash={expected_hash})")
     return 0
 
 
 def cmd_centrality(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+    cfg, read = _config_from_args(args)
     net = storage.read_canonical_network(args.graph)
     ctx = MeasureContext(net, cfg)
     scores = ctx.get(args.measure)
@@ -179,7 +183,7 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     out_path = args.out_dir / f"{args.graph.stem}.{args.measure}.csv"
     storage.write_scores(scores, out_path, graph_fingerprint(net),
                          timestamps=not args.no_timestamps)
-    storage.write_config(cfg, args.out_dir / "config.json")
+    storage.write_config(cfg, args.out_dir / "config.json", read)
     print(f"wrote {out_path}")
     return 0
 
@@ -192,7 +196,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     net = storage.read_canonical_network(args.graph)
     spread, stored_hash = storage.read_spread(args.spread, net.node_count)
     # provenance records the simulation knobs the spread file was built with
-    cfg = _config_from_args(args, runs=spread.runs, master_seed=spread.master_seed)
+    cfg, read = _config_from_args(args, runs=spread.runs, master_seed=spread.master_seed)
     expected_hash = simulation_hash(net, spread.runs, spread.master_seed)
     if stored_hash and stored_hash != expected_hash:
         raise DataError(f"spread cache {args.spread} does not match graph {args.graph} "
@@ -206,18 +210,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_path = args.out_dir / f"{dataset}.evaluation.csv"
     storage.write_evaluation(report, out_path, expected_hash,
                              timestamps=not args.no_timestamps)
-    storage.write_config(cfg, args.out_dir / "config.json")
+    storage.write_config(cfg, args.out_dir / "config.json", read)
     print(f"wrote {out_path}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    reports = []
-    hashes = set()
-    for path in args.evaluations:
-        report, stored_hash = storage.read_evaluation(path)
-        reports.append(report)
-        hashes.add(stored_hash)
+    reports = [storage.read_evaluation(path)[0] for path in args.evaluations]
     if len(args.evaluations) != len({r.dataset for r in reports}):
         raise DataError("duplicate dataset names across evaluation files")
     combined = aggregate(reports)

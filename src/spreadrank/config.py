@@ -4,7 +4,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -47,16 +48,18 @@ class RunConfig:
         if self.katz_alpha is not None and not 0 < self.katz_alpha < math.inf:
             raise ParameterError("katz alpha must be a finite number > 0")
 
-    def to_json(self) -> str:
-        payload = asdict(self)
-        payload["measures"] = list(self.measures)
+    def to_json(self, names: Iterable[str]) -> str:
+        """The fields ``names`` as JSON: what a command read, for provenance."""
+        payload = {name: getattr(self, name) for name in names}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def graph_fingerprint(net: Network) -> str:
-    """Content hash of the edge set (ids, order, weights) and direction flag."""
+    """Content hash of the edge set: node count, ids, order and weights."""
     digest = hashlib.sha256()
-    digest.update(f"n={net.node_count};directed={net.directed};".encode())
+    # every network is directed; the text stays so that fingerprints, spread
+    # cache keys and the caches already written keep their values
+    digest.update(f"n={net.node_count};directed=True;".encode())
     digest.update(np.ascontiguousarray(net.src).tobytes())
     digest.update(np.ascontiguousarray(net.dst).tobytes())
     digest.update(np.ascontiguousarray(net.weight).tobytes())

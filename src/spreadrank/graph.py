@@ -1,14 +1,16 @@
 """Graph container, edge-list ingestion, preprocessing, and derived views.
 
-Networks are directed weighted simple graphs over dense integer node ids.
-Undirected input files are canonicalized by pointing every edge from the
-smaller to the larger node id; unweighted graphs receive cascade
-probabilities of ``1 / in-degree(target)`` (:func:`apply_wcs`).
+Every network is a directed weighted simple graph over dense integer node
+ids.  Ingest turns an undirected input file into one by pointing every edge
+from the smaller to the larger node id (:func:`orient_undirected`);
+unweighted graphs receive cascade probabilities of
+``1 / in-degree(target)`` (:func:`apply_wcs`).
 
-A :class:`GraphView` reinterprets the same edge set in one of four ways
-(directed or not, weighted or not) and optionally substitutes inverted
-(``1/w``) weights, which distance-based measures use so that a strong tie
-reads as a short distance.
+The undirected readings come only from a :class:`GraphView`, which
+reinterprets the same edge set in one of four ways (directed or not,
+weighted or not) and optionally substitutes inverted (``1/w``) weights,
+which distance-based measures use so that a strong tie reads as a short
+distance.
 """
 from __future__ import annotations
 
@@ -58,7 +60,6 @@ class Network:
     src: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
-    directed: bool
     labels: tuple[str, ...] = ()
     self_loops_dropped: int = 0
     duplicates_dropped: int = 0
@@ -125,7 +126,6 @@ class Network:
         cls,
         node_count: int,
         edges: Sequence[tuple[int, int, float]] | Sequence[tuple[int, int]],
-        directed: bool = True,
     ) -> "Network":
         """Build a network from (u, v) or (u, v, w) tuples; missing weights are 1."""
         src, dst, w = [], [], []
@@ -134,7 +134,7 @@ class Network:
             dst.append(edge[1])
             w.append(edge[2] if len(edge) == 3 else 1.0)
         return cls(node_count, np.array(src, np.int64), np.array(dst, np.int64),
-                   np.array(w, np.float64), directed=directed)
+                   np.array(w, np.float64))
 
 
 def _dedup_keep_first(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
@@ -149,8 +149,7 @@ def _dedup_keep_first(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
     return src[first], dst[first], weight[first], dropped
 
 
-def load_edge_list(path: str | Path, declared_directed: bool,
-                   declared_weighted: bool) -> Network:
+def load_edge_list(path: str | Path, declared_weighted: bool) -> Network:
     """Parse a whitespace-separated edge list into a :class:`Network`.
 
     Lines are ``u v`` or ``u v w``; lines starting with ``#`` or ``%`` and
@@ -205,34 +204,32 @@ def load_edge_list(path: str | Path, declared_directed: bool,
     s, d, w = (np.array(src, np.int64), np.array(dst, np.int64),
                np.array(weight, np.float64))
     s, d, w, dup = _dedup_keep_first(s, d, w, n)
-    return Network(n, s, d, w, directed=declared_directed, labels=tuple(labels),
+    return Network(n, s, d, w, labels=tuple(labels),
                    self_loops_dropped=self_loops, duplicates_dropped=dup)
 
 
 def orient_undirected(net: Network) -> Network:
-    """Point every edge from the smaller to the larger node id.
+    """Make an undirected edge set directed: each edge points from the smaller to the larger id.
 
-    Edges that become parallel after reorientation collapse onto the first
-    occurrence.  The operation is idempotent; an already oriented network
-    passes through unchanged apart from the ``directed`` flag.
+    Ingest calls this for input that does not declare directions.  Edges
+    that become parallel after reorientation (a reciprocal pair) collapse
+    onto the first occurrence.  The operation is idempotent; an already
+    oriented network passes through unchanged.
     """
     src = np.minimum(net.src, net.dst)
     dst = np.maximum(net.src, net.dst)
     src, dst, weight, dup = _dedup_keep_first(src, dst, net.weight, net.node_count)
-    return Network(net.node_count, src, dst, weight, directed=True,
-                   labels=net.labels, self_loops_dropped=net.self_loops_dropped,
+    return Network(net.node_count, src, dst, weight, labels=net.labels,
+                   self_loops_dropped=net.self_loops_dropped,
                    duplicates_dropped=net.duplicates_dropped + dup)
 
 
 def apply_wcs(net: Network) -> Network:
     """Assign every edge (u, v) the cascade probability ``1 / in-degree(v)``."""
-    if not net.directed:
-        raise ValidationError("weighted-cascade probabilities need a directed network")
     indeg = net.in_degree()
     weight = 1.0 / indeg[net.dst] if net.edge_count else net.weight
     return Network(net.node_count, net.src, net.dst, np.asarray(weight, np.float64),
-                   directed=True, labels=net.labels,
-                   self_loops_dropped=net.self_loops_dropped,
+                   labels=net.labels, self_loops_dropped=net.self_loops_dropped,
                    duplicates_dropped=net.duplicates_dropped)
 
 

@@ -15,11 +15,9 @@ from .errors import ValidationError
 from .graph import GraphView, Network
 from .scores import ScoreVector
 
-DEFAULT_RADIUS = 3
-
 
 def gravity(distance_view: GraphView, mass: ScoreVector | np.ndarray,
-            radius: int = DEFAULT_RADIUS) -> ScoreVector:
+            radius: int) -> ScoreVector:
     """Mass-product-over-squared-distance sum across each hop neighborhood."""
     masses = mass.values if isinstance(mass, ScoreVector) else np.asarray(mass, np.float64)
     n = distance_view.n

@@ -22,14 +22,10 @@ EPSILON_AGG_MIN_NODES = 100  # datasets below this are excluded from error aggre
 RANK_DECIMALS = 12
 
 
-def _tie_term(sorted_values: np.ndarray) -> int:
-    """Sum of t*(t-1)/2 over runs of equal values in a sorted array."""
-    if sorted_values.size == 0:
-        return 0
-    boundaries = np.flatnonzero(np.diff(sorted_values) != 0)
-    starts = np.concatenate([[0], boundaries + 1])
-    ends = np.concatenate([boundaries + 1, [sorted_values.size]])
-    runs = ends - starts
+def _tied_pairs(*keys: np.ndarray) -> int:
+    """Pairs of positions equal in every key; the keys are sorted together, so ties are runs."""
+    new_run = np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
+    runs = np.diff(np.flatnonzero(np.concatenate(([True], new_run, [True]))))
     return int(np.sum(runs * (runs - 1) // 2))
 
 
@@ -80,26 +76,14 @@ def kendall_tau(x: ScoreVector | np.ndarray, y: ScoreVector | np.ndarray) -> flo
     xs = xv[order]
     ys = yv[order]
     n0 = n * (n - 1) // 2
-    n1 = _tie_term(xs)
-    n2 = _tie_term(np.sort(yv))
-    n3 = _joint_tie_term(xs, ys)
+    n1 = _tied_pairs(xs)
+    n2 = _tied_pairs(np.sort(yv))
+    n3 = _tied_pairs(xs, ys)
     if n0 == n1 or n0 == n2:
         raise UndefinedCorrelationError("correlation undefined: an input is constant")
     discordant = _merge_count(list(ys))
     concordant_minus_discordant = n0 - n1 - n2 + n3 - 2 * discordant
     return concordant_minus_discordant / math.sqrt((n0 - n1) * (n0 - n2))
-
-
-def _joint_tie_term(xs: np.ndarray, ys: np.ndarray) -> int:
-    """Tie term over joint (x, y) runs; inputs already sorted by (x, y)."""
-    if xs.size == 0:
-        return 0
-    change = (np.diff(xs) != 0) | (np.diff(ys) != 0)
-    boundaries = np.flatnonzero(change)
-    starts = np.concatenate([[0], boundaries + 1])
-    ends = np.concatenate([boundaries + 1, [xs.size]])
-    runs = ends - starts
-    return int(np.sum(runs * (runs - 1) // 2))
 
 
 def top_k_nodes(values: np.ndarray, k: int) -> np.ndarray:
@@ -135,9 +119,7 @@ def monotonicity(scores: ScoreVector | np.ndarray) -> float:
     n = values.size
     if n < 2:
         raise ValidationError("monotonicity needs at least two nodes")
-    rounded = np.round(values, RANK_DECIMALS)
-    _, counts = np.unique(rounded, return_counts=True)
-    tied = float(np.sum(counts * (counts - 1)))
+    tied = float(2 * _tied_pairs(np.sort(np.round(values, RANK_DECIMALS))))
     return (1.0 - tied / (n * (n - 1))) ** 2
 
 

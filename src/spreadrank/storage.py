@@ -158,7 +158,7 @@ def read_canonical_network(path: str | Path) -> Network:
     if not np.all(np.isfinite(weight)):
         raise ParseError(f"{path}: edge weights must be finite")
     try:
-        return Network(node_count, src, dst, weight, directed=True)
+        return Network(node_count, src, dst, weight)
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -174,9 +174,9 @@ def write_id_map(net: Network, path: str | Path) -> None:
     _write_text(path, buffer.getvalue())
 
 
-def write_config(cfg: RunConfig, path: str | Path) -> None:
-    """The run configuration as JSON, for provenance."""
-    _write_text(path, cfg.to_json())
+def write_config(cfg: RunConfig, path: str | Path, names: Iterable[str]) -> None:
+    """The run configuration's fields ``names``, those a command read, as JSON."""
+    _write_text(path, cfg.to_json(names))
 
 
 def write_scores(scores: ScoreVector, path: str | Path, config_hash: str,

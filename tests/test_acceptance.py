@@ -53,7 +53,7 @@ def load_manifest() -> list[dict]:
 
 
 def prepare_dataset(entry: dict) -> Network:
-    net = load_edge_list(DATA_DIR / entry["file"], entry["directed"], entry["weighted"])
+    net = load_edge_list(DATA_DIR / entry["file"], entry["weighted"])
     if not entry["directed"]:
         net = orient_undirected(net)
     return apply_wcs(net)
@@ -165,7 +165,7 @@ def test_criterion_3_centrality_oracles():
         eigenvalues = np.linalg.eigvalsh(a)
         if n > 1 and eigenvalues[-1] - eigenvalues[-2] < 1e-3:
             continue  # near-degenerate leading pair: comparison target not unique
-        net = Network.from_edges(n, edges, directed=False)
+        net = Network.from_edges(n, edges)
         got = eigenvector(view(net, ViewKind.UU), tol=1e-13).values
         if not np.allclose(got, expected, atol=1e-8):
             failures.append(f"eigenvector[{count}]")
@@ -185,7 +185,7 @@ def test_criterion_3_centrality_oracles():
 
     for index in range(100):
         n, edges = random_undirected(rng, max_n=8)
-        net = Network.from_edges(n, edges, directed=False)
+        net = Network.from_edges(n, edges)
         got = kshell(view(net, ViewKind.UU)).values
         if not np.array_equal(got, bf_core_numbers(n, edges).astype(float)):
             failures.append(f"kshell[{index}]")

@@ -29,7 +29,7 @@ def bundled_networks():
     for entry in entries:
         if not entry["synthetic"]:
             continue
-        net = load_edge_list(DATA_DIR / entry["file"], entry["directed"], entry["weighted"])
+        net = load_edge_list(DATA_DIR / entry["file"], entry["weighted"])
         if not entry["directed"]:
             net = orient_undirected(net)
         yield entry["name"], apply_wcs(net)

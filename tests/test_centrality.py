@@ -15,7 +15,7 @@ from oracles import (bf_betweenness, bf_closeness, bf_core_numbers, bf_eigenvect
 
 
 def reversed_network(net: Network) -> Network:
-    return Network(net.node_count, net.dst, net.src, net.weight, directed=net.directed)
+    return Network(net.node_count, net.dst, net.src, net.weight)
 
 
 def star(n=5):
@@ -141,7 +141,7 @@ class TestEigenvector:
         rng = np.random.default_rng(44)
         for _ in range(15):
             n, edges = random_connected_undirected(rng, max_n=6)
-            net = Network.from_edges(n, edges, directed=False)
+            net = Network.from_edges(n, edges)
             g = view(net, ViewKind.UU)
             np.testing.assert_allclose(eigenvector(g).values,
                                        bf_eigenvector(n, edges), atol=1e-6)
@@ -149,7 +149,7 @@ class TestEigenvector:
     def test_rayleigh_residual_small(self):
         rng = np.random.default_rng(45)
         n, edges = random_connected_undirected(rng, max_n=8)
-        g = view(Network.from_edges(n, edges, directed=False), ViewKind.UU)
+        g = view(Network.from_edges(n, edges), ViewKind.UU)
         x = eigenvector(g).values
         a = dense_adjacency(g.n, zip(g.src, g.dst, g.weight))
         lam = x @ a @ x
@@ -243,7 +243,7 @@ class TestKshell:
         rng = np.random.default_rng(66)
         for _ in range(15):
             n, edges = random_undirected(rng, max_n=8)
-            net = Network.from_edges(n, edges, directed=False)
+            net = Network.from_edges(n, edges)
             g = view(net, ViewKind.UU)
             np.testing.assert_array_equal(kshell(g).values, bf_core_numbers(n, edges))
 

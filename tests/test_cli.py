@@ -424,7 +424,28 @@ class TestConfigProvenance:
                              ids=["simulate", "centrality", "evaluate"])
     def test_defaults_are_run_config_defaults(self, argv):
         args = cli.build_parser().parse_args(argv)
-        assert cli._config_from_args(args) == RunConfig()
+        assert cli._config_from_args(args)[0] == RunConfig()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["simulate", "--runs", "30", "--seed", "4", "--quiet"],
+         {"runs": 30, "master_seed": 4}),
+        (["centrality", "--measure", "c_os", "--radius", "2"],
+         {"katz_alpha": None, "gravity_radius": 2}),
+        (["evaluate", "toy.spread.csv", "--top-k", "2", "--measures", "c_os"],
+         {"runs": 20, "master_seed": 9, "top_k": 2, "measures": ["c_os"],
+          "katz_alpha": None, "gravity_radius": 3})],
+        ids=["simulate", "centrality", "evaluate"])
+    def test_config_holds_the_fields_the_command_read(self, tmp_path, ingested, capsys,
+                                                      argv, expected):
+        # evaluate also records the runs and seed of the spread file it scored
+        run(capsys, "simulate", ingested, "--runs", "20", "--seed", "9",
+            "--out-dir", tmp_path, "--no-timestamps", "--quiet")
+        command, *rest = argv
+        rest = [tmp_path / a if a.endswith(".csv") else a for a in rest]
+        code, _, _ = run(capsys, command, ingested, *rest, "--out-dir", tmp_path,
+                         "--no-timestamps")
+        assert code == 0
+        assert json.loads((tmp_path / "config.json").read_text()) == expected
 
 
 class TestExitCodes:
@@ -436,10 +457,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, value", [("--top-k", "0"), ("--radius", "0")])
     def test_out_of_range_setting_is_usage_error(self, tmp_path, ingested, capsys,
                                                  flag, value):
-        code, _, err = run(capsys, "simulate", ingested, flag, value,
-                           "--out-dir", tmp_path, "--quiet")
-        assert code == 2
-        assert "must be >= 1" in err
+        run(capsys, "simulate", ingested, "--runs", "10", "--out-dir", tmp_path,
+            "--no-timestamps", "--quiet")
+        readers = {"--top-k": ["evaluate"], "--radius": ["centrality", "evaluate"]}[flag]
+        for command in readers:
+            rest = {"centrality": ["--measure", "c_os"],
+                    "evaluate": [tmp_path / "toy.spread.csv"]}[command]
+            code, _, err = run(capsys, command, ingested, *rest, flag, value,
+                               "--out-dir", tmp_path)
+            assert code == 2
+            assert "must be >= 1" in err
+        assert not list(tmp_path.glob("toy.c_os.csv")) + list(tmp_path.glob("*.evaluation.csv"))
 
     @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
     def test_katz_alpha_checked_without_katz_measure(self, tmp_path, ingested, capsys, alpha):
@@ -459,11 +487,14 @@ class TestExitCodes:
         assert not (tmp_path / f"{ingested.stem}.spread.csv").exists()
 
     @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--top-k"), ("simulate", "--measures"), ("simulate", "--katz-alpha"),
+        ("simulate", "--radius"),
         ("centrality", "--runs"), ("centrality", "--seed"), ("centrality", "--top-k"),
         ("centrality", "--measures"), ("evaluate", "--runs"), ("evaluate", "--seed")])
     def test_option_the_command_does_not_read_is_rejected(self, tmp_path, ingested,
                                                           capsys, command, flag):
-        rest = ["--measure", "c_os"] if command == "centrality" else [str(tmp_path / "s.csv")]
+        rest = {"simulate": [], "centrality": ["--measure", "c_os"],
+                "evaluate": [str(tmp_path / "s.csv")]}[command]
         with pytest.raises(SystemExit) as exc:
             main([command, str(ingested), *rest, flag, "5", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2

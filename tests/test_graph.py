@@ -15,53 +15,53 @@ def write(tmp_path, text):
 
 class TestLoadEdgeList:
     def test_unweighted_directed(self, tmp_path):
-        net = load_edge_list(write(tmp_path, "0 1\n1 2\n"), True, False)
+        net = load_edge_list(write(tmp_path, "0 1\n1 2\n"), False)
         assert net.node_count == 3
         assert net.edge_count == 2
         assert np.all(net.weight == 1.0)
 
     def test_duplicate_keeps_first_weight(self, tmp_path):
-        net = load_edge_list(write(tmp_path, "0 1 0.5\n0 1 0.7\n"), True, True)
+        net = load_edge_list(write(tmp_path, "0 1 0.5\n0 1 0.7\n"), True)
         assert net.edge_count == 1
         assert net.weight[0] == 0.5
         assert net.duplicates_dropped == 1
 
     def test_self_loops_dropped_and_counted(self, tmp_path):
-        net = load_edge_list(write(tmp_path, "0 0\n0 1\n1 1\n"), True, False)
+        net = load_edge_list(write(tmp_path, "0 0\n0 1\n1 1\n"), False)
         assert net.edge_count == 1
         assert net.self_loops_dropped == 2
 
     def test_comments_and_blank_lines(self, tmp_path):
-        net = load_edge_list(write(tmp_path, "# header\n% konect header\n\n3 4\n"), True, False)
+        net = load_edge_list(write(tmp_path, "# header\n% konect header\n\n3 4\n"), False)
         assert net.edge_count == 1
 
     def test_first_seen_dense_remap(self, tmp_path):
-        net = load_edge_list(write(tmp_path, "9 must\nmust 9\nalpha 9\n"), True, False)
+        net = load_edge_list(write(tmp_path, "9 must\nmust 9\nalpha 9\n"), False)
         assert net.labels == ("9", "must", "alpha")
         assert (net.src.tolist(), net.dst.tolist()) == ([0, 1, 2], [1, 0, 0])
 
     def test_malformed_line_reports_number(self, tmp_path):
         with pytest.raises(ParseError, match="line 2"):
-            load_edge_list(write(tmp_path, "0 1\n0 1 2 3\n"), True, False)
+            load_edge_list(write(tmp_path, "0 1\n0 1 2 3\n"), False)
 
     def test_bad_weight_token(self, tmp_path):
         with pytest.raises(ParseError, match="line 1"):
-            load_edge_list(write(tmp_path, "0 1 heavy\n"), True, True)
+            load_edge_list(write(tmp_path, "0 1 heavy\n"), True)
 
     def test_non_positive_weight_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="non-positive"):
-            load_edge_list(write(tmp_path, "0 1 0\n"), True, True)
+            load_edge_list(write(tmp_path, "0 1 0\n"), True)
 
     def test_third_column_ignored_when_unweighted(self, tmp_path):
-        net = load_edge_list(write(tmp_path, "0 1 7.5\n"), True, False)
+        net = load_edge_list(write(tmp_path, "0 1 7.5\n"), False)
         assert net.weight[0] == 1.0
 
     def test_missing_weight_defaults_to_one(self, tmp_path):
-        net = load_edge_list(write(tmp_path, "0 1 0.5\n1 2\n"), True, True)
+        net = load_edge_list(write(tmp_path, "0 1 0.5\n1 2\n"), True)
         assert net.weight.tolist() == [0.5, 1.0]
 
     def test_roundtrip_identical(self, tmp_path):
-        net = load_edge_list(write(tmp_path, "0 1 0.25\n2 0 0.125\n1 2 1\n"), True, True)
+        net = load_edge_list(write(tmp_path, "0 1 0.25\n2 0 0.125\n1 2 1\n"), True)
         out = tmp_path / "canonical.edges"
         write_edge_list(net, out, timestamps=False)
         back = read_canonical_network(out)
@@ -96,23 +96,22 @@ class TestNetworkInvariants:
 
 class TestOrientUndirected:
     def test_flips_larger_source(self):
-        net = Network.from_edges(6, [(5, 2, 0.5)], directed=False)
+        net = Network.from_edges(6, [(5, 2, 0.5)])
         out = orient_undirected(net)
         assert list(out.edges()) == [(2, 5, 0.5)]
-        assert out.directed
 
     def test_keeps_oriented_edge(self):
-        net = Network.from_edges(6, [(2, 5, 0.5)], directed=False)
+        net = Network.from_edges(6, [(2, 5, 0.5)])
         assert list(orient_undirected(net).edges()) == [(2, 5, 0.5)]
 
     def test_reciprocal_pair_collapses(self):
-        net = Network.from_edges(4, [(3, 1, 0.5), (1, 3, 0.25)], directed=False)
+        net = Network.from_edges(4, [(3, 1, 0.5), (1, 3, 0.25)])
         out = orient_undirected(net)
         assert list(out.edges()) == [(1, 3, 0.5)]
         assert out.duplicates_dropped == 1
 
     def test_idempotent(self):
-        net = Network.from_edges(5, [(4, 0), (1, 3), (3, 2)], directed=False)
+        net = Network.from_edges(5, [(4, 0), (1, 3), (3, 2)])
         once = orient_undirected(net)
         twice = orient_undirected(once)
         assert np.array_equal(once.src, twice.src)
@@ -146,11 +145,6 @@ class TestApplyWcs:
             sums = np.bincount(net.dst, weights=net.weight, minlength=n)
             indeg = net.in_degree()
             assert np.allclose(sums[indeg > 0], 1.0, atol=1e-12)
-
-    def test_requires_directed(self):
-        net = Network.from_edges(2, [(0, 1)], directed=False)
-        with pytest.raises(ValidationError):
-            apply_wcs(net)
 
 
 class TestViews:

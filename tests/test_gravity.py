@@ -49,20 +49,20 @@ class TestGravityKernel:
     def test_zero_mass_zero_scores(self):
         net = Network.from_edges(3, [(0, 1), (1, 2)])
         g = view(net, ViewKind.DW, WeightMode.INVERTED)
-        out = gravity(g, np.zeros(3))
+        out = gravity(g, np.zeros(3), 3)
         assert np.all(out.values == 0.0)
 
     def test_node_with_zero_mass_scores_zero(self):
         net = Network.from_edges(3, [(0, 1), (1, 2), (2, 0)])
         g = view(net, ViewKind.DW)
-        out = gravity(g, np.array([0.0, 2.0, 3.0]))
+        out = gravity(g, np.array([0.0, 2.0, 3.0]), 3)
         assert out.values[0] == 0.0
         assert out.values[1] > 0.0
 
     def test_two_node_single_term(self):
         net = Network.from_edges(2, [(0, 1, 1.0)])
         g = view(net, ViewKind.DW)
-        out = gravity(g, np.array([2.0, 3.0]))
+        out = gravity(g, np.array([2.0, 3.0]), 3)
         assert out.values.tolist() == [6.0, 0.0]
 
     def test_matches_double_loop_oracle(self):
@@ -95,7 +95,7 @@ class TestGravityKernel:
     def test_classic_formula_by_hand(self):
         # square 0-1-2-3-0 plus chord 0-2, undirected unit distances
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
-        net = Network.from_edges(4, edges, directed=False)
+        net = Network.from_edges(4, edges)
         uu = view(net, ViewKind.UU)
         ks = kshell(uu).values
         assert ks.tolist() == [2.0, 2.0, 2.0, 2.0]
@@ -107,7 +107,7 @@ class TestGravityKernel:
     def test_mass_length_checked(self):
         net = Network.from_edges(3, [(0, 1)])
         with pytest.raises(ValidationError):
-            gravity(view(net, ViewKind.DW), np.ones(2))
+            gravity(view(net, ViewKind.DW), np.ones(2), 3)
 
 
 class TestMasses:
@@ -137,7 +137,7 @@ class TestMGC:
     def test_complete_digraph_unit_strength(self):
         edges = [(u, v, 1.0) for u in range(3) for v in range(3) if u != v]
         net = Network.from_edges(3, edges)
-        unit = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), np.ones(3))
+        unit = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), np.ones(3), 3)
         assert unit.values.tolist() == [2.0, 2.0, 2.0]
         # out-strength 2 everywhere: two neighbors at distance 1, each 2 * 2
         assert MeasureContext(net).get("mgc_s").values.tolist() == [8.0, 8.0, 8.0]
@@ -145,7 +145,7 @@ class TestMGC:
     def test_zero_sk3_all_zero(self):
         net = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.5)])
         dw_inv = view(net, ViewKind.DW, WeightMode.INVERTED)
-        out = gravity(dw_inv, ScoreVector("sk3", np.zeros(3)))
+        out = gravity(dw_inv, ScoreVector("sk3", np.zeros(3)), 3)
         assert np.all(out.values == 0.0)
 
     def test_unknown_variant(self):
@@ -183,5 +183,5 @@ class TestMGC:
         # strong tie (p=1) at distance 1, weak tie (p=0.25) at distance 4
         net = Network.from_edges(3, [(0, 1, 1.0), (0, 2, 0.25)])
         mass = ScoreVector("c_os", np.array([1.0, 1.0, 1.0]))
-        out = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), mass)
+        out = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), mass, 3)
         assert np.isclose(out.values[0], 1.0 / 1.0 + 1.0 / 16.0)

@@ -1,11 +1,14 @@
-"""The package holds no public code that only the tests call.
+"""The package holds no public code, and no parameter default, that only the tests use.
 
 Every public top-level function and class of ``src/spreadrank`` and every
 public method must be referenced, by name or as an attribute, from some
 definition in the package other than its own (module-level code counts).
-``__init__.py`` only re-exports, so its references do not count.  Names
-match by spelling alone, so the scan can miss dead code whose name is
-also used for something else, but it never flags code the package uses.
+``__init__.py`` only re-exports, so its references do not count.  Every
+defaulted parameter of a public function or method must be set, by
+keyword or by position, by some call in the package: a default no call
+overrides is a setting that nothing in the pipeline reads.  Names match
+by spelling alone, so the scans can miss dead code whose name is also
+used for something else, but they never flag code the package uses.
 """
 import ast
 from pathlib import Path
@@ -19,21 +22,32 @@ ALLOWED = {
     "storage.read_scores": "reader the benchmark's tracer rebinds by name",
 }
 
+# defaulted parameters set only from outside src/
+ALLOWED_DEFAULTS = {
+    "cli.main(argv)": "the console script calls main() bare; the benchmark and the tests "
+                      "pass an argv",
+    "centrality.eigenvector(tol)": "acceptance criterion 2 tightens the tolerance",
+}
+
 
 def _referenced(node: ast.AST) -> set[str]:
     return {n.id if isinstance(n, ast.Name) else n.attr
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _modules():
+    """(module name, syntax tree) of every module but ``__init__.py``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _scan() -> tuple[dict[str, str], list[tuple[str, set[str]]]]:
     """Public definitions (qualified name -> name) and (owner, names referenced) per body."""
     public: dict[str, str] = {}
     bodies: list[tuple[str, set[str]]] = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        module = path.stem
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, tree in _modules():
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner = f"{module}.{node.name}"
                 bodies.append((owner, _referenced(node)))
@@ -69,11 +83,58 @@ def _unreferenced() -> set[str]:
     return unused
 
 
+def _defaulted(args: ast.arguments, method: bool) -> dict[str, int | None]:
+    """Defaulted parameters and their positions in a call (None if keyword-only)."""
+    positional = [a.arg for a in args.posonlyargs + args.args][int(method):]
+    first = len(positional) - len(args.defaults)
+    params = {name: index for index, name in enumerate(positional) if index >= first}
+    params.update({a.arg: None for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None})
+    return params
+
+
+def _sets(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether ``call`` passes ``param``; an unpacked ``*args`` or ``**kwargs`` may."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return index is not None and index < len(call.args)
+
+
+def _unset_defaults() -> set[str]:
+    """``name(param)`` of each public function's defaulted parameter no call sets."""
+    defaulted: dict[str, tuple[str, dict[str, int | None]]] = {}
+    calls: dict[str, list[ast.Call]] = {}
+    for module, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defaulted[f"{module}.{node.name}"] = (node.name, _defaulted(node.args, False))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defaulted[f"{module}.{node.name}.{item.name}"] = (
+                            item.name, _defaulted(item.args, True))
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute)):
+                name = call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                calls.setdefault(name, []).append(call)
+    return {f"{qualified}({param})"
+            for qualified, (name, params) in defaulted.items() if not name.startswith("_")
+            for param, index in params.items()
+            if not any(_sets(call, param, index) for call in calls.get(name, []))}
+
+
 def test_every_public_definition_is_used_inside_the_package():
     assert _unreferenced() - set(ALLOWED) == set()
+
+
+def test_every_defaulted_parameter_is_set_inside_the_package():
+    assert _unset_defaults() - set(ALLOWED_DEFAULTS) == set()
 
 
 def test_allowlist_is_current():
     public, _ = _scan()
     assert set(ALLOWED) <= set(public)
     assert set(ALLOWED) <= _unreferenced()
+    assert set(ALLOWED_DEFAULTS) <= _unset_defaults()

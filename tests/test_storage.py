@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import errno
 import io
 import json
@@ -60,7 +61,7 @@ def test_id_map(net, tmp_path):
 
 def test_id_map_uses_lf_line_endings(tmp_path):
     labeled = Network(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 1.0]),
-                      directed=True, labels=("a", "b,c", 'd"e'))
+                      labels=("a", "b,c", 'd"e'))
     path = tmp_path / "g.idmap.csv"
     storage.write_id_map(labeled, path)
     data = path.read_bytes()
@@ -138,9 +139,9 @@ def test_fingerprint_sensitivity(net, monkeypatch):
 
 
 def test_config_json_roundtrip():
-    # config.json holds every field, so the run's configuration can be rebuilt from it
+    # a config.json of every field, as evaluate writes, rebuilds the run's configuration
     cfg = RunConfig(runs=500, master_seed=9, measures=("c_os", "sk3"))
-    payload = json.loads(cfg.to_json())
+    payload = json.loads(cfg.to_json(f.name for f in dataclasses.fields(RunConfig)))
     assert RunConfig(**{**payload, "measures": tuple(payload["measures"])}) == cfg
 
 
