@@ -238,26 +238,17 @@ def kshell(view: GraphView) -> ScoreVector:
     if view.kind is not ViewKind.UU:
         raise ValidationError("k-shell decomposition runs on the undirected unweighted view")
     n = view.n
-    deg = np.bincount(view.src, minlength=n).astype(np.int64)
+    deg = np.bincount(view.src, minlength=n)
     alive = np.ones(n, dtype=bool)
     shell = np.zeros(n, dtype=np.int64)
     k = 0
-    remaining = n
-    while remaining:
-        candidates = np.flatnonzero(alive & (deg <= k))
-        if candidates.size == 0:
-            k += 1
-            continue
-        for u in candidates:
-            if not alive[u]:
-                continue
-            alive[u] = False
-            shell[u] = k
-            remaining -= 1
-            targets, _ = view.neighbors(u)
-            for v in targets:
-                if alive[v]:
-                    deg[v] -= 1
+    while alive.any():
+        k = max(k, int(deg[alive].min()))
+        peel = alive & (deg <= k)
+        # removing every peeled node at once takes one degree per edge into it
+        shell[peel] = k
+        alive &= ~peel
+        deg -= np.bincount(view.dst[peel[view.src]], minlength=n)
     return ScoreVector("kshell", shell.astype(np.float64))
 
 
@@ -270,12 +261,9 @@ def weighted_kshell(net: Network) -> ScoreVector:
     are discrete; out-strength 0 nodes sit in the lowest shell.
     """
     n = net.node_count
-    if n == 0:
-        return ScoreVector("wks", np.zeros(0))
     out_deg = net.out_degree().astype(np.float64)
     out_str = net.out_strength()
-    kprime = np.sqrt(out_deg * out_str)
-    peak = float(kprime.max())
+    peak = float(np.sqrt(out_deg * out_str).max(initial=0.0))
     if peak == 0.0:
         return ScoreVector("wks", np.zeros(n))
     scale = n / peak
@@ -290,25 +278,17 @@ def weighted_kshell(net: Network) -> ScoreVector:
         mass = max(cur_deg[u] * cur_str[u], 0.0)  # float drift guard
         return int(math.floor(scale * math.sqrt(mass)))
 
-    remaining = n
     k = 0
-    while remaining:
-        levels = np.array([level(u) if alive[u] else np.iinfo(np.int64).max
-                           for u in range(n)])
-        candidates = np.flatnonzero(alive & (levels <= k))
-        if candidates.size == 0:
-            k += 1
-            continue
-        queue = list(candidates)
+    while alive.any():
+        levels = np.floor(scale * np.sqrt(np.maximum(cur_deg * cur_str, 0.0)))
+        k = max(k, int(levels[alive].min()))
+        queue = list(np.flatnonzero(alive & (levels <= k)))
         while queue:
             u = queue.pop()
-            if not alive[u]:
-                continue
-            if level(u) > k:
+            if not alive[u] or level(u) > k:
                 continue
             alive[u] = False
             shell[u] = k
-            remaining -= 1
             # removing u deletes its incoming edges, shrinking the sources' mass
             for eid in in_order[in_indptr[u]:in_indptr[u + 1]]:
                 s = int(net.src[eid])

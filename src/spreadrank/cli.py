@@ -7,6 +7,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -54,13 +55,12 @@ def _add_config(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(flag, dest=name, default=getattr(RunConfig, name), **keywords)
 
 
-def _config_from_args(args: argparse.Namespace, **known) -> tuple[RunConfig, tuple[str, ...]]:
+def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, tuple[str, ...]]:
     """The configuration a command's options give, and the names of the fields it read.
 
-    ``known`` sets fields the command has no option for; the others keep their defaults.
+    Fields the command has no option for keep their defaults.
     """
     read = {name: getattr(args, name) for name in _CONFIG_OPTIONS if hasattr(args, name)}
-    read.update(known)
     cfg = RunConfig(**read)
     unknown = [m for m in (*cfg.measures, getattr(args, "measure", None))
                if m is not None and m not in measure_ids()]
@@ -193,10 +193,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if "," in dataset:
         raise ParameterError(f"dataset name {dataset!r} contains a comma, "
                              "which would split its report rows")
+    cfg, read = _config_from_args(args)  # a bad setting fails before any input is read
     net = storage.read_canonical_network(args.graph)
     spread, stored_hash = storage.read_spread(args.spread, net.node_count)
     # provenance records the simulation knobs the spread file was built with
-    cfg, read = _config_from_args(args, runs=spread.runs, master_seed=spread.master_seed)
+    cfg = dataclasses.replace(cfg, runs=spread.runs, master_seed=spread.master_seed)
+    read += ("runs", "master_seed")
     expected_hash = simulation_hash(net, spread.runs, spread.master_seed)
     if stored_hash and stored_hash != expected_hash:
         raise DataError(f"spread cache {args.spread} does not match graph {args.graph} "

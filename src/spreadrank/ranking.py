@@ -6,6 +6,9 @@ by a measure's top-k versus the true top-k), and ranking monotonicity (a
 squared fraction-of-non-ties statistic).  Dataset-level values are
 normalized against baselines (out-degree for correlation, out-strength for
 error) and aggregated with geometric means of absolute values.
+
+Tied pairs are counted from the group sizes ``np.unique`` returns; discordant
+pairs are the inversions of integer ranks, counted bit by bit.
 """
 from __future__ import annotations
 
@@ -22,48 +25,38 @@ EPSILON_AGG_MIN_NODES = 100  # datasets below this are excluded from error aggre
 RANK_DECIMALS = 12
 
 
-def _tied_pairs(*keys: np.ndarray) -> int:
-    """Pairs of positions equal in every key; the keys are sorted together, so ties are runs."""
-    new_run = np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
-    runs = np.diff(np.flatnonzero(np.concatenate(([True], new_run, [True]))))
-    return int(np.sum(runs * (runs - 1) // 2))
+def _pairs(counts: np.ndarray) -> int:
+    """Pairs inside groups of the given sizes: the sum of c(c-1)/2."""
+    return int(np.sum(counts * (counts - 1) // 2))
 
 
-def _merge_count(values: list[float]) -> int:
-    """Count pairs (i, j), i < j, with values[i] > values[j] via merge sort."""
-    n = len(values)
-    if n < 2:
-        return 0
-    buffer = values[:]
-    scratch = [0.0] * n
+def _inversions(ranks: np.ndarray) -> int:
+    """Count pairs (i, j), i < j, with ranks[i] > ranks[j], for ranks >= 0.
+
+    Such a pair first differs at a bit where ranks[i] holds the 1.  So per
+    bit, a stable sort groups positions by the bits above it, in order, and
+    each 0 counts the 1s before it in its group.
+    """
     inversions = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if buffer[j] < buffer[i]:
-                    inversions += mid - i
-                    scratch[k] = buffer[j]
-                    j += 1
-                else:
-                    scratch[k] = buffer[i]
-                    i += 1
-                k += 1
-            scratch[k:hi] = buffer[i:mid] if i < mid else buffer[j:hi]
-            buffer[lo:hi] = scratch[lo:hi]
-        width *= 2
+    for b in range(int(ranks.max(initial=0)).bit_length()):
+        high = ranks >> (b + 1)
+        order = np.argsort(high, kind="stable")
+        group = high[order]
+        ones = (ranks[order] >> b) & 1
+        before = np.cumsum(ones) - ones  # 1s before each position, over all groups
+        head = np.concatenate(([True], group[1:] != group[:-1]))
+        before -= np.maximum.accumulate(np.where(head, before, 0))
+        inversions += int(before[ones == 0].sum())
     return inversions
 
 
 def kendall_tau(x: ScoreVector | np.ndarray, y: ScoreVector | np.ndarray) -> float:
     """Tie-corrected Kendall correlation between two score vectors.
 
-    Runs in O(n log n): pairs are sorted by (x, y) and discordances are
-    counted as strict descents of y under merge sort.  Raises
-    :class:`UndefinedCorrelationError` when either input is all ties.
+    Tied pairs come from the group sizes of x, of y and of the joint (x, y)
+    key; discordant pairs are the inversions of y's integer ranks in (x, y)
+    order.  Raises :class:`UndefinedCorrelationError` when either input is
+    all ties, and :class:`ValidationError` on non-finite input.
     """
     xv = x.values if isinstance(x, ScoreVector) else np.asarray(x, np.float64)
     yv = y.values if isinstance(y, ScoreVector) else np.asarray(y, np.float64)
@@ -72,16 +65,16 @@ def kendall_tau(x: ScoreVector | np.ndarray, y: ScoreVector | np.ndarray) -> flo
     n = xv.size
     if n < 2:
         raise ValidationError("kendall_tau needs at least two observations")
-    order = np.lexsort((yv, xv))
-    xs = xv[order]
-    ys = yv[order]
+    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
+        raise ValidationError("kendall_tau inputs must be finite")
+    _, rx, cx = np.unique(xv, return_inverse=True, return_counts=True)
+    _, ry, cy = np.unique(yv, return_inverse=True, return_counts=True)
     n0 = n * (n - 1) // 2
-    n1 = _tied_pairs(xs)
-    n2 = _tied_pairs(np.sort(yv))
-    n3 = _tied_pairs(xs, ys)
+    n1, n2 = _pairs(cx), _pairs(cy)
+    n3 = _pairs(np.unique(rx * cy.size + ry, return_counts=True)[1])
     if n0 == n1 or n0 == n2:
         raise UndefinedCorrelationError("correlation undefined: an input is constant")
-    discordant = _merge_count(list(ys))
+    discordant = _inversions(ry[np.lexsort((ry, rx))])
     concordant_minus_discordant = n0 - n1 - n2 + n3 - 2 * discordant
     return concordant_minus_discordant / math.sqrt((n0 - n1) * (n0 - n2))
 
@@ -113,13 +106,17 @@ def ranking_error(scores: ScoreVector, spread: SpreadEstimate, k: int) -> float:
 def monotonicity(scores: ScoreVector | np.ndarray) -> float:
     """Squared fraction of distinguishable pairs in a ranking, in [0, 1].
 
-    Scores equal after rounding to 12 decimals share a rank.
+    Scores equal after rounding to 12 decimals share a rank; tied pairs
+    are counted from the sizes of those groups.  Non-finite scores raise
+    :class:`ValidationError`.
     """
     values = scores.values if isinstance(scores, ScoreVector) else np.asarray(scores, np.float64)
     n = values.size
     if n < 2:
         raise ValidationError("monotonicity needs at least two nodes")
-    tied = float(2 * _tied_pairs(np.sort(np.round(values, RANK_DECIMALS))))
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("monotonicity needs finite scores")
+    tied = float(2 * _pairs(np.unique(np.round(values, RANK_DECIMALS), return_counts=True)[1]))
     return (1.0 - tied / (n * (n - 1))) ** 2
 
 
@@ -172,12 +169,9 @@ def evaluate_measures(dataset: str, node_count: int, density: float,
     metrics: dict[str, MeasureMetrics] = {}
     for measure_id, vec in scores.items():
         tau, epsilon = taus[measure_id], epsilons[measure_id]
-        tau_norm = None
-        if tau is not None and tau_base is not None and tau_base != 0.0:
-            tau_norm = tau / tau_base
-        epsilon_norm = None
-        if epsilon is not None and eps_base is not None and eps_base != 0.0:
-            epsilon_norm = epsilon / eps_base
+        # a baseline of None or 0.0 leaves the normalized value undefined
+        tau_norm = tau / tau_base if tau is not None and tau_base else None
+        epsilon_norm = epsilon / eps_base if epsilon is not None and eps_base else None
         metrics[measure_id] = MeasureMetrics(
             tau=tau, tau_norm=tau_norm, epsilon=epsilon, epsilon_norm=epsilon_norm,
             monotonicity=monotonicity(vec) if node_count >= 2 else None)
@@ -200,11 +194,7 @@ def aggregate(reports: list[EvaluationReport]) -> EvaluationReport:
     """
     if not reports:
         raise ValidationError("nothing to aggregate")
-    measure_ids: list[str] = []
-    for report in reports:
-        for measure_id in report.metrics:
-            if measure_id not in measure_ids:
-                measure_ids.append(measure_id)
+    measure_ids = list(dict.fromkeys(m for report in reports for m in report.metrics))
     combined: dict[str, MeasureMetrics] = {}
     for measure_id in measure_ids:
         taus = [r.metrics[measure_id].tau_norm for r in reports

@@ -290,6 +290,59 @@ class TestWeightedKshell:
         assert values.min() >= 0.0
         assert values.max() <= net.node_count
 
+    @pytest.mark.parametrize("weights", ["dyadic", "uniform", "wcs"])
+    def test_matches_per_node_levels(self, weights):
+        # the same peel with every round's levels computed one node at a time
+        rng = np.random.default_rng(78)
+        for _ in range(40):
+            n, edges = random_digraph(rng, max_n=14, p=0.3,
+                                      weights="uniform" if weights == "wcs" else weights)
+            net = Network.from_edges(n, edges)
+            if weights == "wcs":
+                net = apply_wcs(net)
+            np.testing.assert_array_equal(weighted_kshell(net).values, _per_node_wks(net))
+
+    def test_empty_network(self):
+        assert weighted_kshell(Network.from_edges(0, [])).values.size == 0
+        assert kshell(view(Network.from_edges(0, []), ViewKind.UU)).values.size == 0
+
+
+def _per_node_wks(net):
+    """Reference weighted shell peel that computes each node's level on its own."""
+    n = net.node_count
+    cur_deg = net.out_degree().astype(np.float64)
+    cur_str = net.out_strength()
+    peak = max((math.sqrt(d * w) for d, w in zip(cur_deg, cur_str)), default=0.0)
+    shell = [0] * n
+    if peak == 0.0:
+        return np.zeros(n)
+    scale = n / peak
+    alive = [True] * n
+    indptr, order = net.in_csr
+
+    def level(u):
+        return int(math.floor(scale * math.sqrt(max(cur_deg[u] * cur_str[u], 0.0))))
+
+    k = 0
+    while any(alive):
+        queue = [u for u in range(n) if alive[u] and level(u) <= k]
+        if not queue:
+            k += 1
+        while queue:
+            u = queue.pop()
+            if not alive[u] or level(u) > k:
+                continue
+            alive[u] = False
+            shell[u] = k
+            for eid in order[indptr[u]:indptr[u + 1]]:
+                s = int(net.src[eid])
+                if alive[s]:
+                    cur_deg[s] -= 1
+                    cur_str[s] -= net.weight[eid]
+                    if level(s) <= k:
+                        queue.append(s)
+    return np.array(shell, dtype=np.float64)
+
 
 def _out_degree_peel(net):
     """Reference peeling on raw out-degree, recomputed on the live subgraph."""

@@ -469,6 +469,22 @@ class TestExitCodes:
             assert "must be >= 1" in err
         assert not list(tmp_path.glob("toy.c_os.csv")) + list(tmp_path.glob("*.evaluation.csv"))
 
+    @pytest.mark.parametrize("setting, message", [
+        (["--radius", "0"], "error: gravity radius must be >= 1"),
+        (["--top-k", "0"], "error: top_k must be >= 1"),
+        (["--katz-alpha", "0"], "error: katz alpha must be a finite number > 0"),
+        (["--measures", "bogus"], "error: unknown measure 'bogus'"),
+    ], ids=["radius", "top_k", "katz_alpha", "measures"])
+    def test_evaluate_checks_settings_before_reading_inputs(self, tmp_path, ingested, capsys,
+                                                            setting, message):
+        # the spread file is missing, and the graph too in the second run
+        for graph in (ingested, tmp_path / "missing.edges"):
+            code, _, err = run(capsys, "evaluate", graph, tmp_path / "missing.csv", *setting,
+                               "--out-dir", tmp_path)
+            assert code == 2
+            assert message in err
+        assert not list(tmp_path.glob("*.evaluation.csv"))
+
     @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
     def test_katz_alpha_checked_without_katz_measure(self, tmp_path, ingested, capsys, alpha):
         code, _, err = run(capsys, "centrality", ingested, "--measure", "c_os",

@@ -1,8 +1,9 @@
-"""The package holds no public code, and no parameter default, that only the tests use.
+"""The package holds no code, and no parameter default, that only the tests use.
 
-Every public top-level function and class of ``src/spreadrank`` and every
-public method must be referenced, by name or as an attribute, from some
-definition in the package other than its own (module-level code counts).
+Every top-level function and class of ``src/spreadrank``, private helpers
+included, and every public method must be referenced, by name or as an
+attribute, from some definition in the package other than its own
+(module-level code counts), so a helper that a change leaves behind fails.
 ``__init__.py`` only re-exports, so its references do not count.  Every
 defaulted parameter of a public function or method must be set, by
 keyword or by position, by some call in the package: a default no call
@@ -43,8 +44,11 @@ def _modules():
 
 
 def _scan() -> tuple[dict[str, str], list[tuple[str, set[str]]]]:
-    """Public definitions (qualified name -> name) and (owner, names referenced) per body."""
-    public: dict[str, str] = {}
+    """Checked definitions (qualified name -> name) and (owner, names referenced) per body.
+
+    Checked are every top-level function and class and every public method.
+    """
+    checked: dict[str, str] = {}
     bodies: list[tuple[str, set[str]]] = []
     for module, tree in _modules():
         for node in tree.body:
@@ -57,7 +61,7 @@ def _scan() -> tuple[dict[str, str], list[tuple[str, set[str]]]]:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         method = f"{owner}.{item.name}"
                         if not item.name.startswith("_"):
-                            public[method] = item.name
+                            checked[method] = item.name
                         bodies.append((method, _referenced(item)))
                     else:
                         bodies.append((owner, _referenced(item)))
@@ -67,15 +71,14 @@ def _scan() -> tuple[dict[str, str], list[tuple[str, set[str]]]]:
                 owner = f"{module}.<module>"
                 bodies.append((owner, _referenced(node)))
                 continue
-            if not node.name.startswith("_"):
-                public[owner] = node.name
-    return public, bodies
+            checked[owner] = node.name
+    return checked, bodies
 
 
 def _unreferenced() -> set[str]:
-    public, bodies = _scan()
+    checked, bodies = _scan()
     unused = set()
-    for qualified, name in public.items():
+    for qualified, name in checked.items():
         # a class's own body and methods do not count for it, nor a method for itself
         if not any(name in names for owner, names in bodies
                    if owner != qualified and not owner.startswith(qualified + ".")):
@@ -125,8 +128,16 @@ def _unset_defaults() -> set[str]:
             if not any(_sets(call, param, index) for call in calls.get(name, []))}
 
 
+def _private(qualified: str) -> bool:
+    return qualified.rsplit(".", 1)[1].startswith("_")
+
+
 def test_every_public_definition_is_used_inside_the_package():
-    assert _unreferenced() - set(ALLOWED) == set()
+    assert {q for q in _unreferenced() if not _private(q)} - set(ALLOWED) == set()
+
+
+def test_every_private_helper_is_used_inside_the_package():
+    assert {q for q in _unreferenced() if _private(q)} == set()
 
 
 def test_every_defaulted_parameter_is_set_inside_the_package():
@@ -134,7 +145,7 @@ def test_every_defaulted_parameter_is_set_inside_the_package():
 
 
 def test_allowlist_is_current():
-    public, _ = _scan()
-    assert set(ALLOWED) <= set(public)
+    checked, _ = _scan()
+    assert set(ALLOWED) <= set(checked)
     assert set(ALLOWED) <= _unreferenced()
     assert set(ALLOWED_DEFAULTS) <= _unset_defaults()

@@ -3,7 +3,7 @@ import pytest
 
 from spreadrank.errors import UndefinedCorrelationError, ValidationError
 from spreadrank.propagation import SpreadEstimate
-from spreadrank.ranking import (EvaluationReport, MeasureMetrics, aggregate,
+from spreadrank.ranking import (EvaluationReport, MeasureMetrics, _inversions, aggregate,
                                 evaluate_measures, kendall_tau, monotonicity,
                                 ranking_error, top_k_nodes)
 from spreadrank.scores import ScoreVector
@@ -67,6 +67,67 @@ class TestKendallTau:
     def test_too_short(self):
         with pytest.raises(ValidationError):
             kendall_tau(np.array([1.0]), np.array([2.0]))
+
+    def test_signed_zeros_are_tied(self):
+        x = np.array([-0.0, 0.0, 1.0, -0.0, 2.0])
+        y = np.array([3.0, 1.0, 2.0, 0.0, -0.0])
+        assert kendall_tau(x, y) == pytest.approx(bf_kendall(x, y), abs=1e-15)
+        assert kendall_tau(x, y) == kendall_tau(np.abs(x), np.abs(y))
+
+    def test_heavily_tied_inputs(self):
+        from scipy.stats import kendalltau as scipy_tau
+        rng = np.random.default_rng(14)
+        for levels in (2, 3):
+            x = rng.integers(0, levels, 300).astype(float)
+            y = x + rng.integers(0, 2, 300)
+            expected = scipy_tau(x, y).statistic
+            assert kendall_tau(x, y) == pytest.approx(expected, abs=1e-12)
+            assert kendall_tau(x, y) == pytest.approx(bf_kendall(x, y), abs=1e-12)
+
+    def test_one_distinct_pair_in_many_ties(self):
+        x = np.zeros(100)
+        x[0] = 1.0
+        y = np.zeros(100)
+        y[0] = 1.0
+        assert kendall_tau(x, y) == 1.0
+        assert kendall_tau(x, -y) == -1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        y = np.array([bad, 1.0, bad, 2.0])
+        with pytest.raises(ValidationError, match="finite"):
+            kendall_tau(x, y)
+        with pytest.raises(ValidationError, match="finite"):
+            kendall_tau(y, x)
+
+
+class TestInversions:
+    @staticmethod
+    def quadratic(ranks):
+        return int(sum(np.count_nonzero(ranks[i] > ranks[i + 1:]) for i in range(ranks.size)))
+
+    @pytest.mark.parametrize("ranks", [
+        [], [0], [5], [3, 3, 3, 3], [0, 0], [1, 0], [0, 1],
+        list(range(40, -1, -1)), list(range(41)),
+        [40_000, 0, 32_768, 32_767, 1, 40_000, 65_535, 0],
+    ], ids=["empty", "one_zero", "one", "all_equal", "two_equal", "two_inverted",
+            "two_sorted", "strictly_decreasing", "strictly_increasing", "wide"])
+    def test_edge_cases(self, ranks):
+        ranks = np.array(ranks, dtype=np.int64)
+        assert _inversions(ranks) == self.quadratic(ranks)
+
+    @pytest.mark.parametrize("high", [2, 7, 64, 1 << 15, 1 << 20])
+    def test_matches_quadratic_count(self, high):
+        rng = np.random.default_rng(high)
+        for _ in range(30):
+            ranks = rng.integers(0, high, int(rng.integers(0, 120)))
+            assert _inversions(ranks) == self.quadratic(ranks)
+
+    def test_ranks_spanning_many_bits(self):
+        ranks = np.random.default_rng(13).integers(0, 1 << 17, 400)
+        assert int(ranks.max()).bit_length() >= 15
+        assert _inversions(ranks) == self.quadratic(ranks)
 
 
 class TestRankingError:
@@ -140,6 +201,20 @@ class TestMonotonicity:
     def test_too_short(self):
         with pytest.raises(ValidationError):
             monotonicity(np.array([1.0]))
+
+    def test_signed_zeros_are_tied(self):
+        values = np.array([-0.0, 0.0, 1e-13, -1e-13, 1.0])
+        assert monotonicity(values) == bf_monotonicity(values)
+        assert monotonicity(values) == monotonicity(np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+
+    def test_heavily_tied(self):
+        values = np.random.default_rng(15).integers(0, 2, 500).astype(float)
+        assert monotonicity(values) == bf_monotonicity(values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            monotonicity(np.array([1.0, bad, 2.0, bad]))
 
 
 def report_for(dataset, node_count=120, density=0.1, **measures):
