@@ -6,12 +6,17 @@ network itself where the measure is inherently directed and weighted) and
 return a :class:`ScoreVector`.  Distance-based measures expect the caller
 to hand them the appropriate view; by convention weighted distances use
 inverted weights so that a high cascade probability reads as proximity.
+
+Betweenness, closeness and gravity take their distances from one kernel,
+:func:`_distances`.  It needs every candidate ``d + w`` to exceed ``d``, as
+unit weights and inverted probabilities (at least 1) do; then its result is
+unique and equals a one-source Dijkstra search's bit for bit.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +30,7 @@ KATZ_TOL = 1e-12
 KATZ_MAX_ITERS = 10_000
 KATZ_ALPHA_FRACTION = 0.85
 _SPECTRAL_ITERATIONS = 200
+_BLOCK = 16  # sources per distance pass
 
 
 class Direction(Enum):
@@ -46,50 +52,46 @@ def strength(view: GraphView) -> ScoreVector:
                        np.bincount(view.src, weights=view.weight, minlength=view.n))
 
 
-def _sssp(view: GraphView, source: int, hops: int | None = None,
-          allowed: np.ndarray | None = None) -> tuple[list[int], np.ndarray]:
-    """Distances and settle order from ``source``.
+def _blocks(nodes: np.ndarray) -> Iterator[np.ndarray]:
+    """``nodes`` in consecutive blocks of ``_BLOCK``, one distance pass each."""
+    return (nodes[i:i + _BLOCK] for i in range(0, nodes.size, _BLOCK))
 
-    Unit-weight views, and every search with a ``hops`` limit, use
-    breadth-first search, which counts edges and ignores weights; others
-    use Dijkstra over the view's weights.  ``hops`` stops the search after
-    that many edges; ``allowed`` is a boolean node mask outside which the
-    search never steps (the source itself is always entered).
+
+def _distances(view: GraphView, sources: np.ndarray, hops: int | None = None,
+               allowed: np.ndarray | None = None) -> np.ndarray:
+    """Shortest distances from each of ``sources``: one row per source, ``inf`` if unreached.
+
+    A synchronous label-correcting pass: every round relaxes the edges whose
+    source improved in the round before, with one gather, one add and one
+    ``np.minimum.reduceat`` over those edges grouped by target.  ``hops``
+    counts every edge as 1 and stops after that many rounds.  ``allowed`` is
+    a (sources x n) node mask outside which a row never steps (its source is
+    always entered).
     """
-    dist = [math.inf] * view.n
-    dist[source] = 0.0
-    order: list[int] = []
-    if view.unit_weights or hops is not None:
-        limit = math.inf if hops is None else hops
-        frontier = [source]
-        order.append(source)
-        d = 0.0
-        while frontier and d < limit:
-            d += 1.0
-            nxt = []
-            for u in frontier:
-                for v in view.neighbors(u)[0].tolist():
-                    if dist[v] == math.inf and (allowed is None or allowed[v]):
-                        dist[v] = d
-                        nxt.append(v)
-            order += nxt
-            frontier = nxt
-        return order, np.array(dist)
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    settled = [False] * view.n
-    while heap:
-        d, u = heapq.heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
-        order.append(u)
-        targets, weights = view.neighbors(u)
-        for v, w in zip(targets.tolist(), weights.tolist()):
-            nd = d + w
-            if nd < dist[v] and (allowed is None or allowed[v]):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return order, np.array(dist)
+    order = view._by_target
+    src, dst = view.src[order], view.dst[order]
+    weight = np.ones(order.size) if hops is not None else view.weight[order]
+    # node-major, so that the gather reads one contiguous row per edge
+    dist = np.full((view.n, sources.size), np.inf)
+    dist[sources, np.arange(sources.size)] = 0.0
+    improved = np.zeros(view.n, dtype=bool)
+    improved[sources] = True
+    # a shortest path has fewer than n edges, so n rounds always settle every row
+    for _ in range(view.n if hops is None else hops):
+        live = np.flatnonzero(improved[src])
+        if not live.size:
+            break
+        targets = dst[live]
+        first = np.flatnonzero(np.concatenate(([True], targets[1:] != targets[:-1])))
+        nodes = targets[first]
+        best = np.minimum.reduceat(dist[src[live]] + weight[live, None], first, axis=0)
+        if allowed is not None:
+            best[~allowed.T[nodes]] = np.inf
+        current = dist[nodes]
+        dist[nodes] = np.minimum(best, current)
+        improved[:] = False
+        improved[nodes] = (best < current).any(axis=1)
+    return dist.T
 
 
 def betweenness(view: GraphView) -> ScoreVector:
@@ -97,31 +99,44 @@ def betweenness(view: GraphView) -> ScoreVector:
 
     Pair accumulation follows the standard dependency scheme: ordered
     source/target pairs on directed views, each unordered pair once on
-    undirected views.  Disconnected pairs contribute nothing.
+    undirected views.  Disconnected pairs contribute nothing.  A block of
+    sources is one batched Brandes pass: path counts flow forward over the
+    shortest-path DAGs in Kahn rounds, dependencies back over the same rounds.
     """
     n = view.n
     bc = np.zeros(n)
-    for s in range(n):
-        order, dist = _sssp(view, s)
-        # tight edges (u, v) with dist[u] + w == dist[v] form the shortest-path DAG
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        preds: list[list[int]] = [[] for _ in range(n)]
-        for u in order:
-            targets, weights = view.neighbors(u)
-            for v, w in zip(targets, weights):
-                if dist[u] + w == dist[v]:
-                    preds[v].append(u)
-        for u in order[1:]:
-            sigma[u] = sum(sigma[p] for p in preds[u])
-        delta = np.zeros(n)
-        for u in reversed(order):
-            if u != s:
-                coeff = (1.0 + delta[u]) / sigma[u]
-                for p in preds[u]:
-                    delta[p] += sigma[p] * coeff
-        delta[s] = 0.0
-        bc += delta
+    for sources in _blocks(np.arange(n)):
+        k = sources.size
+        dist = _distances(view, sources).T
+        # tight edges (u, v) with dist[u] + w == dist[v] form each source's shortest-path DAG;
+        # (node, row) pairs are flattened to node * k + row
+        reach = dist[view.src] + view.weight[:, None]
+        edge, row = np.nonzero((reach == dist[view.dst]) & np.isfinite(reach))
+        # a node adds its children's dependencies in reverse settle order, as Brandes does
+        later = np.lexsort((-view.dst[edge], -dist[view.dst[edge], row]))
+        edge, row = edge[later], row[later]
+        tail = view.src[edge] * k + row
+        head = view.dst[edge] * k + row
+        waiting = np.bincount(head, minlength=n * k)
+        sigma = np.zeros(n * k)
+        sigma[sources * k + np.arange(k)] = 1.0
+        rounds = []
+        pending = np.arange(edge.size)
+        while pending.size:
+            ready = waiting[tail[pending]] == 0
+            batch = pending[ready]
+            sigma += np.bincount(head[batch], weights=sigma[tail[batch]], minlength=n * k)
+            waiting -= np.bincount(head[batch], minlength=n * k)
+            rounds.append(batch)
+            pending = pending[~ready]
+        delta = np.zeros(n * k)
+        for batch in reversed(rounds):
+            u, v = tail[batch], head[batch]
+            delta += np.bincount(u, weights=sigma[u] * ((1.0 + delta[v]) / sigma[v]),
+                                 minlength=n * k)
+        delta[sources * k + np.arange(k)] = 0.0
+        for from_source in delta.reshape(n, k).T:
+            bc += from_source
     if view.undirected:
         bc *= 0.5
     return ScoreVector("betweenness", bc)
@@ -135,17 +150,13 @@ def closeness(view: GraphView) -> ScoreVector:
     """
     n = view.n
     values = np.zeros(n)
-    if n < 2:
-        return ScoreVector("closeness", values)
-    for u in range(n):
-        _, dist = _sssp(view, u)
-        finite = np.isfinite(dist)
-        finite[u] = False
-        reached = int(finite.sum())
-        if reached == 0:
-            continue
-        total = float(dist[finite].sum())
-        values[u] = (reached / (n - 1)) * (reached / total)
+    for sources in _blocks(np.arange(n)):
+        for u, dist in zip(sources.tolist(), _distances(view, sources)):
+            finite = np.isfinite(dist)
+            finite[u] = False
+            reached = int(finite.sum())
+            if reached:
+                values[u] = (reached / (n - 1)) * (reached / float(dist[finite].sum()))
     return ScoreVector("closeness", values)
 
 

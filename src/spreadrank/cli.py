@@ -157,6 +157,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except (ParseError, DataError, ValidationError):
             stored_hash = ""
         if stored_hash == expected_hash:
+            storage.write_config(cfg, args.out_dir / "config.json", read)
             print(f"cache hit: {cache_path} (config_hash={expected_hash})")
             return 0
         print(f"cache mismatch, recomputing: {cache_path}", file=sys.stderr)

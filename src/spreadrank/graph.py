@@ -263,18 +263,14 @@ class GraphView:
             w = np.concatenate([kept_w, kept_w])
         if self.weight_mode is WeightMode.INVERTED:
             w = 1.0 / w
-        indptr, order = _csr(src, n) if n else (np.zeros(1, np.int64), np.zeros(0, np.int64))
-        w = np.asarray(w, np.float64)
-        for arr in (src, dst, w):
+        _, by_target = _csr(dst, n)
+        for arr in (src, dst, w, by_target):
             arr.setflags(write=False)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "_indptr", indptr)
-        object.__setattr__(self, "_adj_dst", dst[order])
-        object.__setattr__(self, "_adj_w", w[order])
-        object.__setattr__(self, "_unit_weights",
-                           bool(np.all(w == 1.0)) if w.size else True)
+        # edge positions grouped by target, the order the distance kernel relaxes them in
+        object.__setattr__(self, "_by_target", by_target)
 
     @property
     def n(self) -> int:
@@ -287,15 +283,6 @@ class GraphView:
     @property
     def undirected(self) -> bool:
         return self.kind in (ViewKind.UU, ViewKind.UW)
-
-    @property
-    def unit_weights(self) -> bool:
-        return self._unit_weights
-
-    def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Targets and weights of the edges leaving ``u`` in this view."""
-        lo, hi = self._indptr[u], self._indptr[u + 1]
-        return self._adj_dst[lo:hi], self._adj_w[lo:hi]
 
 
 def view(net: Network, kind: ViewKind, weight_mode: WeightMode = WeightMode.AS_IS) -> GraphView:

@@ -1,16 +1,18 @@
 """Gravity-style centralities: node masses attract over short distances.
 
 A node's score sums ``mass(u) * mass(v) / dist(u, v)**2`` over the
-neighbors ``v`` it can reach within a hop radius.  Membership in the
+nodes ``v`` it can reach within a hop radius.  Membership in the
 neighborhood is counted in hops (edges traversed), while the distance in
 the denominator is the weighted shortest path restricted to that
-neighborhood; on weighted views callers pass inverted weights.
+neighborhood; on weighted views callers pass inverted weights.  Both come
+from :func:`.centrality._distances` (``hops=radius``, then ``allowed=members``);
+the pipeline's views meet its precondition, every candidate ``d + w`` above ``d``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .centrality import _sssp
+from .centrality import _blocks, _distances
 from .errors import ValidationError
 from .graph import GraphView, Network
 from .scores import ScoreVector
@@ -26,16 +28,14 @@ def gravity(distance_view: GraphView, mass: ScoreVector | np.ndarray,
     if radius < 1:
         raise ValidationError("gravity radius must be >= 1")
     scores = np.zeros(n)
-    for u in np.flatnonzero(masses):
-        u = int(u)
-        _, hops = _sssp(distance_view, u, hops=radius)
-        members = np.isfinite(hops)
-        members[u] = False
-        if not members.any():
-            continue
+    for sources in _blocks(np.flatnonzero(masses)):
+        members = np.isfinite(_distances(distance_view, sources, hops=radius))
+        members[np.arange(sources.size), sources] = False
         # hop-reachable implies weight-reachable inside the induced search
-        _, dist = _sssp(distance_view, u, allowed=members)
-        scores[u] = masses[u] * np.sum(masses[members] / dist[members] ** 2)
+        dist = _distances(distance_view, sources, allowed=members)
+        for u, inside, row in zip(sources.tolist(), members, dist):
+            if inside.any():
+                scores[u] = masses[u] * np.sum(masses[inside] / row[inside] ** 2)
     return ScoreVector("gravity", scores)
 
 

@@ -3,19 +3,53 @@ import math
 import numpy as np
 import pytest
 
-from spreadrank.centrality import (KATZ_ALPHA_FRACTION, Direction, betweenness, closeness,
-                                   degree, eigenvector, katz, kshell,
+from spreadrank.centrality import (KATZ_ALPHA_FRACTION, Direction, _distances, betweenness,
+                                   closeness, degree, eigenvector, katz, kshell,
                                    spectral_radius_estimate, strength, weighted_kshell)
 from spreadrank.errors import ParameterError, ValidationError
 from spreadrank.graph import Network, ViewKind, WeightMode, apply_wcs, view
 
 from oracles import (bf_betweenness, bf_closeness, bf_core_numbers, bf_eigenvector,
-                     bf_katz, dense_adjacency, random_connected_undirected, random_digraph,
-                     random_undirected)
+                     bf_katz, dense_adjacency, floyd_warshall, random_connected_undirected,
+                     random_digraph, random_undirected)
 
 
 def reversed_network(net: Network) -> Network:
     return Network(net.node_count, net.dst, net.src, net.weight)
+
+
+def sparse_digraph(rng, mean_out):
+    """17-40 nodes, more than one 16-source block, with uniform probabilities."""
+    n = int(rng.integers(17, 41))
+    edges = [(u, v, float(rng.uniform(0.05, 1.0))) for u in range(n) for v in range(n)
+             if u != v and rng.random() < mean_out / (n - 1)]
+    return n, edges
+
+
+def inverted(edges):
+    """The distances an INVERTED view reads off cascade probabilities."""
+    return [(u, v, 1.0 / w) for u, v, w in edges]
+
+
+def undirected_edges(g):
+    """Each pair of an undirected view once, with the view's weight."""
+    half = g.edge_count // 2  # first half holds each collapsed pair once
+    return [(int(u), int(v), float(w)) for u, v, w in zip(g.src[:half], g.dst[:half],
+                                                           g.weight[:half])]
+
+
+def grid(side):
+    """Edges of a side x side lattice, node r * side + c at row r and column c."""
+    return [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)] + \
+        [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+
+
+# graphs with many equal-length shortest paths between a pair
+TIED = {
+    "grid_4x4": (16, grid(4)),
+    "k33": (6, [(a, b) for a in range(3) for b in range(3, 6)]),
+    "cycle_20": (20, [(u, (u + 1) % 20) for u in range(20)]),
+}
 
 
 def star(n=5):
@@ -90,14 +124,31 @@ class TestBetweenness:
                 continue
             net = Network.from_edges(n, edges)
             g = view(net, kind)
-            if directed:
-                oracle_edges = edges
-            else:
-                half = g.edge_count // 2  # first half holds each collapsed pair once
-                oracle_edges = [(int(u), int(v), float(w)) for u, v, w
-                                in zip(g.src[:half], g.dst[:half], g.weight[:half])]
+            oracle_edges = edges if directed else undirected_edges(g)
             expected = bf_betweenness(n, oracle_edges, directed)
             np.testing.assert_allclose(betweenness(g).values, expected, atol=1e-9)
+
+    # path enumeration grows fast with cycles, so the undirected graphs are sparser
+    @pytest.mark.parametrize("kind, mean_out", [(ViewKind.DW, 1.2), (ViewKind.UW, 0.7)])
+    def test_inverted_probabilities_match_path_enumeration(self, kind, mean_out):
+        rng = np.random.default_rng(23)
+        for small in (True,) * 10 + (False,) * 4:
+            n, edges = (random_digraph(rng, max_n=7, weights="uniform") if small
+                        else sparse_digraph(rng, mean_out))
+            g = view(Network.from_edges(n, edges), kind, WeightMode.INVERTED)
+            oracle_edges = inverted(edges) if kind is ViewKind.DW else undirected_edges(g)
+            expected = bf_betweenness(n, oracle_edges, directed=kind is ViewKind.DW)
+            np.testing.assert_allclose(betweenness(g).values, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(TIED))
+    @pytest.mark.parametrize("kind", [ViewKind.UU, ViewKind.UW])
+    def test_tied_shortest_paths_split_the_pair(self, name, kind):
+        n, pairs = TIED[name]
+        # equal probabilities keep every path of a given hop count equally long
+        g = view(Network.from_edges(n, [(u, v, 0.5) for u, v in pairs]), kind,
+                 WeightMode.INVERTED)
+        expected = bf_betweenness(n, undirected_edges(g), directed=False)
+        np.testing.assert_allclose(betweenness(g).values, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestCloseness:
@@ -118,6 +169,31 @@ class TestCloseness:
             g = view(net, ViewKind.DW)
             np.testing.assert_allclose(closeness(g).values,
                                        bf_closeness(n, edges, directed=True), atol=1e-12)
+
+    def test_inverted_probabilities_match_floyd_warshall(self):
+        rng = np.random.default_rng(34)
+        for small in (True,) * 10 + (False,) * 10:
+            n, edges = (random_digraph(rng, max_n=7, weights="uniform") if small
+                        else sparse_digraph(rng, mean_out=2.0))
+            g = view(Network.from_edges(n, edges), ViewKind.DW, WeightMode.INVERTED)
+            np.testing.assert_allclose(closeness(g).values,
+                                       bf_closeness(n, inverted(edges), directed=True),
+                                       rtol=1e-12, atol=0)
+
+
+class TestDistances:
+    @pytest.mark.parametrize("kind", [ViewKind.DU, ViewKind.DW, ViewKind.UW])
+    def test_rows_match_floyd_warshall(self, kind):
+        rng = np.random.default_rng(35)
+        for _ in range(10):
+            n, edges = sparse_digraph(rng, mean_out=2.0)
+            g = view(Network.from_edges(n, edges), kind, WeightMode.INVERTED)
+            expected = floyd_warshall(n, list(zip(g.src.tolist(), g.dst.tolist(),
+                                                  g.weight.tolist())), directed=True)
+            # a block of scattered sources, in no particular order
+            sources = rng.choice(n, size=16, replace=False)
+            np.testing.assert_allclose(_distances(g, sources), expected[sources],
+                                       rtol=1e-12, atol=0)
 
 
 class TestEigenvector:

@@ -447,6 +447,18 @@ class TestConfigProvenance:
         assert code == 0
         assert json.loads((tmp_path / "config.json").read_text()) == expected
 
+    def test_cached_simulate_writes_its_config(self, tmp_path, ingested, capsys):
+        simulate = ("simulate", ingested, "--runs", "20", "--seed", "9",
+                    "--out-dir", tmp_path, "--no-timestamps", "--quiet")
+        run(capsys, *simulate)
+        run(capsys, "centrality", ingested, "--measure", "c_os", "--out-dir", tmp_path,
+            "--no-timestamps")
+        code, out, _ = run(capsys, *simulate)
+        assert code == 0
+        assert "cache hit" in out
+        assert json.loads((tmp_path / "config.json").read_text()) == {"master_seed": 9,
+                                                                      "runs": 20}
+
 
 class TestExitCodes:
     def test_missing_file(self, tmp_path, capsys):

@@ -160,7 +160,7 @@ class TestViews:
         g = view(self.net, ViewKind.UU)
         assert g.edge_count == 4  # 2 undirected pairs, both directions
         assert np.all(g.weight == 1.0)
-        targets, _ = g.neighbors(1)
+        targets = g.dst[g.src == 1]
         assert sorted(targets.tolist()) == [0, 2]
 
     def test_inverted_weights(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spreadrank.centrality import _sssp, kshell
+from spreadrank.centrality import _distances, kshell
 from spreadrank.errors import ValidationError
 from spreadrank.gravity import gravity, mass_ods, mass_wk
 from spreadrank.graph import Network, ViewKind, WeightMode, apply_wcs, view
@@ -9,11 +9,12 @@ from spreadrank.measures import MeasureContext
 from spreadrank.scores import ScoreVector
 
 from oracles import bf_gravity, bf_hop_set, random_digraph
+from test_centrality import inverted, sparse_digraph, undirected_edges
 
 
 def rhop_neighborhood(net, u, r):
     """Nodes other than ``u`` within ``r`` directed edges, by the hop-limited search."""
-    _, hops = _sssp(view(net, ViewKind.DW), u, hops=r)
+    (hops,) = _distances(view(net, ViewKind.DW), np.array([u]), hops=r)
     return set(np.flatnonzero(np.isfinite(hops)).tolist()) - {u}
 
 
@@ -38,6 +39,18 @@ class TestHopNeighborhood:
             u = int(rng.integers(0, n))
             r = int(rng.integers(1, 4))
             assert rhop_neighborhood(net, u, r) == bf_hop_set(n, edges, u, r)
+
+    def test_hop_sets_of_a_block_match_enumeration(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            n, edges = sparse_digraph(rng, mean_out=2.0)
+            # hops count edges whatever the weights
+            g = view(Network.from_edges(n, edges), ViewKind.DW, WeightMode.INVERTED)
+            sources = rng.choice(n, size=16, replace=False)
+            r = int(rng.integers(1, 4))
+            for u, row in zip(sources.tolist(), _distances(g, sources, hops=r)):
+                assert set(np.flatnonzero(np.isfinite(row)).tolist()) - {u} == \
+                    bf_hop_set(n, edges, u, r)
 
     def test_rejects_zero_radius(self):
         g = view(Network.from_edges(2, [(0, 1)]), ViewKind.DW)
@@ -78,6 +91,23 @@ class TestGravityKernel:
                 np.testing.assert_allclose(
                     gravity(g, mass, r).values,
                     bf_gravity(n, edges, mass, r, directed=True), atol=1e-9)
+
+    # the oracle's Floyd-Warshall per node is slow on wide neighborhoods
+    @pytest.mark.parametrize("kind, mean_out", [(ViewKind.DW, 2.0), (ViewKind.UU, 1.0)])
+    def test_inverted_probabilities_match_double_loop_oracle(self, kind, mean_out):
+        rng = np.random.default_rng(13)
+        for small in (True,) * 8 + (False,) * 8:
+            n, edges = (random_digraph(rng, max_n=8, p=0.3, weights="uniform") if small
+                        else sparse_digraph(rng, mean_out))
+            g = view(Network.from_edges(n, edges), kind, WeightMode.INVERTED)
+            oracle_edges = inverted(edges) if kind is ViewKind.DW else undirected_edges(g)
+            # zero masses between nonzero ones, so the source blocks skip nodes
+            mass = rng.random(n) * (rng.random(n) < 0.6)
+            for r in (1, 2, 3):
+                np.testing.assert_allclose(
+                    gravity(g, mass, r).values,
+                    bf_gravity(n, oracle_edges, mass, r, directed=kind is ViewKind.DW),
+                    rtol=1e-12, atol=0)
 
     def test_radius_growth_never_decreases(self):
         rng = np.random.default_rng(9)

@@ -1,5 +1,7 @@
 """The package holds no code, and no parameter default, that only the tests use.
 
+It also imports nothing at run time but numpy and the standard library.
+
 Every top-level function and class of ``src/spreadrank``, private helpers
 included, and every public method must be referenced, by name or as an
 attribute, from some definition in the package other than its own
@@ -12,9 +14,13 @@ by spelling alone, so the scans can miss dead code whose name is also
 used for something else, but they never flag code the package uses.
 """
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spreadrank"
+
+# scipy and hypothesis stay test-only
+RUNTIME_DEPENDENCIES = {"numpy"}
 
 # used outside src/ by name, so nothing in the package has to call them
 ALLOWED = {
@@ -149,3 +155,20 @@ def test_allowlist_is_current():
     assert set(ALLOWED) <= set(checked)
     assert set(ALLOWED) <= _unreferenced()
     assert set(ALLOWED_DEFAULTS) <= _unset_defaults()
+
+
+def _imported_modules() -> set[str]:
+    """Top-level names of the modules any file of the package imports, anywhere in it."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imports_only_numpy_and_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | RUNTIME_DEPENDENCIES | {PACKAGE.name}
+    assert _imported_modules() - allowed == set()
