@@ -11,12 +11,19 @@ Betweenness, closeness and gravity take their distances from one kernel,
 :func:`_distances`.  It needs every candidate ``d + w`` to exceed ``d``, as
 unit weights and inverted probabilities (at least 1) do; then its result is
 unique and equals a one-source Dijkstra search's bit for bit.
+
+Both shell indices take their peeling from one kernel, :func:`_peel`: each
+round removes every live node whose level is at most the current shell,
+and two ``np.bincount`` calls take the edges into those nodes off their
+sources' live out-edge count and weight sum.  ``ks`` uses the degree on
+the undirected unweighted view as the level, ``wks`` the quantized
+``sqrt(count * sum)`` on the network's own edges.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -244,23 +251,39 @@ def katz(view: GraphView, direction: Direction = Direction.IN,
     raise ConvergenceError("katz iteration did not converge", residual=diff)
 
 
-def kshell(view: GraphView) -> ScoreVector:
-    """Iterative-peeling shell index on the undirected unweighted view."""
-    if view.kind is not ViewKind.UU:
-        raise ValidationError("k-shell decomposition runs on the undirected unweighted view")
-    n = view.n
-    deg = np.bincount(view.src, minlength=n)
+def _peel(src: np.ndarray, dst: np.ndarray, weight: np.ndarray, n: int,
+          level: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Shell index of every node, peeling the edges ``src -> dst`` in rounds.
+
+    ``level(count, total)`` maps each node's count and weight sum of live
+    out-edges to an integer level.  Each round peels every live node whose
+    level is at most ``k = max(k, lowest live level)`` into shell ``k``, then
+    takes the edges into the peeled nodes off their sources' counts and sums.
+    """
+    count = np.bincount(src, minlength=n)
+    total = np.bincount(src, weights=weight, minlength=n)
     alive = np.ones(n, dtype=bool)
-    shell = np.zeros(n, dtype=np.int64)
+    shell = np.zeros(n)
     k = 0
     while alive.any():
-        k = max(k, int(deg[alive].min()))
-        peel = alive & (deg <= k)
-        # removing every peeled node at once takes one degree per edge into it
+        levels = level(count, total)
+        k = max(k, int(levels[alive].min()))
+        peel = alive & (levels <= k)
         shell[peel] = k
         alive &= ~peel
-        deg -= np.bincount(view.dst[peel[view.src]], minlength=n)
-    return ScoreVector("kshell", shell.astype(np.float64))
+        into = np.flatnonzero(peel[dst])
+        tails = src[into]
+        count -= np.bincount(tails, minlength=n)
+        total -= np.bincount(tails, weights=weight[into], minlength=n)
+    return shell
+
+
+def kshell(view: GraphView) -> ScoreVector:
+    """Iterative-peeling shell index on the undirected unweighted view, by degree."""
+    if view.kind is not ViewKind.UU:
+        raise ValidationError("k-shell decomposition runs on the undirected unweighted view")
+    return ScoreVector("kshell", _peel(view.src, view.dst, view.weight, view.n,
+                                       lambda count, _: count))
 
 
 def weighted_kshell(net: Network) -> ScoreVector:
@@ -272,40 +295,10 @@ def weighted_kshell(net: Network) -> ScoreVector:
     are discrete; out-strength 0 nodes sit in the lowest shell.
     """
     n = net.node_count
-    out_deg = net.out_degree().astype(np.float64)
-    out_str = net.out_strength()
-    peak = float(np.sqrt(out_deg * out_str).max(initial=0.0))
+    peak = float(np.sqrt(net.out_degree() * net.out_strength()).max(initial=0.0))
     if peak == 0.0:
         return ScoreVector("wks", np.zeros(n))
     scale = n / peak
-
-    cur_deg = out_deg.copy()
-    cur_str = out_str.copy()
-    alive = np.ones(n, dtype=bool)
-    shell = np.zeros(n, dtype=np.int64)
-    in_indptr, in_order = net.in_csr
-
-    def level(u: int) -> int:
-        mass = max(cur_deg[u] * cur_str[u], 0.0)  # float drift guard
-        return int(math.floor(scale * math.sqrt(mass)))
-
-    k = 0
-    while alive.any():
-        levels = np.floor(scale * np.sqrt(np.maximum(cur_deg * cur_str, 0.0)))
-        k = max(k, int(levels[alive].min()))
-        queue = list(np.flatnonzero(alive & (levels <= k)))
-        while queue:
-            u = queue.pop()
-            if not alive[u] or level(u) > k:
-                continue
-            alive[u] = False
-            shell[u] = k
-            # removing u deletes its incoming edges, shrinking the sources' mass
-            for eid in in_order[in_indptr[u]:in_indptr[u + 1]]:
-                s = int(net.src[eid])
-                if alive[s]:
-                    cur_deg[s] -= 1
-                    cur_str[s] -= net.weight[eid]
-                    if level(s) <= k:
-                        queue.append(s)
-    return ScoreVector("wks", shell.astype(np.float64))
+    # np.maximum guards the product against float drift in the weight sums
+    return ScoreVector("wks", _peel(net.src, net.dst, net.weight, n, lambda count, total:
+                                    np.floor(scale * np.sqrt(np.maximum(count * total, 0.0)))))

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ingest, simulate, centrality, evaluate, report.  Exit codes:
-0 success, 2 usage or parameter problems, 3 data problems, 4 convergence
-failures.
+0 success, 2 usage or parameter problems, 3 data problems (an
+unreadable file among them), 4 convergence failures.
 """
 from __future__ import annotations
 
@@ -124,12 +124,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    if args.keep_weights and not args.weighted:
+        raise ParameterError("--keep-weights needs --weighted: "
+                             "an input without weights has none to keep")
     net = load_edge_list(args.input, declared_weighted=args.weighted)
     if net.edge_count == 0:
         raise DataError(f"no edges in {args.input}")
     if not args.directed:
         net = orient_undirected(net)
-    if not (args.weighted and args.keep_weights):
+    if not args.keep_weights:
         net = apply_wcs(net)
     name = args.name or args.input.stem
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -246,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SpreadrankError, FileNotFoundError) as exc:
+    except (SpreadrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ParameterError):
             return EXIT_USAGE

@@ -38,15 +38,6 @@ class WeightMode(Enum):
     INVERTED = "inverted"
 
 
-def _csr(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (indptr, order) grouping edge positions by ``index`` value."""
-    order = np.argsort(index, kind="stable")
-    counts = np.bincount(index, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, order
-
-
 @dataclass(frozen=True, eq=False)
 class Network:
     """Immutable directed weighted simple graph with dense node ids.
@@ -86,23 +77,13 @@ class Network:
             raise ValidationError("labels length must equal node_count")
         for arr in (src, dst, weight):
             arr.setflags(write=False)
-        in_indptr, in_order = _csr(dst, n) if n else (np.zeros(1, np.int64), np.zeros(0, np.int64))
-        for arr in (in_indptr, in_order):
-            arr.setflags(write=False)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "_in_indptr", in_indptr)
-        object.__setattr__(self, "_in_order", in_order)
 
     @property
     def edge_count(self) -> int:
         return int(self.src.size)
-
-    @property
-    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only in-edge CSR: edges entering ``v`` are ``order[indptr[v]:indptr[v + 1]]``."""
-        return self._in_indptr, self._in_order
 
     def out_degree(self) -> np.ndarray:
         return np.bincount(self.src, minlength=self.node_count)
@@ -156,7 +137,8 @@ def load_edge_list(path: str | Path, declared_weighted: bool) -> Network:
     blank lines are skipped.  Node labels are remapped to dense ids in
     first-seen order (the original labels are kept on the network).
     Self-loops are dropped and duplicate (source, target) pairs collapse
-    onto the first occurrence; both are counted on the result.
+    onto the first occurrence; both are counted on the result.  A file that
+    is not UTF-8 text raises :class:`ParseError` naming the path.
     """
     path = Path(path)
     label_to_id: dict[str, int] = {}
@@ -174,31 +156,35 @@ def load_edge_list(path: str | Path, declared_weighted: bool) -> Network:
             labels.append(label)
         return nid
 
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith(COMMENT_PREFIXES):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ParseError(f"expected 'u v' or 'u v w', got {line!r}", lineno)
-            u = node_id(parts[0])
-            v = node_id(parts[1])
-            if declared_weighted and len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise ParseError(f"bad weight {parts[2]!r}", lineno) from None
-                if not np.isfinite(w) or w <= 0:
-                    raise ValidationError(f"line {lineno}: non-positive weight {w}")
-            else:
-                w = 1.0
-            if u == v:
-                self_loops += 1
-                continue
-            src.append(u)
-            dst.append(v)
-            weight.append(w)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    # newlines are already universal, so these are the lines a file iteration gives
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith(COMMENT_PREFIXES):
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(f"expected 'u v' or 'u v w', got {line!r}", lineno)
+        u = node_id(parts[0])
+        v = node_id(parts[1])
+        if declared_weighted and len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise ParseError(f"bad weight {parts[2]!r}", lineno) from None
+            if not np.isfinite(w) or w <= 0:
+                raise ValidationError(f"line {lineno}: non-positive weight {w}")
+        else:
+            w = 1.0
+        if u == v:
+            self_loops += 1
+            continue
+        src.append(u)
+        dst.append(v)
+        weight.append(w)
 
     n = len(labels)
     s, d, w = (np.array(src, np.int64), np.array(dst, np.int64),
@@ -263,7 +249,7 @@ class GraphView:
             w = np.concatenate([kept_w, kept_w])
         if self.weight_mode is WeightMode.INVERTED:
             w = 1.0 / w
-        _, by_target = _csr(dst, n)
+        by_target = np.argsort(dst, kind="stable")
         for arr in (src, dst, w, by_target):
             arr.setflags(write=False)
         object.__setattr__(self, "src", src)

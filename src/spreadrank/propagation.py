@@ -124,10 +124,10 @@ def _reach_counts(net: Network, seeds: Sequence[int], live: np.ndarray, runs: in
     frontier and the edge is live, then ORs the fired words per target.
     Columns never mix, so each seed's block evolves as if it ran alone.
     """
-    indptr, order = net.in_csr
-    has_in = indptr[1:] > indptr[:-1]
-    targets = np.flatnonzero(has_in)
-    starts = indptr[:-1][has_in]  # reduceat would pass an empty group's next row through
+    # edges grouped by target; only targets with an edge get a group, as
+    # reduceat would pass an empty group's next row through
+    order = np.argsort(net.dst, kind="stable")
+    targets, starts = np.unique(net.dst[order], return_index=True)
     src, live = net.src[order], live[order]
     active = np.zeros((net.node_count, len(seeds), live.shape[1] // len(seeds)), _WORD)
     active[seeds, range(len(seeds))] = ~np.uint64(0)

@@ -394,7 +394,9 @@ def _per_node_wks(net):
         return np.zeros(n)
     scale = n / peak
     alive = [True] * n
-    indptr, order = net.in_csr
+    incoming = [[] for _ in range(n)]
+    for s, v, w in net.edges():
+        incoming[v].append((s, w))
 
     def level(u):
         return int(math.floor(scale * math.sqrt(max(cur_deg[u] * cur_str[u], 0.0))))
@@ -410,11 +412,10 @@ def _per_node_wks(net):
                 continue
             alive[u] = False
             shell[u] = k
-            for eid in order[indptr[u]:indptr[u + 1]]:
-                s = int(net.src[eid])
+            for s, w in incoming[u]:
                 if alive[s]:
                     cur_deg[s] -= 1
-                    cur_str[s] -= net.weight[eid]
+                    cur_str[s] -= w
                     if level(s) <= k:
                         queue.append(s)
     return np.array(shell, dtype=np.float64)

@@ -79,6 +79,24 @@ class TestIngest:
         net = storage.read_canonical_network(tmp_path / "w.edges")
         assert net.weight.tolist() == [0.75, 0.5]
 
+    def test_keep_weights_without_weighted_is_usage_error(self, tmp_path, capsys):
+        raw = tmp_path / "w.txt"
+        raw.write_text("0 1 0.75\n")
+        for given in (raw, tmp_path / "missing.txt"):  # checked before the input is read
+            code, _, err = run(capsys, "ingest", given, "--directed", "--keep-weights",
+                               "--out-dir", tmp_path)
+            assert code == 2
+            assert "error: --keep-weights needs --weighted" in err
+        assert not (tmp_path / "w.edges").exists()
+
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        raw = tmp_path / "latin.txt"
+        raw.write_bytes(b"0 1\n\xff 2\n")
+        code, _, err = run(capsys, "ingest", raw, "--directed", "--out-dir", tmp_path)
+        assert code == 3
+        assert err.startswith(f"error: {raw}: ")
+        assert not (tmp_path / "latin.edges").exists()
+
     def test_id_map_written(self, tmp_path, toy_edges, capsys):
         run(capsys, "ingest", toy_edges, "--directed", "--out-dir", tmp_path)
         lines = (tmp_path / "toy.idmap.csv").read_text().splitlines()
@@ -465,6 +483,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "simulate", tmp_path / "nope.edges",
                            "--out-dir", tmp_path, "--quiet")
         assert code == 3
+
+    def test_input_that_is_a_directory(self, tmp_path):
+        done = python("-m", "spreadrank", "ingest", tmp_path, "--out-dir", tmp_path)
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+    def test_spread_cache_that_is_a_directory(self, tmp_path, ingested):
+        (tmp_path / "toy.spread.csv").mkdir()
+        done = python("-m", "spreadrank", "simulate", ingested, "--runs", "10",
+                      "--out-dir", tmp_path, "--quiet")
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("flag, value", [("--top-k", "0"), ("--radius", "0")])
     def test_out_of_range_setting_is_usage_error(self, tmp_path, ingested, capsys,
