@@ -160,7 +160,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         except (ParseError, DataError, ValidationError):
             stored_hash = ""
         if stored_hash == expected_hash:
-            storage.write_config(cfg, args.out_dir / "config.json", read)
+            storage.write_config(cfg, cache_path, read)
             print(f"cache hit: {cache_path} (config_hash={expected_hash})")
             return 0
         print(f"cache mismatch, recomputing: {cache_path}", file=sys.stderr)
@@ -173,7 +173,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spread = spread_all(net, cfg, progress=None if args.quiet else progress)
     storage.write_spread(spread, cache_path, expected_hash,
                          timestamps=not args.no_timestamps)
-    storage.write_config(cfg, args.out_dir / "config.json", read)
+    storage.write_config(cfg, cache_path, read)
     print(f"wrote {cache_path} (config_hash={expected_hash})")
     return 0
 
@@ -187,7 +187,7 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     out_path = args.out_dir / f"{args.graph.stem}.{args.measure}.csv"
     storage.write_scores(scores, out_path, graph_fingerprint(net),
                          timestamps=not args.no_timestamps)
-    storage.write_config(cfg, args.out_dir / "config.json", read)
+    storage.write_config(cfg, out_path, read)
     print(f"wrote {out_path}")
     return 0
 
@@ -216,7 +216,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_path = args.out_dir / f"{dataset}.evaluation.csv"
     storage.write_evaluation(report, out_path, expected_hash,
                              timestamps=not args.no_timestamps)
-    storage.write_config(cfg, args.out_dir / "config.json", read)
+    storage.write_config(cfg, out_path, read)
     print(f"wrote {out_path}")
     return 0
 

@@ -14,12 +14,6 @@ class SpreadrankError(Exception):
 class ParseError(SpreadrankError):
     """An input file line could not be parsed."""
 
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
-
 
 class ValidationError(SpreadrankError):
     """Input data violates a documented precondition or invariant."""

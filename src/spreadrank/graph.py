@@ -137,8 +137,10 @@ def load_edge_list(path: str | Path, declared_weighted: bool) -> Network:
     blank lines are skipped.  Node labels are remapped to dense ids in
     first-seen order (the original labels are kept on the network).
     Self-loops are dropped and duplicate (source, target) pairs collapse
-    onto the first occurrence; both are counted on the result.  A file that
-    is not UTF-8 text raises :class:`ParseError` naming the path.
+    onto the first occurrence; both are counted on the result.  A leading
+    UTF-8 byte-order mark is dropped.  A file that is not UTF-8 text or a
+    row that does not parse raises :class:`ParseError`, and a weight that is
+    not finite and positive :class:`ValidationError`; each names the path.
     """
     path = Path(path)
     label_to_id: dict[str, int] = {}
@@ -157,7 +159,7 @@ def load_edge_list(path: str | Path, declared_weighted: bool) -> Network:
         return nid
 
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
     # newlines are already universal, so these are the lines a file iteration gives
@@ -167,16 +169,16 @@ def load_edge_list(path: str | Path, declared_weighted: bool) -> Network:
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
-            raise ParseError(f"expected 'u v' or 'u v w', got {line!r}", lineno)
+            raise ParseError(f"{path}: line {lineno}: expected 'u v' or 'u v w', got {line!r}")
         u = node_id(parts[0])
         v = node_id(parts[1])
         if declared_weighted and len(parts) == 3:
             try:
                 w = float(parts[2])
             except ValueError:
-                raise ParseError(f"bad weight {parts[2]!r}", lineno) from None
+                raise ParseError(f"{path}: line {lineno}: bad weight {parts[2]!r}") from None
             if not np.isfinite(w) or w <= 0:
-                raise ValidationError(f"line {lineno}: non-positive weight {w}")
+                raise ValidationError(f"{path}: line {lineno}: non-positive weight {w}")
         else:
             w = 1.0
         if u == v:

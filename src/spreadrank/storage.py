@@ -1,17 +1,19 @@
-"""File formats: canonical edge lists, id maps, score/spread/report CSVs.
+"""File formats: canonical edge lists, id maps, score/spread/report CSVs, run files.
 
 Every artifact embeds the config hash it was produced under as a comment
 line, so downstream commands can refuse mixed inputs.  Timestamp comments
 are optional to allow byte-identical reruns.
 
 Every file is written to a temporary sibling and renamed over its target,
-so a write that fails midway leaves the previous file as it was.  Each
-table format is a row dtype whose field names are the CSV's header; one
-reader, :func:`_read_table`, parses every table with ``np.loadtxt``
-against its dtype.  The readers raise :class:`ParseError` (or
-:class:`DataError` for a table that parses but does not fit) instead of
-passing a damaged file on.  A canonical graph is read back with the ids it
-was written with; it is never repaired.
+so a write that fails midway leaves the previous file as it was.  A target
+that already holds exactly the bytes to be written is left untouched (no
+temporary file, no rename, same inode and mtime), so a warm rerun
+without timestamps writes nothing.  Each table format is a row dtype whose
+field names are the CSV's header; one reader, :func:`_read_table`, parses
+every table with ``np.loadtxt`` against its dtype.  The readers raise
+:class:`ParseError` (or :class:`DataError` for a table that parses but
+does not fit) instead of passing a damaged file on.  A canonical graph is
+read back with the ids it was written with; it is never repaired.
 """
 from __future__ import annotations
 
@@ -54,13 +56,30 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _holds(path: Path, data: bytes) -> bool:
+    """Whether the file at ``path`` holds exactly ``data``: its size, then its bytes."""
+    try:
+        if path.stat().st_size != len(data):
+            return False
+        with open(path, "rb") as handle:
+            return handle.read(len(data) + 1) == data
+    except OSError:  # missing, a directory, unreadable: the write reports what is wrong
+        return False
+
+
 def _write_text(path: str | Path, text: str) -> None:
-    """Replace ``path`` by ``text`` through a temporary file and a rename."""
+    """Replace ``path`` by ``text`` through a temporary file and a rename.
+
+    A file that already holds ``text`` is left as it is.
+    """
     path = Path(path)
+    data = text.encode("utf-8")
+    if _holds(path, data):
+        return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(tmp, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -174,9 +193,13 @@ def write_id_map(net: Network, path: str | Path) -> None:
     _write_text(path, buffer.getvalue())
 
 
-def write_config(cfg: RunConfig, path: str | Path, names: Iterable[str]) -> None:
-    """The run configuration's fields ``names``, those a command read, as JSON."""
-    _write_text(path, cfg.to_json(names))
+def write_config(cfg: RunConfig, artifact: str | Path, names: Iterable[str]) -> None:
+    """The run configuration's fields ``names``, those a command read, as JSON.
+
+    The file sits beside the artifact it describes: ``artifact`` with its
+    last suffix replaced by ``.run.json``.
+    """
+    _write_text(Path(artifact).with_suffix(".run.json"), cfg.to_json(names))
 
 
 def write_scores(scores: ScoreVector, path: str | Path, config_hash: str,

@@ -97,6 +97,29 @@ class TestIngest:
         assert err.startswith(f"error: {raw}: ")
         assert not (tmp_path / "latin.edges").exists()
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        raw = tmp_path / "bom.txt"
+        raw.write_bytes(b"\xef\xbb\xbf% sym unweighted\n1 2\n2 3\n")
+        code, out, _ = run(capsys, "ingest", raw, "--directed", "--out-dir", tmp_path,
+                           "--no-timestamps")
+        assert code == 0
+        assert "nodes=3 edges=2 " in out
+        assert (tmp_path / "bom.idmap.csv").read_text() == \
+            "original_label,dense_id\n1,0\n2,1\n3,2\n"
+
+    @pytest.mark.parametrize("rows, flags, message", [
+        ("0 1\n0 1 2 3\n", [], "line 2: expected 'u v' or 'u v w', got '0 1 2 3'"),
+        ("0 1 0.5\n1 2 x\n", ["--weighted"], "line 2: bad weight 'x'"),
+        ("0 1 0.5\n1 2 -1\n", ["--weighted"], "line 2: non-positive weight -1.0")],
+        ids=["bad_row", "bad_weight", "non_positive_weight"])
+    def test_row_error_names_the_file(self, tmp_path, capsys, rows, flags, message):
+        raw = tmp_path / "bad.txt"
+        raw.write_text(rows)
+        code, _, err = run(capsys, "ingest", raw, "--directed", *flags, "--out-dir", tmp_path)
+        assert code == 3
+        assert err.startswith(f"error: {raw}: {message}")
+        assert not (tmp_path / "bad.edges").exists()
+
     def test_id_map_written(self, tmp_path, toy_edges, capsys):
         run(capsys, "ingest", toy_edges, "--directed", "--out-dir", tmp_path)
         lines = (tmp_path / "toy.idmap.csv").read_text().splitlines()
@@ -432,7 +455,7 @@ class TestConfigProvenance:
     def test_config_serialized(self, tmp_path, ingested, capsys):
         run(capsys, "simulate", ingested, "--runs", "20", "--seed", "9",
             "--out-dir", tmp_path, "--no-timestamps", "--quiet")
-        payload = json.loads((tmp_path / "config.json").read_text())
+        payload = json.loads((tmp_path / "toy.spread.run.json").read_text())
         assert payload["runs"] == 20
         assert payload["master_seed"] == 9
 
@@ -444,17 +467,18 @@ class TestConfigProvenance:
         args = cli.build_parser().parse_args(argv)
         assert cli._config_from_args(args)[0] == RunConfig()
 
-    @pytest.mark.parametrize("argv, expected", [
-        (["simulate", "--runs", "30", "--seed", "4", "--quiet"],
+    @pytest.mark.parametrize("argv, run_file, expected", [
+        (["simulate", "--runs", "30", "--seed", "4", "--quiet"], "toy.spread.run.json",
          {"runs": 30, "master_seed": 4}),
-        (["centrality", "--measure", "c_os", "--radius", "2"],
+        (["centrality", "--measure", "c_os", "--radius", "2"], "toy.c_os.run.json",
          {"katz_alpha": None, "gravity_radius": 2}),
         (["evaluate", "toy.spread.csv", "--top-k", "2", "--measures", "c_os"],
+         "toy.evaluation.run.json",
          {"runs": 20, "master_seed": 9, "top_k": 2, "measures": ["c_os"],
           "katz_alpha": None, "gravity_radius": 3})],
         ids=["simulate", "centrality", "evaluate"])
     def test_config_holds_the_fields_the_command_read(self, tmp_path, ingested, capsys,
-                                                      argv, expected):
+                                                      argv, run_file, expected):
         # evaluate also records the runs and seed of the spread file it scored
         run(capsys, "simulate", ingested, "--runs", "20", "--seed", "9",
             "--out-dir", tmp_path, "--no-timestamps", "--quiet")
@@ -463,7 +487,7 @@ class TestConfigProvenance:
         code, _, _ = run(capsys, command, ingested, *rest, "--out-dir", tmp_path,
                          "--no-timestamps")
         assert code == 0
-        assert json.loads((tmp_path / "config.json").read_text()) == expected
+        assert json.loads((tmp_path / run_file).read_text()) == expected
 
     def test_cached_simulate_writes_its_config(self, tmp_path, ingested, capsys):
         simulate = ("simulate", ingested, "--runs", "20", "--seed", "9",
@@ -474,8 +498,46 @@ class TestConfigProvenance:
         code, out, _ = run(capsys, *simulate)
         assert code == 0
         assert "cache hit" in out
-        assert json.loads((tmp_path / "config.json").read_text()) == {"master_seed": 9,
-                                                                      "runs": 20}
+        assert json.loads((tmp_path / "toy.spread.run.json").read_text()) == \
+            {"master_seed": 9, "runs": 20}
+
+    def test_each_run_file_holds_only_its_own_command(self, tmp_path, ingested, capsys):
+        run(capsys, "simulate", ingested, "--runs", "20", "--seed", "9",
+            "--out-dir", tmp_path, "--no-timestamps", "--quiet")
+        run(capsys, "centrality", ingested, "--measure", "c_os", "--radius", "2",
+            "--out-dir", tmp_path, "--no-timestamps")
+        code, _, _ = run(capsys, "evaluate", ingested, tmp_path / "toy.spread.csv",
+                         "--top-k", "2", "--measures", "c_os", "--out-dir", tmp_path,
+                         "--no-timestamps")
+        assert code == 0
+        assert {p.name: json.loads(p.read_text()) for p in tmp_path.glob("*.run.json")} == {
+            "toy.spread.run.json": {"runs": 20, "master_seed": 9},
+            "toy.c_os.run.json": {"katz_alpha": None, "gravity_radius": 2},
+            "toy.evaluation.run.json": {"runs": 20, "master_seed": 9, "top_k": 2,
+                                        "measures": ["c_os"], "katz_alpha": None,
+                                        "gravity_radius": 3}}
+        assert not (tmp_path / "config.json").exists()
+
+
+def test_warm_rerun_leaves_every_output_untouched(tmp_path, toy_edges, capsys):
+    out = tmp_path / "out"
+    graph = out / "toy.edges"
+    passes = [("ingest", toy_edges, "--directed"),
+              ("simulate", graph, "--runs", "20", "--quiet"),
+              ("centrality", graph, "--measure", "c_os"),
+              ("evaluate", graph, out / "toy.spread.csv", "--top-k", "2",
+               "--measures", "c_os"),
+              ("report", out / "toy.evaluation.csv")]
+
+    def run_pipeline():
+        for argv in passes:
+            code, _, err = run(capsys, *argv, "--out-dir", out, "--no-timestamps")
+            assert code == 0, err
+        return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in out.iterdir()}
+
+    first = run_pipeline()
+    assert run_pipeline() == first
+    assert not [*out.glob(".*.tmp")]
 
 
 class TestExitCodes:

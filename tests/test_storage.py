@@ -323,3 +323,49 @@ def test_combined_report_is_not_an_evaluation(tmp_path):
     storage.write_combined_report(reports[:1], reports[1], path, timestamps=False)
     with pytest.raises(DataError, match="mixes datasets"):
         storage.read_evaluation(path)
+
+
+def _spy_replace(monkeypatch, fail: bool):
+    """Record every ``os.replace``; with ``fail``, make it raise instead."""
+    calls = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        calls.append(dst)
+        if fail:
+            raise AssertionError(f"os.replace({src}, {dst}) on an identical rewrite")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return calls
+
+
+def test_identical_rewrite_leaves_the_file_untouched(tmp_path, monkeypatch):
+    path = _spread_file(tmp_path)
+    est, config_hash = storage.read_spread(path)
+    before = path.stat()
+    _spy_replace(monkeypatch, fail=True)
+    storage.write_spread(est, path, config_hash=config_hash, timestamps=False)
+    monkeypatch.undo()
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spread.csv"]
+
+
+@pytest.mark.parametrize("old", [lambda text: text + "\n", lambda text: text[:-2] + "X\n",
+                                 None], ids=["longer_same_prefix", "same_size_one_byte",
+                                             "missing"])
+def test_rewrite_that_changes_bytes_replaces_the_file(tmp_path, monkeypatch, old):
+    path = _spread_file(tmp_path)
+    est, config_hash = storage.read_spread(path)
+    want = path.read_text()
+    if old is None:
+        path.unlink()
+    else:
+        path.write_text(old(want))
+    calls = _spy_replace(monkeypatch, fail=False)
+    storage.write_spread(est, path, config_hash=config_hash, timestamps=False)
+    monkeypatch.undo()
+    assert calls == [path]
+    assert path.read_text() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spread.csv"]
