@@ -16,7 +16,7 @@ from . import __version__
 from .config import RunConfig, graph_fingerprint, simulation_hash
 from .errors import (ConvergenceError, DataError, ParameterError, ParseError,
                      SpreadrankError, ValidationError)
-from .graph import apply_wcs, load_edge_list, orient_undirected
+from .graph import INGEST, apply_wcs, load_edge_list, orient_undirected
 from .measures import MeasureContext, measure_ids
 from .propagation import spread_all
 from .ranking import aggregate, evaluate_measures
@@ -123,10 +123,32 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _summary(record: dict) -> str:
+    """Ingest's summary line, from the counts its run file records."""
+    return (f"dataset={record['dataset']} nodes={record['nodes']} edges={record['edges']} "
+            f"density={record['density']:.4f} "
+            f"self_loops_dropped={record['self_loops_dropped']} "
+            f"duplicates_dropped={record['duplicates_dropped']}")
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     if args.keep_weights and not args.weighted:
         raise ParameterError("--keep-weights needs --weighted: "
                              "an input without weights has none to keep")
+    name = args.name or args.input.stem
+    graph_path = args.out_dir / f"{name}.edges"
+    outputs = (graph_path, args.out_dir / f"{name}.idmap.csv")
+    # everything the two outputs' bytes depend on
+    key = {"format": INGEST, "input_sha256": storage.sha256_of(args.input), "dataset": name,
+           "directed": args.directed, "weighted": args.weighted,
+           "keep_weights": args.keep_weights, "timestamps": not args.no_timestamps}
+    record = storage.current_run(graph_path, key, outputs)
+    if record is not None:
+        try:
+            print(_summary(record))
+            return 0
+        except (KeyError, TypeError, ValueError):  # its counts were edited: not current
+            pass
     net = load_edge_list(args.input, declared_weighted=args.weighted)
     if net.edge_count == 0:
         raise DataError(f"no edges in {args.input}")
@@ -134,17 +156,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         net = orient_undirected(net)
     if not args.keep_weights:
         net = apply_wcs(net)
-    name = args.name or args.input.stem
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    graph_path = args.out_dir / f"{name}.edges"
     storage.write_edge_list(net, graph_path,
                             comments={"dataset": name,
                                       "graph_fingerprint": graph_fingerprint(net)},
                             timestamps=not args.no_timestamps)
-    storage.write_id_map(net, args.out_dir / f"{name}.idmap.csv")
-    print(f"dataset={name} nodes={net.node_count} edges={net.edge_count} "
-          f"density={net.density():.4f} self_loops_dropped={net.self_loops_dropped} "
-          f"duplicates_dropped={net.duplicates_dropped}")
+    storage.write_id_map(net, outputs[1])
+    record = {**key, "nodes": net.node_count, "edges": net.edge_count,
+              "density": net.density(), "self_loops_dropped": net.self_loops_dropped,
+              "duplicates_dropped": net.duplicates_dropped}
+    # written last, so a failure before it leaves a run file the outputs do not match
+    storage.write_run(graph_path, record, outputs)
+    print(_summary(record))
     return 0
 
 
@@ -154,13 +177,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = args.out_dir / f"{args.graph.stem}.spread.csv"
     expected_hash = simulation_hash(net, cfg.runs, cfg.master_seed)
+    settings = cfg.fields(read)
     if cache_path.exists() and not args.force:
         try:
             _, stored_hash = storage.read_spread(cache_path, net.node_count)
         except (ParseError, DataError, ValidationError):
             stored_hash = ""
-        if stored_hash == expected_hash:
-            storage.write_config(cfg, cache_path, read)
+        # the run file's digest catches an edit that still parses
+        if stored_hash == expected_hash and \
+                storage.current_run(cache_path, settings, [cache_path]) is not None:
             print(f"cache hit: {cache_path} (config_hash={expected_hash})")
             return 0
         print(f"cache mismatch, recomputing: {cache_path}", file=sys.stderr)
@@ -173,7 +198,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spread = spread_all(net, cfg, progress=None if args.quiet else progress)
     storage.write_spread(spread, cache_path, expected_hash,
                          timestamps=not args.no_timestamps)
-    storage.write_config(cfg, cache_path, read)
+    storage.write_run(cache_path, settings, [cache_path])
     print(f"wrote {cache_path} (config_hash={expected_hash})")
     return 0
 
@@ -187,7 +212,7 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     out_path = args.out_dir / f"{args.graph.stem}.{args.measure}.csv"
     storage.write_scores(scores, out_path, graph_fingerprint(net),
                          timestamps=not args.no_timestamps)
-    storage.write_config(cfg, out_path, read)
+    storage.write_run(out_path, cfg.fields(read))
     print(f"wrote {out_path}")
     return 0
 
@@ -216,7 +241,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_path = args.out_dir / f"{dataset}.evaluation.csv"
     storage.write_evaluation(report, out_path, expected_hash,
                              timestamps=not args.no_timestamps)
-    storage.write_config(cfg, out_path, read)
+    storage.write_run(out_path, cfg.fields(read))
     print(f"wrote {out_path}")
     return 0
 

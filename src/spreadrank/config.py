@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -48,10 +47,9 @@ class RunConfig:
         if self.katz_alpha is not None and not 0 < self.katz_alpha < math.inf:
             raise ParameterError("katz alpha must be a finite number > 0")
 
-    def to_json(self, names: Iterable[str]) -> str:
-        """The fields ``names`` as JSON: what a command read, for provenance."""
-        payload = {name: getattr(self, name) for name in names}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    def fields(self, names: Iterable[str]) -> dict:
+        """The fields ``names``: what a command read, for provenance."""
+        return {name: getattr(self, name) for name in names}
 
 
 def graph_fingerprint(net: Network) -> str:

@@ -69,7 +69,8 @@ class Network:
                 raise ValidationError("edge endpoint outside 0..node_count-1")
             if np.any(src == dst):
                 raise ValidationError("self-loops are not allowed")
-            if np.unique(src * n + dst).size != src.size:
+            pairs = np.sort(src * n + dst)
+            if np.any(pairs[1:] == pairs[:-1]):
                 raise ValidationError("duplicate (source, target) pairs")
             if not np.all(weight > 0):
                 raise ValidationError("edge weights must be strictly positive")
@@ -128,6 +129,11 @@ def _dedup_keep_first(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
     first.sort()
     dropped = src.size - first.size
     return src[first], dst[first], weight[first], dropped
+
+
+# ingest's output format: bump whenever the bytes ingest writes for an input could change,
+# so that no earlier ingest's outputs are taken as current
+INGEST = "ingest-1"
 
 
 def load_edge_list(path: str | Path, declared_weighted: bool) -> Network:

@@ -2,7 +2,10 @@
 
 Every artifact embeds the config hash it was produced under as a comment
 line, so downstream commands can refuse mixed inputs.  Timestamp comments
-are optional to allow byte-identical reruns.
+are optional to allow byte-identical reruns.  A run file records what a
+command read and, for a cached output, the SHA-256 of the output's bytes:
+:func:`current_run` takes the outputs as current only while the run file
+holds the same key and every output still hashes to its recorded digest.
 
 Every file is written to a temporary sibling and renamed over its target,
 so a write that fails midway leaves the previous file as it was.  A target
@@ -19,7 +22,9 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import hashlib
 import io
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,7 +32,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import RunConfig
 from .errors import DataError, ParseError, ValidationError
 # load_edge_list is not called here; perfbench's tracer rebinds it in this module
 from .graph import Network, load_edge_list  # noqa: F401
@@ -54,6 +58,18 @@ def _header(row: np.dtype) -> str:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """``_fmt`` of every value, formatted once per distinct float64 bit pattern.
+
+    Bit patterns, not values, are grouped, so ``-0.0`` and ``0.0`` keep
+    their own texts.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    texts = [_fmt(x) for x in distinct.view(np.float64).tolist()]
+    return [texts[i] for i in index.tolist()]
 
 
 def _holds(path: Path, data: bytes) -> bool:
@@ -155,7 +171,8 @@ def write_edge_list(net: Network, path: str | Path, comments: dict[str, str] | N
     edges keeps its id when the file is read back.
     """
     _write_table(path, {**(comments or {}), "nodes": str(net.node_count)}, None,
-                 (f"{u} {v} {_fmt(w)}" for u, v, w in net.edges()), timestamps)
+                 (f"{u} {v} {text}" for (u, v, _), text in zip(net.edges(), _texts(net.weight))),
+                 timestamps)
 
 
 def read_canonical_network(path: str | Path) -> Network:
@@ -193,20 +210,53 @@ def write_id_map(net: Network, path: str | Path) -> None:
     _write_text(path, buffer.getvalue())
 
 
-def write_config(cfg: RunConfig, artifact: str | Path, names: Iterable[str]) -> None:
-    """The run configuration's fields ``names``, those a command read, as JSON.
+def sha256_of(path: str | Path) -> str:
+    """Hex SHA-256 of the file's bytes."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
-    The file sits beside the artifact it describes: ``artifact`` with its
-    last suffix replaced by ``.run.json``.
+
+def _run_path(artifact: str | Path) -> Path:
+    """The run file beside ``artifact``: its last suffix replaced by ``.run.json``."""
+    return Path(artifact).with_suffix(".run.json")
+
+
+def write_run(artifact: str | Path, record: dict, outputs: Iterable[Path] = ()) -> None:
+    """``record`` as JSON in ``artifact``'s run file.
+
+    Each of ``outputs``, written before, gets the SHA-256 of its bytes
+    under ``sha256``, keyed by file name.
     """
-    _write_text(Path(artifact).with_suffix(".run.json"), cfg.to_json(names))
+    outputs = list(outputs)
+    if outputs:
+        record = {**record, "sha256": {p.name: sha256_of(p) for p in outputs}}
+    _write_text(_run_path(artifact), json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
+def current_run(artifact: str | Path, key: dict, outputs: Iterable[Path]) -> dict | None:
+    """``artifact``'s run file if ``outputs`` are still what it recorded, else ``None``.
+
+    The run file must be a JSON object holding every item of ``key`` and,
+    under ``sha256``, the digest each output's bytes have now.  A missing
+    or unreadable run file or output, text that is not a JSON object, and
+    any difference all give ``None``.
+    """
+    try:
+        record = json.loads(_run_path(artifact).read_bytes())
+        if not isinstance(record, dict) or any(
+                name not in record or record[name] != value for name, value in key.items()):
+            return None
+        if record.get("sha256") != {p.name: sha256_of(p) for p in outputs}:
+            return None
+    except (OSError, ValueError):  # a JSON or UTF-8 decoding error is a ValueError
+        return None
+    return record
 
 
 def write_scores(scores: ScoreVector, path: str | Path, config_hash: str,
                  timestamps: bool = True) -> None:
     _write_table(path, {"measure": scores.measure, "config_hash": config_hash},
                  _header(_SCORE_ROW),
-                 (f"{node},{_fmt(value)}" for node, value in enumerate(scores.values.tolist())),
+                 (f"{node},{text}" for node, text in enumerate(_texts(scores.values))),
                  timestamps)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from spreadrank import cli, storage
 from spreadrank.cli import main
 from spreadrank.config import RunConfig
+from spreadrank.graph import INGEST
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -19,6 +21,12 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def digests(directory, *names):
+    """The SHA-256 of each named file in ``directory``, as a run file records them."""
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in names}
 
 
 def python(*argv):
@@ -142,6 +150,107 @@ class TestIngest:
             {"a": 1.0, "b": 3.0, "c": 2.0, "d": 1.0}
 
 
+def _append(path):
+    with open(path, "a") as handle:
+        handle.write("# edited\n")
+
+
+def _set_density(run_file, value):
+    """Replace the density a run file records by ``value``, or drop it for ``None``."""
+    record = json.loads(run_file.read_text())
+    del record["density"]
+    if value is not None:
+        record["density"] = value
+    run_file.write_text(json.dumps(record))
+
+
+def _stamps(directory):
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir()}
+
+
+class TestIngestCache:
+    """A warm ingest of unchanged input and outputs parses, formats and writes nothing."""
+
+    SOURCE = "a b 0.5\nb c 0.25\nc a 1\nb a 0.75\na a 0.5\nc a 0.5\n"
+    FLAGS = ("--directed", "--weighted", "--no-timestamps")
+
+    @staticmethod
+    def ingest(capsys, source, out, flags):
+        code, stdout, err = run(capsys, "ingest", source, *flags, "--out-dir", out)
+        assert code == 0, err
+        return stdout
+
+    @pytest.mark.parametrize("flags", [FLAGS, ("--directed", "--weighted")],
+                             ids=["no_timestamps", "timestamps"])
+    def test_hit_reads_no_edges_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                   flags):
+        source = tmp_path / "toy.txt"
+        source.write_text(self.SOURCE)
+        out = tmp_path / "out"
+        first = self.ingest(capsys, source, out, flags)
+        stamps = _stamps(out)
+        contents = {name: (out / name).read_bytes() for name in stamps}
+        assert sorted(stamps) == ["toy.edges", "toy.idmap.csv", "toy.run.json"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache hit parsed its input")
+
+        monkeypatch.setattr(cli, "load_edge_list", refuse)
+        assert self.ingest(capsys, source, out, flags) == first
+        # a timestamped hit keeps the earlier generated line
+        assert _stamps(out) == stamps
+        assert {name: (out / name).read_bytes() for name in stamps} == contents
+
+    # change -> (flags of the first ingest, flags of the second, edit between the two)
+    CHANGES = {
+        "input_bytes": (FLAGS, FLAGS, lambda source, out, mp: source.write_text("a b 0.5\n")),
+        "directed": (FLAGS, FLAGS[1:], None),
+        "weighted": (FLAGS, ("--directed", "--no-timestamps"), None),
+        "keep_weights": (FLAGS, FLAGS + ("--keep-weights",), None),
+        "name": (FLAGS, FLAGS + ("--name", "other"), None),
+        "no_timestamps": (FLAGS[:2], FLAGS, None),
+        "edges_edited": (FLAGS, FLAGS, lambda source, out, mp: _append(out / "toy.edges")),
+        "edges_deleted": (FLAGS, FLAGS, lambda source, out, mp: (out / "toy.edges").unlink()),
+        "idmap_edited": (FLAGS, FLAGS, lambda source, out, mp: _append(out / "toy.idmap.csv")),
+        "idmap_deleted": (FLAGS, FLAGS,
+                          lambda source, out, mp: (out / "toy.idmap.csv").unlink()),
+        "run_file_missing": (FLAGS, FLAGS,
+                             lambda source, out, mp: (out / "toy.run.json").unlink()),
+        "run_file_garbled": (FLAGS, FLAGS, lambda source, out, mp: (out / "toy.run.json")
+                             .write_bytes(b'{"format": \xff')),
+        "run_file_not_an_object": (FLAGS, FLAGS, lambda source, out, mp: (out / "toy.run.json")
+                                   .write_text("[1, 2]\n")),
+        "run_file_lost_a_count": (FLAGS, FLAGS, lambda source, out, mp: _set_density(
+            out / "toy.run.json", None)),
+        "run_file_count_not_a_number": (FLAGS, FLAGS, lambda source, out, mp: _set_density(
+            out / "toy.run.json", "x")),
+        "format_bumped": (FLAGS, FLAGS,
+                          lambda source, out, mp: mp.setattr(cli, "INGEST", INGEST + "-next")),
+    }
+
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_miss_ingests_like_a_cold_run(self, tmp_path, capsys, monkeypatch, change):
+        before, after, edit = self.CHANGES[change]
+        source = tmp_path / "toy.txt"
+        source.write_text(self.SOURCE)
+        out = tmp_path / "out"
+        self.ingest(capsys, source, out, before)
+        if edit is not None:
+            edit(source, out, monkeypatch)
+        calls = []
+        load = cli.load_edge_list
+        monkeypatch.setattr(cli, "load_edge_list",
+                            lambda *args, **kwargs: calls.append(args) or load(*args, **kwargs))
+        warm = self.ingest(capsys, source, out, after)
+        assert len(calls) == 1
+        # a cold ingest of the same input with the same flags, into a fresh directory
+        cold_dir = tmp_path / "cold"
+        assert self.ingest(capsys, source, cold_dir, after) == warm
+        cold = {p.name: p.read_bytes() for p in cold_dir.iterdir()}
+        assert len(cold) == 3
+        assert {name: (out / name).read_bytes() for name in cold} == cold
+
+
 class TestSimulate:
     def test_writes_cache_and_hits_on_rerun(self, tmp_path, ingested, capsys):
         code, out, _ = run(capsys, "simulate", ingested, "--runs", "50", "--seed", "3",
@@ -187,7 +296,8 @@ class TestSimulate:
         lambda lines: lines[:-1],
         lambda lines: lines[:-1] + [lines[-1].replace("1.0,", "x,", 1)],
         lambda lines: lines[:-1] + [lines[-1].replace("1.0,", "nan,", 1)],
-    ], ids=["truncated", "non_numeric", "nan"])
+        lambda lines: [line.replace("0,3.0,", "0,2.5,", 1) for line in lines],
+    ], ids=["truncated", "non_numeric", "nan", "edited_value"])
     def test_damaged_cache_recomputed(self, tmp_path, ingested, capsys, damage):
         argv = ("simulate", ingested, "--runs", "50", "--out-dir", tmp_path,
                 "--no-timestamps", "--quiet")
@@ -195,6 +305,7 @@ class TestSimulate:
         cache = tmp_path / "toy.spread.csv"
         first = cache.read_text()
         cache.write_text("\n".join(damage(first.splitlines())) + "\n")
+        assert cache.read_text() != first
         code, out, err = run(capsys, *argv)
         assert code == 0
         assert "cache hit" not in out and "mismatch" in err
@@ -467,18 +578,19 @@ class TestConfigProvenance:
         args = cli.build_parser().parse_args(argv)
         assert cli._config_from_args(args)[0] == RunConfig()
 
-    @pytest.mark.parametrize("argv, run_file, expected", [
+    @pytest.mark.parametrize("argv, run_file, expected, hashed", [
         (["simulate", "--runs", "30", "--seed", "4", "--quiet"], "toy.spread.run.json",
-         {"runs": 30, "master_seed": 4}),
+         {"runs": 30, "master_seed": 4}, ["toy.spread.csv"]),
         (["centrality", "--measure", "c_os", "--radius", "2"], "toy.c_os.run.json",
-         {"katz_alpha": None, "gravity_radius": 2}),
+         {"katz_alpha": None, "gravity_radius": 2}, []),
         (["evaluate", "toy.spread.csv", "--top-k", "2", "--measures", "c_os"],
          "toy.evaluation.run.json",
          {"runs": 20, "master_seed": 9, "top_k": 2, "measures": ["c_os"],
-          "katz_alpha": None, "gravity_radius": 3})],
+          "katz_alpha": None, "gravity_radius": 3}, [])],
         ids=["simulate", "centrality", "evaluate"])
     def test_config_holds_the_fields_the_command_read(self, tmp_path, ingested, capsys,
-                                                      argv, run_file, expected):
+                                                      argv, run_file, expected, hashed):
+        # simulate also records the digest of the spread cache it wrote
         # evaluate also records the runs and seed of the spread file it scored
         run(capsys, "simulate", ingested, "--runs", "20", "--seed", "9",
             "--out-dir", tmp_path, "--no-timestamps", "--quiet")
@@ -487,6 +599,8 @@ class TestConfigProvenance:
         code, _, _ = run(capsys, command, ingested, *rest, "--out-dir", tmp_path,
                          "--no-timestamps")
         assert code == 0
+        if hashed:
+            expected = {**expected, "sha256": digests(tmp_path, *hashed)}
         assert json.loads((tmp_path / run_file).read_text()) == expected
 
     def test_cached_simulate_writes_its_config(self, tmp_path, ingested, capsys):
@@ -499,7 +613,7 @@ class TestConfigProvenance:
         assert code == 0
         assert "cache hit" in out
         assert json.loads((tmp_path / "toy.spread.run.json").read_text()) == \
-            {"master_seed": 9, "runs": 20}
+            {"master_seed": 9, "runs": 20, "sha256": digests(tmp_path, "toy.spread.csv")}
 
     def test_each_run_file_holds_only_its_own_command(self, tmp_path, ingested, capsys):
         run(capsys, "simulate", ingested, "--runs", "20", "--seed", "9",
@@ -510,8 +624,16 @@ class TestConfigProvenance:
                          "--top-k", "2", "--measures", "c_os", "--out-dir", tmp_path,
                          "--no-timestamps")
         assert code == 0
+        input_digest = {"input_sha256": digests(tmp_path, "toy.txt")["toy.txt"]}
         assert {p.name: json.loads(p.read_text()) for p in tmp_path.glob("*.run.json")} == {
-            "toy.spread.run.json": {"runs": 20, "master_seed": 9},
+            "toy.run.json": {"format": INGEST, **input_digest,
+                             "dataset": "toy", "directed": True, "weighted": False,
+                             "keep_weights": False, "timestamps": False,
+                             "nodes": 3, "edges": 2, "density": 2 / 6,
+                             "self_loops_dropped": 0, "duplicates_dropped": 0,
+                             "sha256": digests(tmp_path, "toy.edges", "toy.idmap.csv")},
+            "toy.spread.run.json": {"runs": 20, "master_seed": 9,
+                                    "sha256": digests(tmp_path, "toy.spread.csv")},
             "toy.c_os.run.json": {"katz_alpha": None, "gravity_radius": 2},
             "toy.evaluation.run.json": {"runs": 20, "master_seed": 9, "top_k": 2,
                                         "measures": ["c_os"], "katz_alpha": None,

@@ -138,11 +138,28 @@ def test_fingerprint_sensitivity(net, monkeypatch):
     assert simulation_hash(net, 100, 1) != before
 
 
-def test_config_json_roundtrip():
-    # a config.json of every field, as evaluate writes, rebuilds the run's configuration
+def test_config_json_roundtrip(tmp_path):
+    # a run file of every field, as evaluate writes, rebuilds the run's configuration
     cfg = RunConfig(runs=500, master_seed=9, measures=("c_os", "sk3"))
-    payload = json.loads(cfg.to_json(f.name for f in dataclasses.fields(RunConfig)))
+    storage.write_run(tmp_path / "d.evaluation.csv",
+                      cfg.fields(f.name for f in dataclasses.fields(RunConfig)))
+    payload = json.loads((tmp_path / "d.evaluation.run.json").read_text())
     assert RunConfig(**{**payload, "measures": tuple(payload["measures"])}) == cfg
+
+
+def test_scores_format_each_value_as_its_own_repr(tmp_path):
+    values = [-0.0, 0.0, 1 / 3, 1 / 3, -0.0, 2.5, 0.0, 5e-324, 1 / 3, 1e300]
+    path = tmp_path / "s.csv"
+    storage.write_scores(ScoreVector("m", np.array(values)), path, "h", timestamps=False)
+    assert path.read_text().splitlines()[3:] == \
+        [f"{node},{value!r}" for node, value in enumerate(values)]
+
+
+def test_texts_keep_every_bit_pattern_apart():
+    quiet_nan = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]
+    values = np.array([np.nan, -0.0, quiet_nan, 0.0, -np.nan, 1 / 3, -0.0, 1 / 3])
+    assert storage._texts(values) == [repr(v) for v in values.tolist()]
+    assert storage._texts(np.zeros(0)) == []
 
 
 def _spread_file(tmp_path):
