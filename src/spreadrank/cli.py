@@ -138,16 +138,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     name = args.name or args.input.stem
     graph_path = args.out_dir / f"{name}.edges"
     outputs = (graph_path, args.out_dir / f"{name}.idmap.csv")
+    # no measure id is "ingest", so no other command's run file has this name
+    run_file = args.out_dir / f"{name}.ingest.run.json"
     # everything the two outputs' bytes depend on
     key = {"format": INGEST, "input_sha256": storage.sha256_of(args.input), "dataset": name,
            "directed": args.directed, "weighted": args.weighted,
            "keep_weights": args.keep_weights, "timestamps": not args.no_timestamps}
-    record = storage.current_run(graph_path, key, outputs)
+    record = storage.current_run(run_file, key, outputs)
     if record is not None:
         try:
             print(_summary(record))
             return 0
-        except (KeyError, TypeError, ValueError):  # its counts were edited: not current
+        except (KeyError, TypeError, ValueError):  # sealed without its counts: not current
             pass
     net = load_edge_list(args.input, declared_weighted=args.weighted)
     if net.edge_count == 0:
@@ -166,7 +168,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
               "density": net.density(), "self_loops_dropped": net.self_loops_dropped,
               "duplicates_dropped": net.duplicates_dropped}
     # written last, so a failure before it leaves a run file the outputs do not match
-    storage.write_run(graph_path, record, outputs)
+    storage.write_run(run_file, record, outputs)
     print(_summary(record))
     return 0
 
@@ -176,6 +178,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     net = storage.read_canonical_network(args.graph)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = args.out_dir / f"{args.graph.stem}.spread.csv"
+    run_file = storage.run_path(cache_path)
     expected_hash = simulation_hash(net, cfg.runs, cfg.master_seed)
     settings = cfg.fields(read)
     if cache_path.exists() and not args.force:
@@ -185,7 +188,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             stored_hash = ""
         # the run file's digest catches an edit that still parses
         if stored_hash == expected_hash and \
-                storage.current_run(cache_path, settings, [cache_path]) is not None:
+                storage.current_run(run_file, settings, [cache_path]) is not None:
             print(f"cache hit: {cache_path} (config_hash={expected_hash})")
             return 0
         print(f"cache mismatch, recomputing: {cache_path}", file=sys.stderr)
@@ -198,7 +201,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spread = spread_all(net, cfg, progress=None if args.quiet else progress)
     storage.write_spread(spread, cache_path, expected_hash,
                          timestamps=not args.no_timestamps)
-    storage.write_run(cache_path, settings, [cache_path])
+    storage.write_run(run_file, settings, [cache_path])
     print(f"wrote {cache_path} (config_hash={expected_hash})")
     return 0
 
@@ -212,7 +215,7 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     out_path = args.out_dir / f"{args.graph.stem}.{args.measure}.csv"
     storage.write_scores(scores, out_path, graph_fingerprint(net),
                          timestamps=not args.no_timestamps)
-    storage.write_run(out_path, cfg.fields(read))
+    storage.write_run(storage.run_path(out_path), cfg.fields(read))
     print(f"wrote {out_path}")
     return 0
 
@@ -241,7 +244,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_path = args.out_dir / f"{dataset}.evaluation.csv"
     storage.write_evaluation(report, out_path, expected_hash,
                              timestamps=not args.no_timestamps)
-    storage.write_run(out_path, cfg.fields(read))
+    storage.write_run(storage.run_path(out_path), cfg.fields(read))
     print(f"wrote {out_path}")
     return 0
 

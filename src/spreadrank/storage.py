@@ -3,9 +3,10 @@
 Every artifact embeds the config hash it was produced under as a comment
 line, so downstream commands can refuse mixed inputs.  Timestamp comments
 are optional to allow byte-identical reruns.  A run file records what a
-command read and, for a cached output, the SHA-256 of the output's bytes:
-:func:`current_run` takes the outputs as current only while the run file
-holds the same key and every output still hashes to its recorded digest.
+command read and, for a cached output, the SHA-256 of the output's bytes
+and of the record itself: :func:`current_run` takes the outputs as
+current only while the run file is unedited, holds the same key, and
+every output still hashes to its recorded digest.
 
 Every file is written to a temporary sibling and renamed over its target,
 so a write that fails midway leaves the previous file as it was.  A target
@@ -64,7 +65,9 @@ def _texts(values: np.ndarray) -> list[str]:
     """``_fmt`` of every value, formatted once per distinct float64 bit pattern.
 
     Bit patterns, not values, are grouped, so ``-0.0`` and ``0.0`` keep
-    their own texts.
+    their own texts.  This pays only where values repeat, as edge weights
+    do: a WCS weight is one over its target's in-degree.  Scores are mostly
+    distinct, and there the grouping costs more than it saves.
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)
@@ -215,35 +218,44 @@ def sha256_of(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _run_path(artifact: str | Path) -> Path:
+def run_path(artifact: str | Path) -> Path:
     """The run file beside ``artifact``: its last suffix replaced by ``.run.json``."""
     return Path(artifact).with_suffix(".run.json")
 
 
-def write_run(artifact: str | Path, record: dict, outputs: Iterable[Path] = ()) -> None:
-    """``record`` as JSON in ``artifact``'s run file.
+def _seal(record: dict) -> str:
+    """Hex SHA-256 of ``record`` as canonical JSON."""
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def write_run(path: str | Path, record: dict, outputs: Iterable[Path] = ()) -> None:
+    """``record`` as JSON in the run file at ``path``.
 
     Each of ``outputs``, written before, gets the SHA-256 of its bytes
-    under ``sha256``, keyed by file name.
+    under ``sha256``, keyed by file name, and the record then gets the
+    SHA-256 of its own fields under ``record_sha256``.
     """
     outputs = list(outputs)
     if outputs:
         record = {**record, "sha256": {p.name: sha256_of(p) for p in outputs}}
-    _write_text(_run_path(artifact), json.dumps(record, sort_keys=True, indent=2) + "\n")
+        record["record_sha256"] = _seal(record)
+    _write_text(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
-def current_run(artifact: str | Path, key: dict, outputs: Iterable[Path]) -> dict | None:
-    """``artifact``'s run file if ``outputs`` are still what it recorded, else ``None``.
+def current_run(path: str | Path, key: dict, outputs: Iterable[Path]) -> dict | None:
+    """The run file at ``path`` if it and ``outputs`` are what :func:`write_run` wrote.
 
-    The run file must be a JSON object holding every item of ``key`` and,
-    under ``sha256``, the digest each output's bytes have now.  A missing
-    or unreadable run file or output, text that is not a JSON object, and
-    any difference all give ``None``.
+    The run file must be a JSON object whose fields still hash to its
+    ``record_sha256``, holding every item of ``key`` and, under
+    ``sha256``, the digest each output's bytes have now.  A missing or
+    unreadable run file or output, text that is not a JSON object, and any
+    difference all give ``None``.
     """
     try:
-        record = json.loads(_run_path(artifact).read_bytes())
-        if not isinstance(record, dict) or any(
-                name not in record or record[name] != value for name, value in key.items()):
+        record = json.loads(Path(path).read_bytes())
+        if not isinstance(record, dict) or record.pop("record_sha256", None) != _seal(record):
+            return None
+        if any(name not in record or record[name] != value for name, value in key.items()):
             return None
         if record.get("sha256") != {p.name: sha256_of(p) for p in outputs}:
             return None
@@ -256,7 +268,7 @@ def write_scores(scores: ScoreVector, path: str | Path, config_hash: str,
                  timestamps: bool = True) -> None:
     _write_table(path, {"measure": scores.measure, "config_hash": config_hash},
                  _header(_SCORE_ROW),
-                 (f"{node},{text}" for node, text in enumerate(_texts(scores.values))),
+                 (f"{node},{_fmt(value)}" for node, value in enumerate(scores.values.tolist())),
                  timestamps)
 
 

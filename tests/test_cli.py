@@ -12,6 +12,7 @@ from spreadrank import cli, storage
 from spreadrank.cli import main
 from spreadrank.config import RunConfig
 from spreadrank.graph import INGEST
+from spreadrank.measures import measure_ids
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -155,12 +156,24 @@ def _append(path):
         handle.write("# edited\n")
 
 
-def _set_density(run_file, value):
-    """Replace the density a run file records by ``value``, or drop it for ``None``."""
+def sealed(record):
+    """``record`` with the ``record_sha256`` a run file seals its fields with."""
+    text = json.dumps(record, sort_keys=True).encode()
+    return {**record, "record_sha256": hashlib.sha256(text).hexdigest()}
+
+
+def _edit_run(run_file, name, value, reseal=False):
+    """Set a run file's field ``name`` to ``value``, or drop it for ``None``.
+
+    With ``reseal`` the record's seal is recomputed, as a forger would.
+    """
     record = json.loads(run_file.read_text())
-    del record["density"]
+    del record[name]
     if value is not None:
-        record["density"] = value
+        record[name] = value
+    if reseal:
+        del record["record_sha256"]
+        record = sealed(record)
     run_file.write_text(json.dumps(record))
 
 
@@ -190,7 +203,7 @@ class TestIngestCache:
         first = self.ingest(capsys, source, out, flags)
         stamps = _stamps(out)
         contents = {name: (out / name).read_bytes() for name in stamps}
-        assert sorted(stamps) == ["toy.edges", "toy.idmap.csv", "toy.run.json"]
+        assert sorted(stamps) == ["toy.edges", "toy.idmap.csv", "toy.ingest.run.json"]
 
         def refuse(*args, **kwargs):
             raise AssertionError("a cache hit parsed its input")
@@ -200,6 +213,29 @@ class TestIngestCache:
         # a timestamped hit keeps the earlier generated line
         assert _stamps(out) == stamps
         assert {name: (out / name).read_bytes() for name in stamps} == contents
+
+    def test_run_file_apart_from_another_commands(self, tmp_path, capsys, monkeypatch):
+        # a dataset named toy.c_os and the c_os scores of toy keep their own run files
+        source = tmp_path / "toy.txt"
+        source.write_text(self.SOURCE)
+        out = tmp_path / "out"
+        dotted = self.FLAGS + ("--name", "toy.c_os")
+        first = self.ingest(capsys, source, out, dotted)
+        self.ingest(capsys, source, out, self.FLAGS)
+        code, _, err = run(capsys, "centrality", out / "toy.edges", "--measure", "c_os",
+                           "--out-dir", out, "--no-timestamps")
+        assert code == 0, err
+        assert "ingest" not in measure_ids()
+        stamps = _stamps(out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache hit parsed its input")
+
+        monkeypatch.setattr(cli, "load_edge_list", refuse)
+        assert self.ingest(capsys, source, out, dotted) == first
+        assert _stamps(out) == stamps
+        assert json.loads((out / "toy.c_os.run.json").read_text()) == \
+            {"katz_alpha": None, "gravity_radius": 3}
 
     # change -> (flags of the first ingest, flags of the second, edit between the two)
     CHANGES = {
@@ -215,15 +251,19 @@ class TestIngestCache:
         "idmap_deleted": (FLAGS, FLAGS,
                           lambda source, out, mp: (out / "toy.idmap.csv").unlink()),
         "run_file_missing": (FLAGS, FLAGS,
-                             lambda source, out, mp: (out / "toy.run.json").unlink()),
-        "run_file_garbled": (FLAGS, FLAGS, lambda source, out, mp: (out / "toy.run.json")
-                             .write_bytes(b'{"format": \xff')),
-        "run_file_not_an_object": (FLAGS, FLAGS, lambda source, out, mp: (out / "toy.run.json")
-                                   .write_text("[1, 2]\n")),
-        "run_file_lost_a_count": (FLAGS, FLAGS, lambda source, out, mp: _set_density(
-            out / "toy.run.json", None)),
-        "run_file_count_not_a_number": (FLAGS, FLAGS, lambda source, out, mp: _set_density(
-            out / "toy.run.json", "x")),
+                             lambda source, out, mp: (out / "toy.ingest.run.json").unlink()),
+        "run_file_garbled": (FLAGS, FLAGS, lambda source, out, mp: (
+            out / "toy.ingest.run.json").write_bytes(b'{"format": \xff')),
+        "run_file_not_an_object": (FLAGS, FLAGS, lambda source, out, mp: (
+            out / "toy.ingest.run.json").write_text("[1, 2]\n")),
+        "run_file_lost_a_count": (FLAGS, FLAGS, lambda source, out, mp: _edit_run(
+            out / "toy.ingest.run.json", "density", None)),
+        "run_file_count_not_a_number": (FLAGS, FLAGS, lambda source, out, mp: _edit_run(
+            out / "toy.ingest.run.json", "density", "x")),
+        "run_file_count_edited": (FLAGS, FLAGS, lambda source, out, mp: _edit_run(
+            out / "toy.ingest.run.json", "nodes", 30)),
+        "run_file_resealed_without_a_count": (FLAGS, FLAGS, lambda source, out, mp: _edit_run(
+            out / "toy.ingest.run.json", "density", None, reseal=True)),
         "format_bumped": (FLAGS, FLAGS,
                           lambda source, out, mp: mp.setattr(cli, "INGEST", INGEST + "-next")),
     }
@@ -600,7 +640,7 @@ class TestConfigProvenance:
                          "--no-timestamps")
         assert code == 0
         if hashed:
-            expected = {**expected, "sha256": digests(tmp_path, *hashed)}
+            expected = sealed({**expected, "sha256": digests(tmp_path, *hashed)})
         assert json.loads((tmp_path / run_file).read_text()) == expected
 
     def test_cached_simulate_writes_its_config(self, tmp_path, ingested, capsys):
@@ -613,7 +653,7 @@ class TestConfigProvenance:
         assert code == 0
         assert "cache hit" in out
         assert json.loads((tmp_path / "toy.spread.run.json").read_text()) == \
-            {"master_seed": 9, "runs": 20, "sha256": digests(tmp_path, "toy.spread.csv")}
+            sealed({"master_seed": 9, "runs": 20, "sha256": digests(tmp_path, "toy.spread.csv")})
 
     def test_each_run_file_holds_only_its_own_command(self, tmp_path, ingested, capsys):
         run(capsys, "simulate", ingested, "--runs", "20", "--seed", "9",
@@ -626,14 +666,14 @@ class TestConfigProvenance:
         assert code == 0
         input_digest = {"input_sha256": digests(tmp_path, "toy.txt")["toy.txt"]}
         assert {p.name: json.loads(p.read_text()) for p in tmp_path.glob("*.run.json")} == {
-            "toy.run.json": {"format": INGEST, **input_digest,
-                             "dataset": "toy", "directed": True, "weighted": False,
-                             "keep_weights": False, "timestamps": False,
-                             "nodes": 3, "edges": 2, "density": 2 / 6,
-                             "self_loops_dropped": 0, "duplicates_dropped": 0,
-                             "sha256": digests(tmp_path, "toy.edges", "toy.idmap.csv")},
-            "toy.spread.run.json": {"runs": 20, "master_seed": 9,
-                                    "sha256": digests(tmp_path, "toy.spread.csv")},
+            "toy.ingest.run.json": sealed({
+                "format": INGEST, **input_digest, "dataset": "toy", "directed": True,
+                "weighted": False, "keep_weights": False, "timestamps": False,
+                "nodes": 3, "edges": 2, "density": 2 / 6,
+                "self_loops_dropped": 0, "duplicates_dropped": 0,
+                "sha256": digests(tmp_path, "toy.edges", "toy.idmap.csv")}),
+            "toy.spread.run.json": sealed({"runs": 20, "master_seed": 9,
+                                           "sha256": digests(tmp_path, "toy.spread.csv")}),
             "toy.c_os.run.json": {"katz_alpha": None, "gravity_radius": 2},
             "toy.evaluation.run.json": {"runs": 20, "master_seed": 9, "top_k": 2,
                                         "measures": ["c_os"], "katz_alpha": None,

@@ -141,7 +141,7 @@ def test_fingerprint_sensitivity(net, monkeypatch):
 def test_config_json_roundtrip(tmp_path):
     # a run file of every field, as evaluate writes, rebuilds the run's configuration
     cfg = RunConfig(runs=500, master_seed=9, measures=("c_os", "sk3"))
-    storage.write_run(tmp_path / "d.evaluation.csv",
+    storage.write_run(storage.run_path(tmp_path / "d.evaluation.csv"),
                       cfg.fields(f.name for f in dataclasses.fields(RunConfig)))
     payload = json.loads((tmp_path / "d.evaluation.run.json").read_text())
     assert RunConfig(**{**payload, "measures": tuple(payload["measures"])}) == cfg
