@@ -61,20 +61,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _texts(values: np.ndarray) -> list[str]:
-    """``_fmt`` of every value, formatted once per distinct float64 bit pattern.
-
-    Bit patterns, not values, are grouped, so ``-0.0`` and ``0.0`` keep
-    their own texts.  This pays only where values repeat, as edge weights
-    do: a WCS weight is one over its target's in-degree.  Scores are mostly
-    distinct, and there the grouping costs more than it saves.
-    """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    distinct, index = np.unique(bits, return_inverse=True)
-    texts = [_fmt(x) for x in distinct.view(np.float64).tolist()]
-    return [texts[i] for i in index.tolist()]
-
-
 def _holds(path: Path, data: bytes) -> bool:
     """Whether the file at ``path`` holds exactly ``data``: its size, then its bytes."""
     try:
@@ -174,8 +160,7 @@ def write_edge_list(net: Network, path: str | Path, comments: dict[str, str] | N
     edges keeps its id when the file is read back.
     """
     _write_table(path, {**(comments or {}), "nodes": str(net.node_count)}, None,
-                 (f"{u} {v} {text}" for (u, v, _), text in zip(net.edges(), _texts(net.weight))),
-                 timestamps)
+                 (f"{u} {v} {_fmt(w)}" for u, v, w in net.edges()), timestamps)
 
 
 def read_canonical_network(path: str | Path) -> Network:

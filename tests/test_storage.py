@@ -155,13 +155,6 @@ def test_scores_format_each_value_as_its_own_repr(tmp_path):
         [f"{node},{value!r}" for node, value in enumerate(values)]
 
 
-def test_texts_keep_every_bit_pattern_apart():
-    quiet_nan = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]
-    values = np.array([np.nan, -0.0, quiet_nan, 0.0, -np.nan, 1 / 3, -0.0, 1 / 3])
-    assert storage._texts(values) == [repr(v) for v in values.tolist()]
-    assert storage._texts(np.zeros(0)) == []
-
-
 def _spread_file(tmp_path):
     est = SpreadEstimate(np.array([2.5, 1.0, 1.5]), np.array([0.01, 0.0, 0.02]),
                          runs=100, master_seed=7)
