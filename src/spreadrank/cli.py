@@ -14,11 +14,10 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, graph_fingerprint, simulation_hash
-from .errors import (ConvergenceError, DataError, ParameterError, ParseError,
-                     SpreadrankError, ValidationError)
+from .errors import ConvergenceError, DataError, ParameterError, SpreadrankError
 from .graph import INGEST, apply_wcs, load_edge_list, orient_undirected
-from .measures import MeasureContext, measure_ids
-from .propagation import spread_all
+from .measures import MEASURES, MeasureContext, measure_ids
+from .propagation import ENGINE, spread_all
 from .ranking import aggregate, evaluate_measures
 from . import storage
 
@@ -175,23 +174,20 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg, read = _config_from_args(args)
-    net = storage.read_canonical_network(args.graph)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = args.out_dir / f"{args.graph.stem}.spread.csv"
     run_file = storage.run_path(cache_path)
-    expected_hash = simulation_hash(net, cfg.runs, cfg.master_seed)
-    settings = cfg.fields(read)
-    if cache_path.exists() and not args.force:
-        try:
-            _, stored_hash = storage.read_spread(cache_path, net.node_count)
-        except (ParseError, DataError, ValidationError):
-            stored_hash = ""
-        # the run file's digest catches an edit that still parses
-        if stored_hash == expected_hash and \
-                storage.current_run(run_file, settings, [cache_path]) is not None:
-            print(f"cache hit: {cache_path} (config_hash={expected_hash})")
+    # everything the spread file's bytes depend on but its timestamp
+    key = {**cfg.fields(read), "engine": ENGINE, "graph_sha256": storage.sha256_of(args.graph)}
+    if not args.force:
+        record = storage.current_run(run_file, key, [cache_path])
+        if record is not None and "config_hash" in record:
+            print(f"cache hit: {cache_path} (config_hash={record['config_hash']})")
             return 0
-        print(f"cache mismatch, recomputing: {cache_path}", file=sys.stderr)
+        if cache_path.is_file():
+            print(f"cache mismatch, recomputing: {cache_path}", file=sys.stderr)
+    net = storage.read_canonical_network(args.graph)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    config_hash = simulation_hash(net, cfg.runs, cfg.master_seed)
 
     def progress(done: int, total: int) -> None:
         step = max(1, total // 100)
@@ -199,23 +195,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"simulated {done}/{total} seeds", file=sys.stderr)
 
     spread = spread_all(net, cfg, progress=None if args.quiet else progress)
-    storage.write_spread(spread, cache_path, expected_hash,
-                         timestamps=not args.no_timestamps)
-    storage.write_run(run_file, settings, [cache_path])
-    print(f"wrote {cache_path} (config_hash={expected_hash})")
+    storage.write_spread(spread, cache_path, config_hash, timestamps=not args.no_timestamps)
+    storage.write_run(run_file, {**key, "config_hash": config_hash}, [cache_path])
+    print(f"wrote {cache_path} (config_hash={config_hash})")
     return 0
 
 
 def cmd_centrality(args: argparse.Namespace) -> int:
     cfg, read = _config_from_args(args)
-    net = storage.read_canonical_network(args.graph)
-    ctx = MeasureContext(net, cfg)
-    scores = ctx.get(args.measure)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = args.out_dir / f"{args.graph.stem}.{args.measure}.csv"
-    storage.write_scores(scores, out_path, graph_fingerprint(net),
-                         timestamps=not args.no_timestamps)
-    storage.write_run(storage.run_path(out_path), cfg.fields(read))
+    run_file = storage.run_path(out_path)
+    # everything the scores file's bytes depend on
+    key = {"format": MEASURES, "measure": args.measure,
+           "graph_sha256": storage.sha256_of(args.graph), **cfg.fields(read),
+           "timestamps": not args.no_timestamps}
+    if storage.current_run(run_file, key, [out_path]) is None:
+        net = storage.read_canonical_network(args.graph)
+        scores = MeasureContext(net, cfg).get(args.measure)
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        storage.write_scores(scores, out_path, graph_fingerprint(net),
+                             timestamps=not args.no_timestamps)
+        storage.write_run(run_file, key, [out_path])
     print(f"wrote {out_path}")
     return 0
 
@@ -228,6 +228,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg, read = _config_from_args(args)  # a bad setting fails before any input is read
     net = storage.read_canonical_network(args.graph)
     spread, stored_hash = storage.read_spread(args.spread, net.node_count)
+    # checked after the parse, so a damaged file gets the parser's message
+    spread_run = storage.run_path(args.spread)
+    if spread_run.exists() and storage.current_run(spread_run, {}, [args.spread]) is None:
+        raise DataError(f"spread file {args.spread} does not match its run file {spread_run}: "
+                        "edited after simulate wrote it; run simulate again")
     # provenance records the simulation knobs the spread file was built with
     cfg = dataclasses.replace(cfg, runs=spread.runs, master_seed=spread.master_seed)
     read += ("runs", "master_seed")

@@ -65,7 +65,7 @@ def graph_fingerprint(net: Network) -> str:
 
 
 def simulation_hash(net: Network, runs: int, master_seed: int) -> str:
-    """Cache key for spread results: graph content, the two knobs that matter, the engine."""
+    """A spread file's config hash: graph content, the two knobs that matter, the engine."""
     digest = hashlib.sha256()
     digest.update(graph_fingerprint(net).encode())
     digest.update(f";runs={runs};master_seed={master_seed}".encode())

@@ -21,6 +21,10 @@ from .errors import ValidationError
 from .graph import Network, ViewKind, WeightMode, view
 from .scores import ScoreVector
 
+# tag of the measures' values, part of centrality's cache key: bump it
+# whenever a score could change, as ENGINE and INGEST are bumped
+MEASURES = "measures-1"
+
 
 class MeasureContext:
     """Per-network cache so dependency chains compute each vector once."""

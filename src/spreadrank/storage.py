@@ -232,10 +232,12 @@ def current_run(path: str | Path, key: dict, outputs: Iterable[Path]) -> dict | 
 
     The run file must be a JSON object whose fields still hash to its
     ``record_sha256``, holding every item of ``key`` and, under
-    ``sha256``, the digest each output's bytes have now.  A missing or
-    unreadable run file or output, text that is not a JSON object, and any
-    difference all give ``None``.
+    ``sha256``, the digest each output's bytes have now.  ``key``'s values
+    are compared as JSON gives them back, so a tuple matches the list it
+    was stored as.  A missing or unreadable run file or output, text that
+    is not a JSON object, and any difference all give ``None``.
     """
+    key = json.loads(json.dumps(key))
     try:
         record = json.loads(Path(path).read_bytes())
         if not isinstance(record, dict) or record.pop("record_sha256", None) != _seal(record):

@@ -10,9 +10,10 @@ import pytest
 
 from spreadrank import cli, storage
 from spreadrank.cli import main
-from spreadrank.config import RunConfig
+from spreadrank.config import RunConfig, simulation_hash
 from spreadrank.graph import INGEST
-from spreadrank.measures import measure_ids
+from spreadrank.measures import MEASURES, MeasureContext, measure_ids
+from spreadrank.propagation import ENGINE
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -181,6 +182,23 @@ def _stamps(directory):
     return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir()}
 
 
+def spread_record(graph, out, runs, master_seed):
+    """The run file ``simulate`` writes for ``graph``'s spread cache in ``out``."""
+    net = storage.read_canonical_network(graph)
+    return sealed({"runs": runs, "master_seed": master_seed, "engine": ENGINE,
+                   "graph_sha256": storage.sha256_of(graph),
+                   "config_hash": simulation_hash(net, runs, master_seed),
+                   "sha256": digests(out, f"{graph.stem}.spread.csv")})
+
+
+def scores_record(graph, out, measure, gravity_radius=3):
+    """The run file ``centrality --no-timestamps`` writes for ``graph``'s scores in ``out``."""
+    return sealed({"format": MEASURES, "measure": measure,
+                   "graph_sha256": storage.sha256_of(graph), "katz_alpha": None,
+                   "gravity_radius": gravity_radius, "timestamps": False,
+                   "sha256": digests(out, f"{graph.stem}.{measure}.csv")})
+
+
 class TestIngestCache:
     """A warm ingest of unchanged input and outputs parses, formats and writes nothing."""
 
@@ -235,7 +253,7 @@ class TestIngestCache:
         assert self.ingest(capsys, source, out, dotted) == first
         assert _stamps(out) == stamps
         assert json.loads((out / "toy.c_os.run.json").read_text()) == \
-            {"katz_alpha": None, "gravity_radius": 3}
+            scores_record(out / "toy.edges", out, "c_os")
 
     # change -> (flags of the first ingest, flags of the second, edit between the two)
     CHANGES = {
@@ -385,6 +403,140 @@ class TestCentrality:
         assert len(scores) == 3
 
 
+def _older_run_file(run_file, kept, seal):
+    """Rewrite a run file as the previous release wrote it: only the fields ``kept``,
+    sealed if ``seal``."""
+    record = {name: value for name, value in json.loads(run_file.read_text()).items()
+              if name in kept}
+    run_file.write_text(json.dumps(sealed(record) if seal else record))
+
+
+class TestCommandCache:
+    """A warm ``simulate`` or ``centrality`` of unchanged inputs parses, measures and
+    writes nothing; any change to what its output depends on recomputes it."""
+
+    GRAPH = "# nodes=4\n0 1 0.5\n1 2 0.5\n2 0 1.0\n1 0 0.5\n2 3 1.0\n3 1 0.5\n"
+    SIMULATE = ("simulate", "--runs", "20", "--seed", "9", "--quiet", "--no-timestamps")
+    CENTRALITY = ("centrality", "--measure", "mgc_wk", "--no-timestamps")
+
+    @pytest.fixture
+    def graph(self, tmp_path):
+        path = tmp_path / "in" / "toy.edges"
+        path.parent.mkdir()
+        path.write_text(self.GRAPH)
+        return path
+
+    @staticmethod
+    def command(capsys, graph, out, argv):
+        code, stdout, err = run(capsys, argv[0], graph, *argv[1:], "--out-dir", out)
+        assert code == 0, err
+        return stdout
+
+    @pytest.mark.parametrize("timestamps", [False, True], ids=["no_timestamps", "timestamps"])
+    @pytest.mark.parametrize("argv", [SIMULATE, CENTRALITY], ids=["simulate", "centrality"])
+    def test_hit_reads_no_graph_and_writes_nothing(self, tmp_path, capsys, monkeypatch, graph,
+                                                   argv, timestamps):
+        if timestamps:
+            argv = argv[:-1]
+        out = tmp_path / "out"
+        first = self.command(capsys, graph, out, argv)
+        stamps = _stamps(out)
+        contents = {name: (out / name).read_bytes() for name in stamps}
+        assert len(stamps) == 2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache hit read its graph or computed a measure")
+
+        monkeypatch.setattr(cli.storage, "read_canonical_network", refuse)
+        monkeypatch.setattr(MeasureContext, "get", refuse)
+        # simulate's hit prints the config hash the cold run printed
+        expected = first.replace("wrote ", "cache hit: ") if argv[0] == "simulate" else first
+        assert self.command(capsys, graph, out, argv) == expected
+        # a timestamped hit keeps the earlier generated line
+        assert _stamps(out) == stamps
+        assert {name: (out / name).read_bytes() for name in stamps} == contents
+
+    # change -> (argv of the first run, argv of the second, edit between the two)
+    CHANGES = {
+        "simulate-graph_bytes": (SIMULATE, SIMULATE, lambda graph, out, mp: _append(graph)),
+        "simulate-graph_edges": (SIMULATE, SIMULATE, lambda graph, out, mp: graph.write_text(
+            graph.read_text().replace("1 2 0.5", "1 2 0.25"))),
+        "simulate-runs": (SIMULATE, SIMULATE[:2] + ("30",) + SIMULATE[3:], None),
+        "simulate-seed": (SIMULATE, SIMULATE[:4] + ("10",) + SIMULATE[5:], None),
+        "simulate-force": (SIMULATE, SIMULATE + ("--force",), None),
+        "simulate-engine_bumped": (SIMULATE, SIMULATE, lambda graph, out, mp: mp.setattr(
+            cli, "ENGINE", ENGINE + "-next")),
+        "simulate-output_edited": (SIMULATE, SIMULATE,
+                                   lambda graph, out, mp: _append(out / "toy.spread.csv")),
+        "simulate-output_deleted": (SIMULATE, SIMULATE,
+                                    lambda graph, out, mp: (out / "toy.spread.csv").unlink()),
+        "simulate-run_file_missing": (SIMULATE, SIMULATE, lambda graph, out, mp: (
+            out / "toy.spread.run.json").unlink()),
+        "simulate-run_file_garbled": (SIMULATE, SIMULATE, lambda graph, out, mp: (
+            out / "toy.spread.run.json").write_bytes(b'{"runs": \xff')),
+        "simulate-run_file_a_list": (SIMULATE, SIMULATE, lambda graph, out, mp: (
+            out / "toy.spread.run.json").write_text("[1, 2]\n")),
+        "simulate-run_file_unsealed": (SIMULATE, SIMULATE, lambda graph, out, mp: _edit_run(
+            out / "toy.spread.run.json", "record_sha256", None)),
+        "simulate-run_file_resealed_without_config_hash": (
+            SIMULATE, SIMULATE, lambda graph, out, mp: _edit_run(
+                out / "toy.spread.run.json", "config_hash", None, reseal=True)),
+        "simulate-run_file_of_the_previous_format": (
+            SIMULATE, SIMULATE, lambda graph, out, mp: _older_run_file(
+                out / "toy.spread.run.json", ("runs", "master_seed", "sha256"), seal=True)),
+        "centrality-graph_bytes": (CENTRALITY, CENTRALITY,
+                                   lambda graph, out, mp: _append(graph)),
+        "centrality-graph_edges": (CENTRALITY, CENTRALITY,
+                                   lambda graph, out, mp: graph.write_text(
+                                       graph.read_text().replace("1 2 0.5", "1 2 0.25"))),
+        "centrality-measure": (CENTRALITY, ("centrality", "--measure", "gc_w",
+                                            "--no-timestamps"), None),
+        "centrality-katz_alpha": (CENTRALITY, CENTRALITY + ("--katz-alpha", "0.05"), None),
+        "centrality-radius": (CENTRALITY, CENTRALITY + ("--radius", "1"), None),
+        "centrality-no_timestamps": (CENTRALITY[:-1], CENTRALITY, None),
+        "centrality-measures_bumped": (CENTRALITY, CENTRALITY, lambda graph, out, mp: mp.setattr(
+            cli, "MEASURES", MEASURES + "-next")),
+        "centrality-output_edited": (CENTRALITY, CENTRALITY,
+                                     lambda graph, out, mp: _append(out / "toy.mgc_wk.csv")),
+        "centrality-output_deleted": (CENTRALITY, CENTRALITY,
+                                      lambda graph, out, mp: (out / "toy.mgc_wk.csv").unlink()),
+        "centrality-run_file_missing": (CENTRALITY, CENTRALITY, lambda graph, out, mp: (
+            out / "toy.mgc_wk.run.json").unlink()),
+        "centrality-run_file_garbled": (CENTRALITY, CENTRALITY, lambda graph, out, mp: (
+            out / "toy.mgc_wk.run.json").write_bytes(b'{"format": \xff')),
+        "centrality-run_file_a_list": (CENTRALITY, CENTRALITY, lambda graph, out, mp: (
+            out / "toy.mgc_wk.run.json").write_text("[1, 2]\n")),
+        "centrality-run_file_unsealed": (CENTRALITY, CENTRALITY, lambda graph, out, mp: _edit_run(
+            out / "toy.mgc_wk.run.json", "record_sha256", None)),
+        "centrality-run_file_of_the_previous_format": (
+            CENTRALITY, CENTRALITY, lambda graph, out, mp: _older_run_file(
+                out / "toy.mgc_wk.run.json", ("katz_alpha", "gravity_radius"), seal=False)),
+    }
+
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_miss_recomputes_like_a_cold_run(self, tmp_path, capsys, monkeypatch, graph,
+                                             change):
+        before, after, edit = self.CHANGES[change]
+        out = tmp_path / "out"
+        self.command(capsys, graph, out, before)
+        if edit is not None:
+            edit(graph, out, monkeypatch)
+        calls = []
+        read = storage.read_canonical_network
+        monkeypatch.setattr(cli.storage, "read_canonical_network",
+                            lambda path: calls.append(path) or read(path))
+        warm = self.command(capsys, graph, out, after)
+        assert calls == [graph]
+        monkeypatch.setattr(cli.storage, "read_canonical_network", read)
+        # a cold run of the same command on the same graph, into a fresh directory
+        cold_dir = tmp_path / "cold"
+        assert self.command(capsys, graph, cold_dir, after) == \
+            warm.replace(str(out), str(cold_dir))
+        cold = {p.name: p.read_bytes() for p in cold_dir.iterdir()}
+        assert len(cold) == 2
+        assert {name: (out / name).read_bytes() for name in cold} == cold
+
+
 class TestEvaluate:
     def _prepare(self, tmp_path, capsys, runs="200"):
         raw = tmp_path / "raw.txt"
@@ -431,6 +583,29 @@ class TestEvaluate:
         assert code == 2
         assert "comma" in err
         assert not list(tmp_path.glob("*.evaluation.csv"))
+
+    def test_spread_edited_after_simulate_is_data_error(self, tmp_path, ingested, capsys):
+        common = ("--out-dir", tmp_path, "--no-timestamps")
+        run(capsys, "simulate", ingested, "--runs", "50", "--quiet", *common)
+        spread = tmp_path / "toy.spread.csv"
+        text = spread.read_text()
+        assert "0,3.0," in text
+        spread.write_text(text.replace("0,3.0,", "0,2.5,", 1))
+        code, out, err = run(capsys, "evaluate", ingested, spread, "--measures", "c_os",
+                             "--top-k", "2", *common)
+        assert code == 3
+        assert err.startswith("error: ") and str(spread) in err
+        assert out == ""
+        assert not list(tmp_path.glob("*.evaluation.csv"))
+
+    def test_spread_without_run_file_is_accepted(self, tmp_path, ingested, capsys):
+        common = ("--out-dir", tmp_path, "--no-timestamps")
+        run(capsys, "simulate", ingested, "--runs", "50", "--quiet", *common)
+        (tmp_path / "toy.spread.run.json").unlink()
+        code, out, err = run(capsys, "evaluate", ingested, tmp_path / "toy.spread.csv",
+                             "--measures", "c_os", "--top-k", "2", *common)
+        assert code == 0, err
+        assert out.startswith("wrote ")
 
     def test_mismatched_spread_rejected(self, tmp_path, capsys):
         graph, spread = self._prepare(tmp_path, capsys)
@@ -620,9 +795,10 @@ class TestConfigProvenance:
 
     @pytest.mark.parametrize("argv, run_file, expected, hashed", [
         (["simulate", "--runs", "30", "--seed", "4", "--quiet"], "toy.spread.run.json",
-         {"runs": 30, "master_seed": 4}, ["toy.spread.csv"]),
+         {"runs": 30, "master_seed": 4, "engine": ENGINE}, ["toy.spread.csv"]),
         (["centrality", "--measure", "c_os", "--radius", "2"], "toy.c_os.run.json",
-         {"katz_alpha": None, "gravity_radius": 2}, []),
+         {"format": MEASURES, "measure": "c_os", "katz_alpha": None, "gravity_radius": 2,
+          "timestamps": False}, ["toy.c_os.csv"]),
         (["evaluate", "toy.spread.csv", "--top-k", "2", "--measures", "c_os"],
          "toy.evaluation.run.json",
          {"runs": 20, "master_seed": 9, "top_k": 2, "measures": ["c_os"],
@@ -630,7 +806,8 @@ class TestConfigProvenance:
         ids=["simulate", "centrality", "evaluate"])
     def test_config_holds_the_fields_the_command_read(self, tmp_path, ingested, capsys,
                                                       argv, run_file, expected, hashed):
-        # simulate also records the digest of the spread cache it wrote
+        # simulate and centrality also record the graph's digest and that of the
+        # output they wrote, simulate the config hash of its spread cache too;
         # evaluate also records the runs and seed of the spread file it scored
         run(capsys, "simulate", ingested, "--runs", "20", "--seed", "9",
             "--out-dir", tmp_path, "--no-timestamps", "--quiet")
@@ -640,7 +817,10 @@ class TestConfigProvenance:
                          "--no-timestamps")
         assert code == 0
         if hashed:
-            expected = sealed({**expected, "sha256": digests(tmp_path, *hashed)})
+            inputs = {"graph_sha256": storage.sha256_of(ingested)}
+            if command == "simulate":
+                inputs["config_hash"] = storage.read_spread(tmp_path / hashed[0])[1]
+            expected = sealed({**expected, **inputs, "sha256": digests(tmp_path, *hashed)})
         assert json.loads((tmp_path / run_file).read_text()) == expected
 
     def test_cached_simulate_writes_its_config(self, tmp_path, ingested, capsys):
@@ -653,7 +833,7 @@ class TestConfigProvenance:
         assert code == 0
         assert "cache hit" in out
         assert json.loads((tmp_path / "toy.spread.run.json").read_text()) == \
-            sealed({"master_seed": 9, "runs": 20, "sha256": digests(tmp_path, "toy.spread.csv")})
+            spread_record(ingested, tmp_path, 20, 9)
 
     def test_each_run_file_holds_only_its_own_command(self, tmp_path, ingested, capsys):
         run(capsys, "simulate", ingested, "--runs", "20", "--seed", "9",
@@ -672,9 +852,8 @@ class TestConfigProvenance:
                 "nodes": 3, "edges": 2, "density": 2 / 6,
                 "self_loops_dropped": 0, "duplicates_dropped": 0,
                 "sha256": digests(tmp_path, "toy.edges", "toy.idmap.csv")}),
-            "toy.spread.run.json": sealed({"runs": 20, "master_seed": 9,
-                                           "sha256": digests(tmp_path, "toy.spread.csv")}),
-            "toy.c_os.run.json": {"katz_alpha": None, "gravity_radius": 2},
+            "toy.spread.run.json": spread_record(ingested, tmp_path, 20, 9),
+            "toy.c_os.run.json": scores_record(ingested, tmp_path, "c_os", gravity_radius=2),
             "toy.evaluation.run.json": {"runs": 20, "master_seed": 9, "top_k": 2,
                                         "measures": ["c_os"], "katz_alpha": None,
                                         "gravity_radius": 3}}

@@ -10,7 +10,9 @@ definition, so its values are stored instead of a digest and are matched
 to a relative 1e-12 with an identical stable ranking.
 
 Regenerate (only at a commit whose measures are known to be right) with
-``PYTHONPATH=src python tests/test_measure_digests.py``.
+``PYTHONPATH=src python tests/test_measure_digests.py``, then bump
+``measures.MEASURES`` and add the new sections' SHA-256 under it to
+``FROZEN_UNDER``.
 """
 import functools
 import hashlib
@@ -22,13 +24,18 @@ import numpy as np
 import pytest
 
 from spreadrank.graph import Network, apply_wcs
-from spreadrank.measures import MeasureContext, measure_ids
+from spreadrank.measures import MEASURES, MeasureContext, measure_ids
 
 from test_cascade_digests import bundled_networks
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "measure_digests.json"
 BETWEENNESS = ("c_b_uu", "c_b_uw")
+# per MEASURES tag, the SHA-256 of the fixture's frozen sections under that tag: a
+# re-recorded fixture needs a new tag, so that cached scores are recomputed
+FROZEN_UNDER = {
+    "measures-1": "a2065905bfad56719daaabe592daf9faa6e2a4be1cbfa59081a9aa8684366fad",
+}
 
 
 def ladder_network(n: int) -> Network:
@@ -51,6 +58,14 @@ def measures(name: str) -> dict[str, np.ndarray]:
 
 def digest(values: np.ndarray) -> str:
     return hashlib.sha256(values.tobytes()).hexdigest()
+
+
+def test_measures_tag_names_the_frozen_values():
+    recorded = json.loads(FIXTURE.read_text())
+    sections = {key: recorded[key] for key in ("digests", "betweenness")}
+    text = json.dumps(sections, sort_keys=True).encode()
+    assert FROZEN_UNDER.get(MEASURES) == hashlib.sha256(text).hexdigest(), \
+        "the frozen measures changed: bump measures.MEASURES and record it in FROZEN_UNDER"
 
 
 @pytest.mark.parametrize("name", sorted(NETWORKS))

@@ -147,6 +147,21 @@ def test_config_json_roundtrip(tmp_path):
     assert RunConfig(**{**payload, "measures": tuple(payload["measures"])}) == cfg
 
 
+def test_current_run_key_survives_json(tmp_path):
+    # a tuple setting is stored as a JSON list and must still match itself
+    output = tmp_path / "d.evaluation.csv"
+    output.write_text("x\n")
+    run_file = storage.run_path(output)
+    key = RunConfig(measures=("c_os", "sk3"), katz_alpha=0.1).fields(
+        ("measures", "katz_alpha", "gravity_radius"))
+    storage.write_run(run_file, key, [output])
+    assert storage.current_run(run_file, key, [output]) == {
+        "measures": ["c_os", "sk3"], "katz_alpha": 0.1, "gravity_radius": 3,
+        "sha256": {output.name: storage.sha256_of(output)}}
+    assert storage.current_run(run_file, {**key, "measures": ("c_os",)}, [output]) is None
+    assert storage.current_run(run_file, {**key, "katz_alpha": 0.2}, [output]) is None
+
+
 def test_scores_format_each_value_as_its_own_repr(tmp_path):
     values = [-0.0, 0.0, 1 / 3, 1 / 3, -0.0, 2.5, 0.0, 5e-324, 1 / 3, 1e300]
     path = tmp_path / "s.csv"
