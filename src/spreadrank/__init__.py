@@ -3,13 +3,14 @@
 __version__ = "0.1.0"
 
 from .config import RunConfig
-from .graph import Network, GraphView, ViewKind, WeightMode, view, load_edge_list, \
-    orient_undirected, apply_wcs
+from .graph import Network, GraphView, ViewKind, WeightMode, view, orient_undirected, \
+    apply_wcs
 from .propagation import SpreadEstimate, spread_all
 from .scores import ScoreVector
 from .measures import measure_ids, MeasureContext
 from .ranking import kendall_tau, ranking_error, monotonicity, aggregate, \
     evaluate_measures, EvaluationReport
+from .storage import load_edge_list
 
 __all__ = [
     "RunConfig", "Network", "GraphView", "ViewKind", "WeightMode", "view",

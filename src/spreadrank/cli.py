@@ -15,11 +15,12 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig, graph_fingerprint, simulation_hash
 from .errors import ConvergenceError, DataError, ParameterError, SpreadrankError
-from .graph import INGEST, apply_wcs, load_edge_list, orient_undirected
+from .graph import apply_wcs, orient_undirected
 from .measures import MEASURES, MeasureContext, measure_ids
 from .propagation import ENGINE, spread_all
 from .ranking import aggregate, evaluate_measures
 from . import storage
+from .storage import INGEST, load_edge_list
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -176,8 +177,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg, read = _config_from_args(args)
     cache_path = args.out_dir / f"{args.graph.stem}.spread.csv"
     run_file = storage.run_path(cache_path)
-    # everything the spread file's bytes depend on but its timestamp
-    key = {**cfg.fields(read), "engine": ENGINE, "graph_sha256": storage.sha256_of(args.graph)}
+    # everything the spread file's bytes depend on
+    key = {**cfg.fields(read), "engine": ENGINE, "graph_sha256": storage.sha256_of(args.graph),
+           "timestamps": not args.no_timestamps}
     if not args.force:
         record = storage.current_run(run_file, key, [cache_path])
         if record is not None and "config_hash" in record:

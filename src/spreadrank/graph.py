@@ -1,10 +1,11 @@
-"""Graph container, edge-list ingestion, preprocessing, and derived views.
+"""Graph container, preprocessing, and derived views; no file I/O.
 
 Every network is a directed weighted simple graph over dense integer node
-ids.  Ingest turns an undirected input file into one by pointing every edge
+ids.  Ingest turns an undirected input into one by pointing every edge
 from the smaller to the larger node id (:func:`orient_undirected`);
 unweighted graphs receive cascade probabilities of
-``1 / in-degree(target)`` (:func:`apply_wcs`).
+``1 / in-degree(target)`` (:func:`apply_wcs`).  Files are read and
+written by :mod:`spreadrank.storage`.
 
 The undirected readings come only from a :class:`GraphView`, which
 reinterprets the same edge set in one of four ways (directed or not,
@@ -16,14 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
-
-COMMENT_PREFIXES = ("#", "%")
+from .errors import ValidationError
 
 
 class ViewKind(Enum):
@@ -119,8 +117,8 @@ class Network:
                    np.array(w, np.float64))
 
 
-def _dedup_keep_first(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
-                      n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def dedup_keep_first(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
+                     n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Collapse duplicate (source, target) pairs, keeping the first occurrence."""
     if src.size == 0:
         return src, dst, weight, 0
@@ -129,77 +127,6 @@ def _dedup_keep_first(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
     first.sort()
     dropped = src.size - first.size
     return src[first], dst[first], weight[first], dropped
-
-
-# ingest's output format: bump whenever the bytes ingest writes for an input could change,
-# so that no earlier ingest's outputs are taken as current
-INGEST = "ingest-1"
-
-
-def load_edge_list(path: str | Path, declared_weighted: bool) -> Network:
-    """Parse a whitespace-separated edge list into a :class:`Network`.
-
-    Lines are ``u v`` or ``u v w``; lines starting with ``#`` or ``%`` and
-    blank lines are skipped.  Node labels are remapped to dense ids in
-    first-seen order (the original labels are kept on the network).
-    Self-loops are dropped and duplicate (source, target) pairs collapse
-    onto the first occurrence; both are counted on the result.  A leading
-    UTF-8 byte-order mark is dropped.  A file that is not UTF-8 text or a
-    row that does not parse raises :class:`ParseError`, and a weight that is
-    not finite and positive :class:`ValidationError`; each names the path.
-    """
-    path = Path(path)
-    label_to_id: dict[str, int] = {}
-    labels: list[str] = []
-    src: list[int] = []
-    dst: list[int] = []
-    weight: list[float] = []
-    self_loops = 0
-
-    def node_id(label: str) -> int:
-        nid = label_to_id.get(label)
-        if nid is None:
-            nid = len(labels)
-            label_to_id[label] = nid
-            labels.append(label)
-        return nid
-
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    # newlines are already universal, so these are the lines a file iteration gives
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith(COMMENT_PREFIXES):
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ParseError(f"{path}: line {lineno}: expected 'u v' or 'u v w', got {line!r}")
-        u = node_id(parts[0])
-        v = node_id(parts[1])
-        if declared_weighted and len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: bad weight {parts[2]!r}") from None
-            if not np.isfinite(w) or w <= 0:
-                raise ValidationError(f"{path}: line {lineno}: non-positive weight {w}")
-        else:
-            w = 1.0
-        if u == v:
-            self_loops += 1
-            continue
-        src.append(u)
-        dst.append(v)
-        weight.append(w)
-
-    n = len(labels)
-    s, d, w = (np.array(src, np.int64), np.array(dst, np.int64),
-               np.array(weight, np.float64))
-    s, d, w, dup = _dedup_keep_first(s, d, w, n)
-    return Network(n, s, d, w, labels=tuple(labels),
-                   self_loops_dropped=self_loops, duplicates_dropped=dup)
 
 
 def orient_undirected(net: Network) -> Network:
@@ -212,7 +139,7 @@ def orient_undirected(net: Network) -> Network:
     """
     src = np.minimum(net.src, net.dst)
     dst = np.maximum(net.src, net.dst)
-    src, dst, weight, dup = _dedup_keep_first(src, dst, net.weight, net.node_count)
+    src, dst, weight, dup = dedup_keep_first(src, dst, net.weight, net.node_count)
     return Network(net.node_count, src, dst, weight, labels=net.labels,
                    self_loops_dropped=net.self_loops_dropped,
                    duplicates_dropped=net.duplicates_dropped + dup)
@@ -249,7 +176,7 @@ class GraphView:
         else:
             lo = np.minimum(net.src, net.dst)
             hi = np.maximum(net.src, net.dst)
-            lo, hi, kept_w, _ = _dedup_keep_first(lo, hi, net.weight, n)
+            lo, hi, kept_w, _ = dedup_keep_first(lo, hi, net.weight, n)
             if self.kind is ViewKind.UU:
                 kept_w = np.ones(lo.size)
             src = np.concatenate([lo, hi])

@@ -1,4 +1,11 @@
-"""File formats: canonical edge lists, id maps, score/spread/report CSVs, run files.
+"""File formats: raw and canonical edge lists, id maps, score/spread/report CSVs, run files.
+
+A raw edge list, ingest's input, has one ``u v`` or ``u v w`` row per
+edge: cells separated by any whitespace, node labels any strings, and
+lines starting with ``#`` or ``%`` (KONECT's header) skipped, as is a
+leading UTF-8 byte-order mark.  :func:`load_edge_list` reads it in one
+pass of its own: its rows are ragged and carry string labels, which the
+table reader below does not read.
 
 Every artifact embeds the config hash it was produced under as a comment
 line, so downstream commands can refuse mixed inputs.  Timestamp comments
@@ -34,13 +41,16 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, ParseError, ValidationError
-# load_edge_list is not called here; perfbench's tracer rebinds it in this module
-from .graph import Network, load_edge_list  # noqa: F401
+from .graph import Network, dedup_keep_first
 from .propagation import SpreadEstimate
 from .ranking import EvaluationReport, MeasureMetrics
 from .scores import ScoreVector
 
 NA = "NA"
+COMMENT_PREFIXES = ("#", "%")
+# ingest's output format: bump whenever the bytes ingest writes for an input could change,
+# so that no earlier ingest's outputs are taken as current
+INGEST = "ingest-1"
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 _SCORE_ROW = np.dtype([("node", np.int64), ("score", np.float64)])
 _SPREAD_ROW = np.dtype([("node", np.int64), ("expected_spread", np.float64),
@@ -150,6 +160,51 @@ def _check_node_ids(path: str | Path, rows: np.ndarray) -> None:
     """Reject a table whose ``node`` column does not count 0, 1, 2, ..."""
     if not np.array_equal(rows["node"], np.arange(rows.size)):
         raise ParseError(f"non-contiguous node ids in {path}")
+
+
+def load_edge_list(path: str | Path, declared_weighted: bool) -> Network:
+    """Parse a raw edge list into a :class:`Network`.
+
+    Node labels are remapped to dense ids in first-seen order (the original
+    labels are kept on the network).  A third cell is the weight only when
+    ``declared_weighted``; every other edge weighs 1.  Self-loops are
+    dropped and duplicate (source, target) pairs collapse onto the first
+    occurrence; both are counted on the result.  A file that is not UTF-8
+    text or a row that does not parse raises :class:`ParseError`, and a
+    weight that is not finite and positive :class:`ValidationError`; each
+    names the path and the first such line.
+    """
+    ids: dict[str, int] = {}
+    src: list[int] = []
+    dst: list[int] = []
+    weight: list[float] = []
+    with _parsing(path):
+        text = Path(path).read_text(encoding="utf-8-sig")
+    # newlines are already universal, so these are the lines a file iteration gives
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith(COMMENT_PREFIXES):
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(f"{path}: line {lineno}: expected 'u v' or 'u v w', got {line!r}")
+        src.append(ids.setdefault(parts[0], len(ids)))
+        dst.append(ids.setdefault(parts[1], len(ids)))
+        if declared_weighted and len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: bad weight {parts[2]!r}") from None
+            if not 0 < w < np.inf:
+                raise ValidationError(f"{path}: line {lineno}: non-positive weight {w}")
+        else:
+            w = 1.0
+        weight.append(w)
+    s, d, w = np.array(src, np.int64), np.array(dst, np.int64), np.array(weight, np.float64)
+    loop = s == d
+    s, d, w, duplicates = dedup_keep_first(s[~loop], d[~loop], w[~loop], len(ids))
+    return Network(len(ids), s, d, w, labels=tuple(ids),
+                   self_loops_dropped=int(loop.sum()), duplicates_dropped=duplicates)
 
 
 def write_edge_list(net: Network, path: str | Path, comments: dict[str, str] | None = None,

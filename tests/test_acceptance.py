@@ -19,14 +19,14 @@ from spreadrank.centrality import (Direction, betweenness, closeness, eigenvecto
                                    katz, kshell, spectral_radius_estimate)
 from spreadrank.combined import modified_closeness
 from spreadrank.config import RunConfig
-from spreadrank.graph import (Network, ViewKind, WeightMode, apply_wcs,
-                              load_edge_list, orient_undirected, view)
+from spreadrank.graph import Network, ViewKind, WeightMode, apply_wcs, orient_undirected, view
 from spreadrank.gravity import gravity
 from spreadrank.measures import MeasureContext
 from spreadrank.propagation import spread_all
 from spreadrank.ranking import (aggregate, evaluate_measures, kendall_tau,
                                 monotonicity, ranking_error)
 from spreadrank.scores import ScoreVector
+from spreadrank.storage import load_edge_list
 from spreadrank.cli import main as cli_main
 
 from oracles import (bf_betweenness, bf_closeness, bf_core_numbers, bf_eigenvector,

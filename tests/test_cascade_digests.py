@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from spreadrank.graph import apply_wcs, load_edge_list, orient_undirected
+from spreadrank.graph import apply_wcs, orient_undirected
 from spreadrank.propagation import cascade_sizes
+from spreadrank.storage import load_edge_list
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "cascade_digests.json"

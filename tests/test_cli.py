@@ -11,9 +11,9 @@ import pytest
 from spreadrank import cli, storage
 from spreadrank.cli import main
 from spreadrank.config import RunConfig, simulation_hash
-from spreadrank.graph import INGEST
 from spreadrank.measures import MEASURES, MeasureContext, measure_ids
 from spreadrank.propagation import ENGINE
+from spreadrank.storage import INGEST
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -120,8 +120,12 @@ class TestIngest:
     @pytest.mark.parametrize("rows, flags, message", [
         ("0 1\n0 1 2 3\n", [], "line 2: expected 'u v' or 'u v w', got '0 1 2 3'"),
         ("0 1 0.5\n1 2 x\n", ["--weighted"], "line 2: bad weight 'x'"),
-        ("0 1 0.5\n1 2 -1\n", ["--weighted"], "line 2: non-positive weight -1.0")],
-        ids=["bad_row", "bad_weight", "non_positive_weight"])
+        ("0 1 0.5\n1 2 -1\n", ["--weighted"], "line 2: non-positive weight -1.0"),
+        ("0 1 0.5\n1 2 x\n0 1 2 3\n", ["--weighted"], "line 2: bad weight 'x'"),
+        ("0\t1\t2\t3\n", [], "line 1: expected 'u v' or 'u v w', got '0\\t1\\t2\\t3'"),
+        ("0 1 0.5\n1 2 nan\n", ["--weighted"], "line 2: non-positive weight nan")],
+        ids=["bad_row", "bad_weight", "non_positive_weight", "bad_weight_before_bad_row",
+             "tab_separated_bad_row", "nan_weight"])
     def test_row_error_names_the_file(self, tmp_path, capsys, rows, flags, message):
         raw = tmp_path / "bad.txt"
         raw.write_text(rows)
@@ -183,10 +187,10 @@ def _stamps(directory):
 
 
 def spread_record(graph, out, runs, master_seed):
-    """The run file ``simulate`` writes for ``graph``'s spread cache in ``out``."""
+    """The run file ``simulate --no-timestamps`` writes for ``graph``'s spread in ``out``."""
     net = storage.read_canonical_network(graph)
     return sealed({"runs": runs, "master_seed": master_seed, "engine": ENGINE,
-                   "graph_sha256": storage.sha256_of(graph),
+                   "graph_sha256": storage.sha256_of(graph), "timestamps": False,
                    "config_hash": simulation_hash(net, runs, master_seed),
                    "sha256": digests(out, f"{graph.stem}.spread.csv")})
 
@@ -464,6 +468,7 @@ class TestCommandCache:
         "simulate-runs": (SIMULATE, SIMULATE[:2] + ("30",) + SIMULATE[3:], None),
         "simulate-seed": (SIMULATE, SIMULATE[:4] + ("10",) + SIMULATE[5:], None),
         "simulate-force": (SIMULATE, SIMULATE + ("--force",), None),
+        "simulate-no_timestamps": (SIMULATE[:-1], SIMULATE, None),
         "simulate-engine_bumped": (SIMULATE, SIMULATE, lambda graph, out, mp: mp.setattr(
             cli, "ENGINE", ENGINE + "-next")),
         "simulate-output_edited": (SIMULATE, SIMULATE,
@@ -795,7 +800,8 @@ class TestConfigProvenance:
 
     @pytest.mark.parametrize("argv, run_file, expected, hashed", [
         (["simulate", "--runs", "30", "--seed", "4", "--quiet"], "toy.spread.run.json",
-         {"runs": 30, "master_seed": 4, "engine": ENGINE}, ["toy.spread.csv"]),
+         {"runs": 30, "master_seed": 4, "engine": ENGINE, "timestamps": False},
+         ["toy.spread.csv"]),
         (["centrality", "--measure", "c_os", "--radius", "2"], "toy.c_os.run.json",
          {"format": MEASURES, "measure": "c_os", "katz_alpha": None, "gravity_radius": 2,
           "timestamps": False}, ["toy.c_os.csv"]),

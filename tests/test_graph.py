@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from spreadrank.errors import ParseError, ValidationError
-from spreadrank.graph import (Network, ViewKind, WeightMode, apply_wcs,
-                              load_edge_list, orient_undirected, view)
-from spreadrank.storage import read_canonical_network, write_edge_list
+from spreadrank.graph import Network, ViewKind, WeightMode, apply_wcs, orient_undirected, view
+from spreadrank.storage import load_edge_list, read_canonical_network, write_edge_list
 
 
 def write(tmp_path, text):

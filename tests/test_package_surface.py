@@ -1,6 +1,7 @@
 """The package holds no code, and no parameter default, that only the tests use.
 
-It also imports nothing at run time but numpy and the standard library.
+It also imports nothing at run time but numpy and the standard library,
+and every name a module imports at module level is used in that module.
 
 Every top-level function and class of ``src/spreadrank``, private helpers
 included, and every public method must be referenced, by name or as an
@@ -172,3 +173,23 @@ def _imported_modules() -> set[str]:
 def test_imports_only_numpy_and_the_standard_library():
     allowed = set(sys.stdlib_module_names) | RUNTIME_DEPENDENCIES | {PACKAGE.name}
     assert _imported_modules() - allowed == set()
+
+
+def _unused_imports() -> set[str]:
+    """``module.name`` of each name imported at module level that its module never reads."""
+    unused = set()
+    for module, tree in _modules():
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = {(a.asname or a.name).split(".")[0] for a in node.names}
+                unused.update(f"{module}.{name}" for name in bound - read)
+    return unused
+
+
+def test_every_module_level_import_is_used():
+    assert _unused_imports() == set()
+    assert not [path.name for path in PACKAGE.glob("*.py")
+                if "noqa: F401" in path.read_text(encoding="utf-8")]
