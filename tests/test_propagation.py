@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -133,6 +134,30 @@ class TestAgainstPerRunOracle:
         self.agree(5, [(0, 1, 0.5), (1, 2, 0.7), (2, 0, 0.2), (1, 3, 0.4), (3, 4, 0.9)],
                    1, runs, master_seed=99)
 
+    @pytest.mark.parametrize("runs", [propagation._CHUNK - 1, propagation._CHUNK + 1,
+                                      BLOCK + propagation._CHUNK + 3])
+    def test_runs_at_chunk_edges(self, runs):
+        # each count ends in a partial byte of rows; the sure edge (1.0) and
+        # the all but dead one (1e-9) fill whole columns with ones and zeros
+        sizes = self.agree(5, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1e-9), (3, 4, 1.0),
+                               (2, 0, 0.4), (1, 4, 0.3)], 0, runs, master_seed=31)
+        assert sizes.min() == 2
+
+    def test_ranks_sliced_and_grouped_past_a_byte_of_nodes(self):
+        # every node but 0 has an in-edge from 0 and all from 2 on one from
+        # their predecessor: ranks 0 and 1 span hundreds of rows; node 1's
+        # hundred in-edges are grouped; seed 0 reaches all 300 nodes, more
+        # than one uint64 byte lane counts
+        n = 300
+        edges = ([(0, v, 1.0) for v in range(1, n)] + [(v, v + 1, 0.3) for v in range(1, n - 1)]
+                 + [(v, 1, 0.5) for v in range(3, n, 3)])
+        assert self.agree(n, edges, 0, 70).tolist() == [n] * 70
+        self.agree(n, edges, 5, 70)
+
+    def test_chunk_is_whole_words_of_a_block(self):
+        assert propagation._CHUNK % 64 == 0
+        assert BLOCK % propagation._CHUNK == 0
+
 
 class TestExactSpread:
     """Hand-checked values and a monotonicity property of the enumeration oracle."""
@@ -235,11 +260,20 @@ class TestSeedBatches:
         if runs > 2048:
             assert sizes == [1] * node_count
 
+    def test_network_tables_built_once_per_call(self, monkeypatch):
+        built = []
+        layout = propagation._Layout
+        monkeypatch.setattr(propagation, "_Layout", lambda net: built.append(net) or layout(net))
+        net = ring_with_chords(30)
+        assert len(propagation._batches(net.node_count, 4160, propagation._usable_cpus())) > 1
+        spread_all(net, cfg(runs=4160))
+        assert built == [net]
+
     @pytest.mark.parametrize("runs", [2, 63, 64, 65, 100, 130, 1000])
     def test_batch_counts_equal_single_seed_counts(self, runs):
         net = NETWORKS["synth_forum"]
         seeds = range(3, 3 + 64 // -(-runs // 64))
-        batch = propagation._batch_sizes(net, seeds, runs, 77)
+        batch = propagation._batch_sizes(propagation._Layout(net), seeds, runs, 77)
         assert batch.shape == (len(seeds), runs)
         for row, u in zip(batch, seeds):
             assert np.array_equal(row, cascade_sizes(net, u, runs, 77))
@@ -344,3 +378,28 @@ class TestConcurrentSeeds:
         net = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 1.5)])
         with pytest.raises(ValidationError, match="probabilities"):
             spread_all(net, cfg(runs=100))
+
+
+class TestMemory:
+    """A batch's buffers are sized by the chunk and the batch, not by edges x runs."""
+
+    def test_traced_peak_within_the_buffers(self, monkeypatch):
+        workers, runs = 2, 4160
+        net = NETWORKS["synth_forum"]
+        monkeypatch.setattr(propagation, "_usable_cpus", lambda: workers)
+        config = cfg(runs=runs, seed=3)
+        spread_all(net, config)  # one-off allocations of a first call
+        tracemalloc.start()
+        try:
+            spread_all(net, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m, n, words = net.edge_count, net.node_count, -(-runs // 64)
+        # drawing: the float64 draws, their booleans and packed bytes, next to
+        # the batch's live words; reaching: the live words in edge and reach
+        # order, the fired words, the frontier, idle and grouped-target words,
+        # the unpacked bits and the counts
+        drawing = propagation._CHUNK * m * (8 + 1 + 1 / 8) + 8 * m * words
+        reaching = 24 * m * words + 24 * n * words + 64 * n * words + 512 * words
+        assert peak <= 1.25 * workers * max(drawing, reaching)
