@@ -7,18 +7,17 @@ unreadable file among them), 4 convergence failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, graph_fingerprint, simulation_hash
+from .config import RunConfig, simulation_hash
 from .errors import ConvergenceError, DataError, ParameterError, SpreadrankError
 from .graph import apply_wcs, orient_undirected
 from .measures import MEASURES, MeasureContext, measure_ids
 from .propagation import ENGINE, spread_all
-from .ranking import aggregate, evaluate_measures
+from .ranking import AGGREGATE, aggregate, evaluate_measures
 from . import storage
 from .storage import INGEST, load_edge_list
 
@@ -90,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="estimate expected spread per seed node")
     p_sim.add_argument("graph", type=Path, help="canonical edge list from ingest")
-    p_sim.add_argument("--force", action="store_true", help="ignore an existing cache")
     p_sim.add_argument("--quiet", action="store_true", help="suppress progress output")
     _add_common(p_sim)
     _add_config(p_sim, "runs", "master_seed")
@@ -159,9 +157,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if not args.keep_weights:
         net = apply_wcs(net)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    storage.write_edge_list(net, graph_path,
-                            comments={"dataset": name,
-                                      "graph_fingerprint": graph_fingerprint(net)},
+    storage.write_edge_list(net, graph_path, comments={"dataset": name},
                             timestamps=not args.no_timestamps)
     storage.write_id_map(net, outputs[1])
     record = {**key, "nodes": net.node_count, "edges": net.edge_count,
@@ -177,19 +173,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg, read = _config_from_args(args)
     cache_path = args.out_dir / f"{args.graph.stem}.spread.csv"
     run_file = storage.run_path(cache_path)
+    graph_sha256 = storage.sha256_of(args.graph)
+    config_hash = simulation_hash(graph_sha256, cfg.runs, cfg.master_seed)
     # everything the spread file's bytes depend on
-    key = {**cfg.fields(read), "engine": ENGINE, "graph_sha256": storage.sha256_of(args.graph),
-           "timestamps": not args.no_timestamps}
-    if not args.force:
-        record = storage.current_run(run_file, key, [cache_path])
-        if record is not None and "config_hash" in record:
-            print(f"cache hit: {cache_path} (config_hash={record['config_hash']})")
-            return 0
-        if cache_path.is_file():
-            print(f"cache mismatch, recomputing: {cache_path}", file=sys.stderr)
+    key = {**cfg.fields(read), "engine": ENGINE, "graph_sha256": graph_sha256,
+           "config_hash": config_hash, "timestamps": not args.no_timestamps}
+    if storage.current_run(run_file, key, [cache_path]) is not None:
+        print(f"cache hit: {cache_path} (config_hash={config_hash})")
+        return 0
     net = storage.read_canonical_network(args.graph)
+    if cache_path.is_file():
+        print(f"cache mismatch, recomputing: {cache_path}", file=sys.stderr)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    config_hash = simulation_hash(net, cfg.runs, cfg.master_seed)
 
     def progress(done: int, total: int) -> None:
         step = max(1, total // 100)
@@ -198,7 +193,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     spread = spread_all(net, cfg, progress=None if args.quiet else progress)
     storage.write_spread(spread, cache_path, config_hash, timestamps=not args.no_timestamps)
-    storage.write_run(run_file, {**key, "config_hash": config_hash}, [cache_path])
+    storage.write_run(run_file, key, [cache_path])
     print(f"wrote {cache_path} (config_hash={config_hash})")
     return 0
 
@@ -215,11 +210,22 @@ def cmd_centrality(args: argparse.Namespace) -> int:
         net = storage.read_canonical_network(args.graph)
         scores = MeasureContext(net, cfg).get(args.measure)
         args.out_dir.mkdir(parents=True, exist_ok=True)
-        storage.write_scores(scores, out_path, graph_fingerprint(net),
-                             timestamps=not args.no_timestamps)
+        storage.write_scores(scores, out_path, timestamps=not args.no_timestamps)
         storage.write_run(run_file, key, [out_path])
     print(f"wrote {out_path}")
     return 0
+
+
+def _check_unedited(path: Path, command: str) -> None:
+    """Reject ``path`` if a run file beside it does not record the SHA-256 it has now.
+
+    Called after the parse, so a damaged file gets the parser's message;
+    a file with no run file is taken as it is.
+    """
+    run_file = storage.run_path(path)
+    if run_file.exists() and storage.current_run(run_file, {}, [path]) is None:
+        raise DataError(f"{path} does not match its run file {run_file}: "
+                        f"edited after {command} wrote it; run {command} again")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -227,18 +233,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if "," in dataset:
         raise ParameterError(f"dataset name {dataset!r} contains a comma, "
                              "which would split its report rows")
+    if dataset == AGGREGATE:
+        raise ParameterError(f"dataset name {dataset!r} is reserved for report's aggregate rows")
     cfg, read = _config_from_args(args)  # a bad setting fails before any input is read
     net = storage.read_canonical_network(args.graph)
     spread, stored_hash = storage.read_spread(args.spread, net.node_count)
-    # checked after the parse, so a damaged file gets the parser's message
-    spread_run = storage.run_path(args.spread)
-    if spread_run.exists() and storage.current_run(spread_run, {}, [args.spread]) is None:
-        raise DataError(f"spread file {args.spread} does not match its run file {spread_run}: "
-                        "edited after simulate wrote it; run simulate again")
-    # provenance records the simulation knobs the spread file was built with
-    cfg = dataclasses.replace(cfg, runs=spread.runs, master_seed=spread.master_seed)
-    read += ("runs", "master_seed")
-    expected_hash = simulation_hash(net, spread.runs, spread.master_seed)
+    _check_unedited(args.spread, "simulate")
+    graph_sha256 = storage.sha256_of(args.graph)
+    expected_hash = simulation_hash(graph_sha256, spread.runs, spread.master_seed)
     if stored_hash and stored_hash != expected_hash:
         raise DataError(f"spread cache {args.spread} does not match graph {args.graph} "
                         f"(hash {stored_hash} != {expected_hash})")
@@ -251,13 +253,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_path = args.out_dir / f"{dataset}.evaluation.csv"
     storage.write_evaluation(report, out_path, expected_hash,
                              timestamps=not args.no_timestamps)
-    storage.write_run(storage.run_path(out_path), cfg.fields(read))
+    # what the evaluation file was computed from
+    key = {"graph_sha256": graph_sha256, "spread_sha256": storage.sha256_of(args.spread),
+           "dataset": dataset, **cfg.fields(read), "timestamps": not args.no_timestamps}
+    storage.write_run(storage.run_path(out_path), key, [out_path])
     print(f"wrote {out_path}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     reports = [storage.read_evaluation(path)[0] for path in args.evaluations]
+    for path in args.evaluations:
+        _check_unedited(path, "evaluate")
     if len(args.evaluations) != len({r.dataset for r in reports}):
         raise DataError("duplicate dataset names across evaluation files")
     combined = aggregate(reports)

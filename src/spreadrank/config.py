@@ -6,11 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from . import propagation
 from .errors import ParameterError
-from .graph import Network
 
 DEFAULT_MEASURES = (
     "c_od", "c_os", "c_b_uu", "c_b_uw", "c_c_du", "c_c_dw", "c_c_dw_mod",
@@ -52,22 +49,7 @@ class RunConfig:
         return {name: getattr(self, name) for name in names}
 
 
-def graph_fingerprint(net: Network) -> str:
-    """Content hash of the edge set: node count, ids, order and weights."""
-    digest = hashlib.sha256()
-    # every network is directed; the text stays so that fingerprints, spread
-    # cache keys and the caches already written keep their values
-    digest.update(f"n={net.node_count};directed=True;".encode())
-    digest.update(np.ascontiguousarray(net.src).tobytes())
-    digest.update(np.ascontiguousarray(net.dst).tobytes())
-    digest.update(np.ascontiguousarray(net.weight).tobytes())
-    return digest.hexdigest()[:16]
-
-
-def simulation_hash(net: Network, runs: int, master_seed: int) -> str:
-    """A spread file's config hash: graph content, the two knobs that matter, the engine."""
-    digest = hashlib.sha256()
-    digest.update(graph_fingerprint(net).encode())
-    digest.update(f";runs={runs};master_seed={master_seed}".encode())
-    digest.update(f";engine={propagation.ENGINE}".encode())
-    return digest.hexdigest()[:16]
+def simulation_hash(graph_sha256: str, runs: int, master_seed: int) -> str:
+    """A spread file's config hash: the canonical graph file's SHA-256, runs, seed, engine."""
+    text = f"graph_sha256={graph_sha256};runs={runs};master_seed={master_seed}"
+    return hashlib.sha256(f"{text};engine={propagation.ENGINE}".encode()).hexdigest()[:16]

@@ -23,6 +23,7 @@ from .scores import ScoreVector
 
 EPSILON_AGG_MIN_NODES = 100  # datasets below this are excluded from error aggregation
 RANK_DECIMALS = 12
+AGGREGATE = "__geomean__"  # the dataset name of the aggregate's rows; no dataset may take it
 
 
 def _pairs(counts: np.ndarray) -> int:
@@ -210,4 +211,4 @@ def aggregate(reports: list[EvaluationReport]) -> EvaluationReport:
             epsilon=None, epsilon_norm=_geometric_mean(epsilons),
             monotonicity=_geometric_mean(monos))
     total_nodes = sum(r.node_count for r in reports)
-    return EvaluationReport("__geomean__", total_nodes, 0.0, combined)
+    return EvaluationReport(AGGREGATE, total_nodes, 0.0, combined)

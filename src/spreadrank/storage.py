@@ -7,13 +7,14 @@ leading UTF-8 byte-order mark.  :func:`load_edge_list` reads it in one
 pass of its own: its rows are ragged and carry string labels, which the
 table reader below does not read.
 
-Every artifact embeds the config hash it was produced under as a comment
-line, so downstream commands can refuse mixed inputs.  Timestamp comments
-are optional to allow byte-identical reruns.  A run file records what a
-command read and, for a cached output, the SHA-256 of the output's bytes
-and of the record itself: :func:`current_run` takes the outputs as
-current only while the run file is unedited, holds the same key, and
-every output still hashes to its recorded digest.
+A spread file and an evaluation file embed, as a comment line, the config
+hash of the simulation they come from, so that a spread file simulated on
+another graph is refused.  Timestamp comments are optional to allow
+byte-identical reruns.  A run file records what a command read, the
+SHA-256 of each output's bytes and that of the record itself:
+:func:`current_run` takes the outputs as current only while the run file
+is unedited, holds the same key, and every output still hashes to its
+recorded digest.
 
 Every file is written to a temporary sibling and renamed over its target,
 so a write that fails midway leaves the previous file as it was.  A target
@@ -50,7 +51,7 @@ NA = "NA"
 COMMENT_PREFIXES = ("#", "%")
 # ingest's output format: bump whenever the bytes ingest writes for an input could change,
 # so that no earlier ingest's outputs are taken as current
-INGEST = "ingest-1"
+INGEST = "ingest-2"
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 _SCORE_ROW = np.dtype([("node", np.int64), ("score", np.float64)])
 _SPREAD_ROW = np.dtype([("node", np.int64), ("expected_spread", np.float64),
@@ -268,17 +269,15 @@ def _seal(record: dict) -> str:
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
-def write_run(path: str | Path, record: dict, outputs: Iterable[Path] = ()) -> None:
-    """``record`` as JSON in the run file at ``path``.
+def write_run(path: str | Path, record: dict, outputs: Iterable[Path]) -> None:
+    """``record`` as JSON in the run file at ``path``, sealed.
 
     Each of ``outputs``, written before, gets the SHA-256 of its bytes
     under ``sha256``, keyed by file name, and the record then gets the
     SHA-256 of its own fields under ``record_sha256``.
     """
-    outputs = list(outputs)
-    if outputs:
-        record = {**record, "sha256": {p.name: sha256_of(p) for p in outputs}}
-        record["record_sha256"] = _seal(record)
+    record = {**record, "sha256": {p.name: sha256_of(p) for p in outputs}}
+    record["record_sha256"] = _seal(record)
     _write_text(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
@@ -306,19 +305,16 @@ def current_run(path: str | Path, key: dict, outputs: Iterable[Path]) -> dict | 
     return record
 
 
-def write_scores(scores: ScoreVector, path: str | Path, config_hash: str,
-                 timestamps: bool = True) -> None:
-    _write_table(path, {"measure": scores.measure, "config_hash": config_hash},
-                 _header(_SCORE_ROW),
+def write_scores(scores: ScoreVector, path: str | Path, timestamps: bool = True) -> None:
+    _write_table(path, {"measure": scores.measure}, _header(_SCORE_ROW),
                  (f"{node},{_fmt(value)}" for node, value in enumerate(scores.values.tolist())),
                  timestamps)
 
 
-def read_scores(path: str | Path) -> tuple[ScoreVector, str]:
+def read_scores(path: str | Path) -> ScoreVector:
     comments, rows = _read_table(path, _SCORE_ROW)
     _check_node_ids(path, rows)
-    measure = comments.get("measure", Path(path).stem)
-    return ScoreVector(measure, rows["score"]), comments.get("config_hash", "")
+    return ScoreVector(comments.get("measure", Path(path).stem), rows["score"])
 
 
 def write_spread(spread: SpreadEstimate, path: str | Path, config_hash: str,

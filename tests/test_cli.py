@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from spreadrank.cli import main
 from spreadrank.config import RunConfig, simulation_hash
 from spreadrank.measures import MEASURES, MeasureContext, measure_ids
 from spreadrank.propagation import ENGINE
+from spreadrank.ranking import AGGREGATE
 from spreadrank.storage import INGEST
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -188,10 +191,10 @@ def _stamps(directory):
 
 def spread_record(graph, out, runs, master_seed):
     """The run file ``simulate --no-timestamps`` writes for ``graph``'s spread in ``out``."""
-    net = storage.read_canonical_network(graph)
+    graph_sha256 = storage.sha256_of(graph)
     return sealed({"runs": runs, "master_seed": master_seed, "engine": ENGINE,
-                   "graph_sha256": storage.sha256_of(graph), "timestamps": False,
-                   "config_hash": simulation_hash(net, runs, master_seed),
+                   "graph_sha256": graph_sha256, "timestamps": False,
+                   "config_hash": simulation_hash(graph_sha256, runs, master_seed),
                    "sha256": digests(out, f"{graph.stem}.spread.csv")})
 
 
@@ -389,7 +392,7 @@ class TestCentrality:
         code, out, _ = run(capsys, "centrality", ingested, "--measure", "c_os",
                            "--out-dir", tmp_path, "--no-timestamps")
         assert code == 0
-        scores, _ = storage.read_scores(tmp_path / "toy.c_os.csv")
+        scores = storage.read_scores(tmp_path / "toy.c_os.csv")
         assert scores.measure == "c_os"
         assert scores.values.tolist() == [1.0, 1.0, 0.0]
 
@@ -403,8 +406,18 @@ class TestCentrality:
         code, _, _ = run(capsys, "centrality", ingested, "--measure", "mgc_wk",
                          "--out-dir", tmp_path, "--no-timestamps")
         assert code == 0
-        scores, _ = storage.read_scores(tmp_path / "toy.mgc_wk.csv")
+        scores = storage.read_scores(tmp_path / "toy.mgc_wk.csv")
         assert len(scores) == 3
+
+
+def _fingerprint_config_hash(graph, runs, master_seed):
+    """The config hash ``simulate`` wrote while it hashed the parsed arrays, not the file."""
+    net = storage.read_canonical_network(graph)
+    arrays = hashlib.sha256(f"n={net.node_count};directed=True;".encode())
+    for column in (net.src, net.dst, net.weight):
+        arrays.update(np.ascontiguousarray(column).tobytes())
+    text = f"{arrays.hexdigest()[:16]};runs={runs};master_seed={master_seed};engine={ENGINE}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _older_run_file(run_file, kept, seal):
@@ -467,7 +480,6 @@ class TestCommandCache:
             graph.read_text().replace("1 2 0.5", "1 2 0.25"))),
         "simulate-runs": (SIMULATE, SIMULATE[:2] + ("30",) + SIMULATE[3:], None),
         "simulate-seed": (SIMULATE, SIMULATE[:4] + ("10",) + SIMULATE[5:], None),
-        "simulate-force": (SIMULATE, SIMULATE + ("--force",), None),
         "simulate-no_timestamps": (SIMULATE[:-1], SIMULATE, None),
         "simulate-engine_bumped": (SIMULATE, SIMULATE, lambda graph, out, mp: mp.setattr(
             cli, "ENGINE", ENGINE + "-next")),
@@ -486,6 +498,10 @@ class TestCommandCache:
         "simulate-run_file_resealed_without_config_hash": (
             SIMULATE, SIMULATE, lambda graph, out, mp: _edit_run(
                 out / "toy.spread.run.json", "config_hash", None, reseal=True)),
+        "simulate-run_file_of_an_older_config_hash": (
+            SIMULATE, SIMULATE, lambda graph, out, mp: _edit_run(
+                out / "toy.spread.run.json", "config_hash",
+                _fingerprint_config_hash(graph, 20, 9), reseal=True)),
         "simulate-run_file_of_the_previous_format": (
             SIMULATE, SIMULATE, lambda graph, out, mp: _older_run_file(
                 out / "toy.spread.run.json", ("runs", "master_seed", "sha256"), seal=True)),
@@ -583,11 +599,14 @@ class TestEvaluate:
 
     def test_comma_in_dataset_is_usage_error(self, tmp_path, capsys):
         graph, spread = self._prepare(tmp_path, capsys)
-        code, _, err = run(capsys, "evaluate", graph, spread, "--dataset", "club,2020",
-                           "--measures", "c_os", "--out-dir", tmp_path)
-        assert code == 2
-        assert "comma" in err
-        assert not list(tmp_path.glob("*.evaluation.csv"))
+        # checked before any input is read: the second pair of inputs is missing
+        for name, message in (("club,2020", "comma"), (AGGREGATE, "reserved")):
+            for inputs in ((graph, spread), (tmp_path / "no.edges", tmp_path / "no.csv")):
+                code, _, err = run(capsys, "evaluate", *inputs, "--dataset", name,
+                                   "--measures", "c_os", "--out-dir", tmp_path)
+                assert code == 2
+                assert message in err
+        assert not list(tmp_path.glob("*.evaluation.*"))
 
     def test_spread_edited_after_simulate_is_data_error(self, tmp_path, ingested, capsys):
         common = ("--out-dir", tmp_path, "--no-timestamps")
@@ -624,6 +643,21 @@ class TestEvaluate:
         assert "does not match" in err
 
 
+def _edit_tau(evaluation):
+    """Set the c_os tau of synth_club's evaluation file to 0.99."""
+    lines = evaluation.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("synth_club,c_os,"))
+    cells = lines[row].split(",")
+    assert cells[2] != "0.99"
+    lines[row] = ",".join(cells[:2] + ["0.99"] + cells[3:])
+    evaluation.write_text("\n".join(lines) + "\n")
+
+
+def _unseal(evaluation):
+    """Drop the seal of the evaluation file's run file, as evaluate wrote it before."""
+    _edit_run(storage.run_path(evaluation), "record_sha256", None)
+
+
 class TestReport:
     def test_aggregate_row_and_scatter(self, tmp_path, capsys):
         graph_dir = tmp_path
@@ -647,6 +681,39 @@ class TestReport:
         text = (graph_dir / "report.csv").read_text()
         assert "__geomean__" in text
         assert (graph_dir / "scatter.csv").exists()
+
+    @staticmethod
+    def club_evaluation(tmp_path, capsys):
+        """synth_club's evaluation file, from ingest, simulate and evaluate."""
+        common = ("--out-dir", tmp_path, "--no-timestamps")
+        graph = tmp_path / "synth_club.edges"
+        for argv in (("ingest", DATA / "synth_club.tsv", "--directed"),
+                     ("simulate", graph, "--runs", "100", "--quiet"),
+                     ("evaluate", graph, tmp_path / "synth_club.spread.csv",
+                      "--measures", "c_os,sk3", "--top-k", "3")):
+            code, _, err = run(capsys, *argv, *common)
+            assert code == 0, err
+        return tmp_path / "synth_club.evaluation.csv"
+
+    @pytest.mark.parametrize("damage", [_edit_tau, _unseal],
+                             ids=["tau_edited", "run_file_unsealed"])
+    def test_evaluation_unlike_its_run_file_is_data_error(self, tmp_path, capsys, damage):
+        evaluation = self.club_evaluation(tmp_path, capsys)
+        damage(evaluation)
+        code, out, err = run(capsys, "report", evaluation, "--out-dir", tmp_path,
+                             "--no-timestamps")
+        assert code == 3
+        assert err.startswith("error: ") and out == ""
+        assert str(evaluation) in err and str(storage.run_path(evaluation)) in err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_evaluation_without_run_file_is_read(self, tmp_path, capsys):
+        evaluation = self.club_evaluation(tmp_path, capsys)
+        storage.run_path(evaluation).unlink()
+        code, _, err = run(capsys, "report", evaluation, "--out-dir", tmp_path,
+                           "--no-timestamps")
+        assert code == 0, err
+        assert (tmp_path / "report.csv").exists()
 
     def test_duplicate_dataset_rejected(self, tmp_path, capsys):
         raw = tmp_path / "x.txt"
@@ -693,7 +760,8 @@ class TestDamagedCanonicalGraph:
         text = ingested.read_text()
         assert old in text
         ingested.write_text(text.replace(old, new))
-        rest = {"simulate": ["--runs", "10", "--force", "--quiet"],
+        # an edited graph is a simulate cache miss, so it is parsed
+        rest = {"simulate": ["--runs", "10", "--quiet"],
                 "centrality": ["--measure", "c_os"],
                 "evaluate": [spread]}[command]
         code, out, err = run(capsys, command, ingested, *rest, "--out-dir", tmp_path,
@@ -723,15 +791,13 @@ class TestCachedParser:
     def fresh(*argv):
         return vars(cli.build_parser().parse_args([str(a) for a in argv]))
 
-    def test_force_is_not_carried_over(self, tmp_path, ingested, capsys, parsed):
-        argv = ["simulate", ingested, "--runs", "20", "--out-dir", tmp_path,
-                "--no-timestamps", "--quiet"]
-        code, out, _ = run(capsys, *argv, "--force")
-        assert code == 0 and "wrote" in out
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and "cache hit" in out
-        assert parsed == [self.fresh(*argv, "--force"), self.fresh(*argv)]
-        assert [call["force"] for call in parsed] == [True, False]
+    def test_store_true_flag_is_not_carried_over(self, tmp_path, toy_edges, capsys, parsed):
+        argv = ["ingest", toy_edges, "--out-dir", tmp_path, "--no-timestamps"]
+        assert run(capsys, *argv, "--directed")[0] == 0
+        assert run(capsys, *argv)[0] == 0
+        assert parsed == [self.fresh(*argv, "--directed"), self.fresh(*argv)]
+        assert [call["directed"] for call in parsed] == [True, False]
+        assert json.loads((tmp_path / "toy.ingest.run.json").read_text())["directed"] is False
 
     def test_dataset_is_not_carried_over(self, tmp_path, ingested, capsys, parsed):
         run(capsys, "simulate", ingested, "--runs", "20", "--out-dir", tmp_path,
@@ -807,14 +873,13 @@ class TestConfigProvenance:
           "timestamps": False}, ["toy.c_os.csv"]),
         (["evaluate", "toy.spread.csv", "--top-k", "2", "--measures", "c_os"],
          "toy.evaluation.run.json",
-         {"runs": 20, "master_seed": 9, "top_k": 2, "measures": ["c_os"],
-          "katz_alpha": None, "gravity_radius": 3}, [])],
+         {"dataset": "toy", "top_k": 2, "measures": ["c_os"], "katz_alpha": None,
+          "gravity_radius": 3, "timestamps": False}, ["toy.evaluation.csv"])],
         ids=["simulate", "centrality", "evaluate"])
     def test_config_holds_the_fields_the_command_read(self, tmp_path, ingested, capsys,
                                                       argv, run_file, expected, hashed):
-        # simulate and centrality also record the graph's digest and that of the
-        # output they wrote, simulate the config hash of its spread cache too;
-        # evaluate also records the runs and seed of the spread file it scored
+        # each also records the graph's digest and that of the output it wrote,
+        # simulate the config hash of its spread cache, evaluate the spread's digest
         run(capsys, "simulate", ingested, "--runs", "20", "--seed", "9",
             "--out-dir", tmp_path, "--no-timestamps", "--quiet")
         command, *rest = argv
@@ -822,11 +887,12 @@ class TestConfigProvenance:
         code, _, _ = run(capsys, command, ingested, *rest, "--out-dir", tmp_path,
                          "--no-timestamps")
         assert code == 0
-        if hashed:
-            inputs = {"graph_sha256": storage.sha256_of(ingested)}
-            if command == "simulate":
-                inputs["config_hash"] = storage.read_spread(tmp_path / hashed[0])[1]
-            expected = sealed({**expected, **inputs, "sha256": digests(tmp_path, *hashed)})
+        inputs = {"graph_sha256": storage.sha256_of(ingested)}
+        if command == "simulate":
+            inputs["config_hash"] = storage.read_spread(tmp_path / hashed[0])[1]
+        if command == "evaluate":
+            inputs["spread_sha256"] = storage.sha256_of(tmp_path / "toy.spread.csv")
+        expected = sealed({**expected, **inputs, "sha256": digests(tmp_path, *hashed)})
         assert json.loads((tmp_path / run_file).read_text()) == expected
 
     def test_cached_simulate_writes_its_config(self, tmp_path, ingested, capsys):
@@ -860,9 +926,12 @@ class TestConfigProvenance:
                 "sha256": digests(tmp_path, "toy.edges", "toy.idmap.csv")}),
             "toy.spread.run.json": spread_record(ingested, tmp_path, 20, 9),
             "toy.c_os.run.json": scores_record(ingested, tmp_path, "c_os", gravity_radius=2),
-            "toy.evaluation.run.json": {"runs": 20, "master_seed": 9, "top_k": 2,
-                                        "measures": ["c_os"], "katz_alpha": None,
-                                        "gravity_radius": 3}}
+            "toy.evaluation.run.json": sealed({
+                "graph_sha256": storage.sha256_of(ingested),
+                "spread_sha256": digests(tmp_path, "toy.spread.csv")["toy.spread.csv"],
+                "dataset": "toy", "top_k": 2, "measures": ["c_os"], "katz_alpha": None,
+                "gravity_radius": 3, "timestamps": False,
+                "sha256": digests(tmp_path, "toy.evaluation.csv")})}
         assert not (tmp_path / "config.json").exists()
 
 
@@ -885,6 +954,35 @@ def test_warm_rerun_leaves_every_output_untouched(tmp_path, toy_edges, capsys):
     first = run_pipeline()
     assert run_pipeline() == first
     assert not [*out.glob(".*.tmp")]
+    # every run file is sealed and its outputs hash to what it records
+    run_files = sorted(out.glob("*.run.json"))
+    assert len(run_files) == 4
+    for run_file in run_files:
+        outputs = [out / name for name in json.loads(run_file.read_text())["sha256"]]
+        assert outputs and storage.current_run(run_file, {}, outputs) is not None
+
+
+def _readme_options():
+    """Command -> the arguments and options README's table lists for it."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| command | arguments and options |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        command, cells = line.strip("|").split("|")
+        table[command.strip().strip("`")] = set(re.findall(r"`([^`]+)`", cells))
+    return table
+
+
+def test_readme_options_table_matches_the_parser():
+    subcommands = next(action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    common = {"--out-dir", "--no-timestamps", "-h", "--help"}
+    parsed = {command: {name for action in parser._actions
+                        for name in action.option_strings or [action.dest]} - common
+              for command, parser in subcommands.items()}
+    assert _readme_options() == parsed
 
 
 class TestExitCodes:

@@ -2,14 +2,13 @@ import builtins
 import dataclasses
 import errno
 import io
-import json
 import os
 import re
 
 import numpy as np
 import pytest
 
-from spreadrank.config import RunConfig, graph_fingerprint, simulation_hash
+from spreadrank.config import RunConfig, simulation_hash
 from spreadrank.errors import DataError, ParseError
 from spreadrank.graph import Network
 from spreadrank.propagation import SpreadEstimate
@@ -39,7 +38,8 @@ def test_node_count_survives_nodes_without_edges(tmp_path):
         assert f"\n# nodes={net.node_count}\n" in path.read_text()
         back = storage.read_canonical_network(path)
         assert back.node_count == net.node_count
-        assert graph_fingerprint(back) == graph_fingerprint(net)
+        assert [back.src.tolist(), back.dst.tolist(), back.weight.tolist()] == \
+            [net.src.tolist(), net.dst.tolist(), net.weight.tolist()]
 
 
 def test_canonical_file_without_node_count_counts_to_the_largest_id(tmp_path):
@@ -72,9 +72,9 @@ def test_id_map_uses_lf_line_endings(tmp_path):
 def test_scores_roundtrip(tmp_path):
     scores = ScoreVector("c_os", np.array([0.5, 1.25, 0.0]))
     path = tmp_path / "scores.csv"
-    storage.write_scores(scores, path, config_hash="abc123", timestamps=False)
-    back, stored_hash = storage.read_scores(path)
-    assert stored_hash == "abc123"
+    storage.write_scores(scores, path, timestamps=False)
+    assert path.read_text().splitlines()[:2] == ["# measure=c_os", "node,score"]
+    back = storage.read_scores(path)
     assert back.measure == "c_os"
     np.testing.assert_array_equal(back.values, scores.values)
 
@@ -127,23 +127,27 @@ def test_timestamps_toggle(net, tmp_path):
     assert "generated=" not in b.read_text()
 
 
-def test_fingerprint_sensitivity(net, monkeypatch):
-    other = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.25), (2, 0, 0.9)])
-    assert graph_fingerprint(net) != graph_fingerprint(other)
-    assert simulation_hash(net, 100, 1) != simulation_hash(net, 100, 2)
-    assert simulation_hash(net, 100, 1) != simulation_hash(net, 200, 1)
-    assert simulation_hash(net, 100, 1) == simulation_hash(net, 100, 1)
-    before = simulation_hash(net, 100, 1)
+def test_simulation_hash_sensitivity(monkeypatch):
+    graph, other = "ab" * 32, "ab" * 31 + "ac"
+    before = simulation_hash(graph, 100, 1)
+    assert before == simulation_hash(graph, 100, 1)
+    assert len(before) == 16
+    assert before != simulation_hash(other, 100, 1)
+    assert before != simulation_hash(graph, 100, 2)
+    assert before != simulation_hash(graph, 200, 1)
     monkeypatch.setattr(propagation, "ENGINE", propagation.ENGINE + "-next")
-    assert simulation_hash(net, 100, 1) != before
+    assert simulation_hash(graph, 100, 1) != before
 
 
 def test_config_json_roundtrip(tmp_path):
-    # a run file of every field, as evaluate writes, rebuilds the run's configuration
+    # a sealed run file of every field rebuilds the run's configuration
     cfg = RunConfig(runs=500, master_seed=9, measures=("c_os", "sk3"))
-    storage.write_run(storage.run_path(tmp_path / "d.evaluation.csv"),
-                      cfg.fields(f.name for f in dataclasses.fields(RunConfig)))
-    payload = json.loads((tmp_path / "d.evaluation.run.json").read_text())
+    output = tmp_path / "d.evaluation.csv"
+    output.write_text("x\n")
+    storage.write_run(storage.run_path(output),
+                      cfg.fields(f.name for f in dataclasses.fields(RunConfig)), [output])
+    payload = storage.current_run(tmp_path / "d.evaluation.run.json", {}, [output])
+    assert payload.pop("sha256") == {output.name: storage.sha256_of(output)}
     assert RunConfig(**{**payload, "measures": tuple(payload["measures"])}) == cfg
 
 
@@ -165,8 +169,8 @@ def test_current_run_key_survives_json(tmp_path):
 def test_scores_format_each_value_as_its_own_repr(tmp_path):
     values = [-0.0, 0.0, 1 / 3, 1 / 3, -0.0, 2.5, 0.0, 5e-324, 1 / 3, 1e300]
     path = tmp_path / "s.csv"
-    storage.write_scores(ScoreVector("m", np.array(values)), path, "h", timestamps=False)
-    assert path.read_text().splitlines()[3:] == \
+    storage.write_scores(ScoreVector("m", np.array(values)), path, timestamps=False)
+    assert path.read_text().splitlines()[2:] == \
         [f"{node},{value!r}" for node, value in enumerate(values)]
 
 
@@ -199,7 +203,7 @@ def test_damaged_spread_is_parse_error(tmp_path, old, new):
 
 def _scores_file(tmp_path):
     path = tmp_path / "scores.csv"
-    storage.write_scores(ScoreVector("c_os", np.array([0.5, 1.25, 0.0])), path, "h1",
+    storage.write_scores(ScoreVector("c_os", np.array([0.5, 1.25, 0.0])), path,
                          timestamps=False)
     return path
 
@@ -223,7 +227,7 @@ _TABLES = {"scores": (_scores_file, storage.read_scores),
 
 def _plain(table):
     """A reader's result as comparable Python values."""
-    content, stored_hash = table
+    content, stored_hash = table if isinstance(table, tuple) else (table, None)
     return stored_hash, {key: value.tolist() if isinstance(value, np.ndarray) else value
                          for key, value in vars(content).items()}
 
@@ -252,7 +256,7 @@ def test_table_without_rows(tmp_path, kind, body):
         with pytest.raises(DataError, match="holds no rows"):
             read(path)
     else:
-        content, _ = read(path)
+        content = read(path)[0] if kind == "evaluation" else read(path)
         assert len(content.values if kind == "scores" else content.metrics) == 0
 
 
@@ -278,8 +282,7 @@ def test_spread_row_count_checked_against_graph(tmp_path):
 
 def test_non_numeric_score_and_metric_are_parse_errors(tmp_path):
     scores = tmp_path / "scores.csv"
-    storage.write_scores(ScoreVector("c_os", np.array([0.5, 1.25])), scores, "h",
-                         timestamps=False)
+    storage.write_scores(ScoreVector("c_os", np.array([0.5, 1.25])), scores, timestamps=False)
     scores.write_text(scores.read_text().replace("1.25", "1.2.5"))
     with pytest.raises(ParseError, match=re.escape(str(scores))):
         storage.read_scores(scores)
