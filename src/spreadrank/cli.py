@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, simulation_hash
+from .config import RunConfig
 from .errors import ConvergenceError, DataError, ParameterError, SpreadrankError
 from .graph import apply_wcs, orient_undirected
 from .measures import MEASURES, MeasureContext, measure_ids
@@ -174,7 +174,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cache_path = args.out_dir / f"{args.graph.stem}.spread.csv"
     run_file = storage.run_path(cache_path)
     graph_sha256 = storage.sha256_of(args.graph)
-    config_hash = simulation_hash(graph_sha256, cfg.runs, cfg.master_seed)
+    config_hash = storage.simulation_hash(graph_sha256, cfg.runs, cfg.master_seed)
     # everything the spread file's bytes depend on
     key = {**cfg.fields(read), "engine": ENGINE, "graph_sha256": graph_sha256,
            "config_hash": config_hash, "timestamps": not args.no_timestamps}
@@ -240,8 +240,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     spread, stored_hash = storage.read_spread(args.spread, net.node_count)
     _check_unedited(args.spread, "simulate")
     graph_sha256 = storage.sha256_of(args.graph)
-    expected_hash = simulation_hash(graph_sha256, spread.runs, spread.master_seed)
-    if stored_hash and stored_hash != expected_hash:
+    expected_hash = storage.simulation_hash(graph_sha256, spread.runs, spread.master_seed)
+    if stored_hash != expected_hash:
         raise DataError(f"spread cache {args.spread} does not match graph {args.graph} "
                         f"(hash {stored_hash} != {expected_hash})")
     ctx = MeasureContext(net, cfg)
@@ -251,8 +251,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                                spread, cfg.top_k)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = args.out_dir / f"{dataset}.evaluation.csv"
-    storage.write_evaluation(report, out_path, expected_hash,
-                             timestamps=not args.no_timestamps)
+    storage.write_evaluation(report, out_path, timestamps=not args.no_timestamps)
     # what the evaluation file was computed from
     key = {"graph_sha256": graph_sha256, "spread_sha256": storage.sha256_of(args.spread),
            "dataset": dataset, **cfg.fields(read), "timestamps": not args.no_timestamps}
@@ -262,7 +261,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    reports = [storage.read_evaluation(path)[0] for path in args.evaluations]
+    reports = [storage.read_evaluation(path) for path in args.evaluations]
     for path in args.evaluations:
         _check_unedited(path, "evaluate")
     if len(args.evaluations) != len({r.dataset for r in reports}):

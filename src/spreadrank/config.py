@@ -1,12 +1,10 @@
 """Run configuration shared by simulation, measures, and evaluation."""
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import propagation
 from .errors import ParameterError
 
 DEFAULT_MEASURES = (
@@ -47,9 +45,3 @@ class RunConfig:
     def fields(self, names: Iterable[str]) -> dict:
         """The fields ``names``: what a command read, for provenance."""
         return {name: getattr(self, name) for name in names}
-
-
-def simulation_hash(graph_sha256: str, runs: int, master_seed: int) -> str:
-    """A spread file's config hash: the canonical graph file's SHA-256, runs, seed, engine."""
-    text = f"graph_sha256={graph_sha256};runs={runs};master_seed={master_seed}"
-    return hashlib.sha256(f"{text};engine={propagation.ENGINE}".encode()).hexdigest()[:16]

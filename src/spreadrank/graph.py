@@ -129,6 +129,12 @@ def dedup_keep_first(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
     return src[first], dst[first], weight[first], dropped
 
 
+def _low_to_high(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Each edge as (smaller id, larger id, weight), a reciprocal pair kept at its first edge."""
+    return dedup_keep_first(np.minimum(net.src, net.dst), np.maximum(net.src, net.dst),
+                            net.weight, net.node_count)
+
+
 def orient_undirected(net: Network) -> Network:
     """Make an undirected edge set directed: each edge points from the smaller to the larger id.
 
@@ -137,9 +143,7 @@ def orient_undirected(net: Network) -> Network:
     onto the first occurrence.  The operation is idempotent; an already
     oriented network passes through unchanged.
     """
-    src = np.minimum(net.src, net.dst)
-    dst = np.maximum(net.src, net.dst)
-    src, dst, weight, dup = dedup_keep_first(src, dst, net.weight, net.node_count)
+    src, dst, weight, dup = _low_to_high(net)
     return Network(net.node_count, src, dst, weight, labels=net.labels,
                    self_loops_dropped=net.self_loops_dropped,
                    duplicates_dropped=net.duplicates_dropped + dup)
@@ -169,14 +173,11 @@ class GraphView:
 
     def __post_init__(self):
         net = self.base
-        n = net.node_count
         if self.kind in (ViewKind.DU, ViewKind.DW):
             src, dst = net.src, net.dst
             w = net.weight if self.kind is ViewKind.DW else np.ones(net.edge_count)
         else:
-            lo = np.minimum(net.src, net.dst)
-            hi = np.maximum(net.src, net.dst)
-            lo, hi, kept_w, _ = dedup_keep_first(lo, hi, net.weight, n)
+            lo, hi, kept_w, _ = _low_to_high(net)
             if self.kind is ViewKind.UU:
                 kept_w = np.ones(lo.size)
             src = np.concatenate([lo, hi])

@@ -7,10 +7,10 @@ leading UTF-8 byte-order mark.  :func:`load_edge_list` reads it in one
 pass of its own: its rows are ragged and carry string labels, which the
 table reader below does not read.
 
-A spread file and an evaluation file embed, as a comment line, the config
-hash of the simulation they come from, so that a spread file simulated on
-another graph is refused.  Timestamp comments are optional to allow
-byte-identical reruns.  A run file records what a command read, the
+A spread file embeds, as a comment line, the config hash of the
+simulation it comes from (:func:`simulation_hash`), so that a spread file
+simulated on another graph is refused.  Timestamp comments are optional
+to allow byte-identical reruns.  A run file records what a command read, the
 SHA-256 of each output's bytes and that of the record itself:
 :func:`current_run` takes the outputs as current only while the run file
 is unedited, holds the same key, and every output still hashes to its
@@ -21,11 +21,12 @@ so a write that fails midway leaves the previous file as it was.  A target
 that already holds exactly the bytes to be written is left untouched (no
 temporary file, no rename, same inode and mtime), so a warm rerun
 without timestamps writes nothing.  Each table format is a row dtype whose
-field names are the CSV's header; one reader, :func:`_read_table`, parses
-every table with ``np.loadtxt`` against its dtype.  The readers raise
-:class:`ParseError` (or :class:`DataError` for a table that parses but
-does not fit) instead of passing a damaged file on.  A canonical graph is
-read back with the ids it was written with; it is never repaired.
+field names are the CSV's header, and the ``# key=`` lines it requires;
+one reader, :func:`_read_table`, takes exactly what :func:`_write_table`
+writes.  The readers raise :class:`ParseError` (or :class:`DataError` for
+a table that parses but does not fit) instead of passing a damaged file
+on, and fill in no missing value.  A canonical graph is read back with the
+ids it was written with; it is never repaired.
 """
 from __future__ import annotations
 
@@ -42,8 +43,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError, ParseError, ValidationError
+from . import propagation
 from .graph import Network, dedup_keep_first
-from .propagation import SpreadEstimate
 from .ranking import EvaluationReport, MeasureMetrics
 from .scores import ScoreVector
 
@@ -123,15 +124,15 @@ def _parsing(path: str | Path):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _read_table(path: str | Path, row: np.dtype,
+def _read_table(path: str | Path, row: np.dtype, keys: tuple[str, ...],
                 header: bool = True) -> tuple[dict[str, str], np.ndarray]:
-    """Leading ``# key=value`` comments and the table's rows as ``row`` records.
+    """The leading ``# key=value`` lines, which must hold ``keys``, and the ``row`` records.
 
-    With ``header``, the first line that is neither blank nor a comment must
-    be the header and the cells under it are comma-separated; without, every
-    such line is a row of whitespace-separated cells.  Blank lines and later
-    comment lines are skipped.  Every row must have one cell per field of
-    ``row``, each parsing as that field's type.
+    With ``header``, the header line follows the key lines, at least one row
+    follows it, and cells are comma-separated; without, rows follow the key
+    lines and cells are whitespace-separated.  Blank lines are skipped; every
+    other line after those is a row, one starting with ``#`` too, and must
+    have one cell per field of ``row``, each parsing as that field's type.
     """
     with _parsing(path):
         text = Path(path).read_text(encoding="utf-8")
@@ -140,20 +141,25 @@ def _read_table(path: str | Path, row: np.dtype,
     start = 0
     while start < len(lines) and lines[start].startswith("#"):
         key, sep, value = lines[start][1:].partition("=")
-        if sep:  # a comment without ``=`` carries nothing
-            comments[key.strip()] = value.strip()
+        if not sep:
+            raise ParseError(f"{path}: expected a '# key=value' line, got {lines[start]!r}")
+        comments[key.strip()] = value.strip()
         start += 1
+    for key in keys:
+        if key not in comments:
+            raise ParseError(f"{path}: no '# {key}=' line")
     if header:
         got = lines[start] if start < len(lines) else None
         if got != _header(row):
             raise ParseError(f"{path}: expected header {_header(row)!r}, got {got!r}")
         start += 1
-    body = lines[start:]
-    if all(line.startswith("#") for line in body):  # np.loadtxt would warn of no data
+        if start == len(lines):
+            raise ParseError(f"{path}: no rows under the header")
+    elif start == len(lines):  # a graph without edges; np.loadtxt would warn of no data
         return comments, np.zeros(0, row)
     with _parsing(path):
-        rows = np.loadtxt(body, dtype=row, comments="#", delimiter="," if header else None,
-                          ndmin=1)
+        rows = np.loadtxt(lines[start:], dtype=row, comments=None,
+                          delimiter="," if header else None, ndmin=1)
     return comments, rows
 
 
@@ -222,19 +228,16 @@ def write_edge_list(net: Network, path: str | Path, comments: dict[str, str] | N
 def read_canonical_network(path: str | Path) -> Network:
     """A canonical (directed, weighted) edge list written by :func:`write_edge_list`.
 
-    Ids are taken as written.  The node count is the ``# nodes=`` comment's,
-    or the largest id plus one in a file written before that comment was
-    added.  A row that is not ``u v w`` with integer ids in range and a
-    finite positive weight, a self-loop or a repeated ``(u, v)`` pair raises
-    :class:`ParseError`: a damaged graph is rejected, never repaired.
+    Ids are taken as written and the node count is the ``# nodes=`` line's.
+    A missing ``# nodes=`` line, a row that is not ``u v w`` with integer
+    ids in range and a finite positive weight, a self-loop or a repeated
+    ``(u, v)`` pair raises :class:`ParseError`: a damaged graph is rejected,
+    never repaired.
     """
-    comments, rows = _read_table(path, _EDGE_ROW, header=False)
+    comments, rows = _read_table(path, _EDGE_ROW, ("nodes",), header=False)
     src, dst, weight = rows["u"], rows["v"], rows["w"]
     with _parsing(path):
-        if "nodes" in comments:
-            node_count = int(comments["nodes"])
-        else:
-            node_count = int(max(src.max(), dst.max())) + 1 if rows.size else 0
+        node_count = int(comments["nodes"])
     if not np.all(np.isfinite(weight)):
         raise ParseError(f"{path}: edge weights must be finite")
     try:
@@ -312,12 +315,18 @@ def write_scores(scores: ScoreVector, path: str | Path, timestamps: bool = True)
 
 
 def read_scores(path: str | Path) -> ScoreVector:
-    comments, rows = _read_table(path, _SCORE_ROW)
+    comments, rows = _read_table(path, _SCORE_ROW, ("measure",))
     _check_node_ids(path, rows)
-    return ScoreVector(comments.get("measure", Path(path).stem), rows["score"])
+    return ScoreVector(comments["measure"], rows["score"])
 
 
-def write_spread(spread: SpreadEstimate, path: str | Path, config_hash: str,
+def simulation_hash(graph_sha256: str, runs: int, master_seed: int) -> str:
+    """A spread file's config hash: the canonical graph file's SHA-256, runs, seed, engine."""
+    text = f"graph_sha256={graph_sha256};runs={runs};master_seed={master_seed}"
+    return hashlib.sha256(f"{text};engine={propagation.ENGINE}".encode()).hexdigest()[:16]
+
+
+def write_spread(spread: propagation.SpreadEstimate, path: str | Path, config_hash: str,
                  timestamps: bool = True) -> None:
     _write_table(path, {"config_hash": config_hash}, _header(_SPREAD_ROW),
                  (f"{node},{_fmt(spread.values[node])},{_fmt(spread.std_error[node])},"
@@ -325,11 +334,10 @@ def write_spread(spread: SpreadEstimate, path: str | Path, config_hash: str,
                  timestamps)
 
 
-def read_spread(path: str | Path, node_count: int | None = None) -> tuple[SpreadEstimate, str]:
+def read_spread(path: str | Path,
+                node_count: int | None = None) -> tuple[propagation.SpreadEstimate, str]:
     """A spread table and its config hash; ``node_count`` is the graph's, when known."""
-    comments, rows = _read_table(path, _SPREAD_ROW)
-    if not rows.size:
-        raise DataError(f"spread file {path} holds no rows")
+    comments, rows = _read_table(path, _SPREAD_ROW, ("config_hash",))
     if node_count is not None and rows.size != node_count:
         raise DataError(f"spread file {path} does not match the graph: "
                         f"{rows.size} rows for {node_count} nodes")
@@ -337,22 +345,18 @@ def read_spread(path: str | Path, node_count: int | None = None) -> tuple[Spread
     simulation = rows[["runs", "master_seed"]]
     if np.any(simulation != simulation[0]):
         raise ParseError(f"runs or master_seed differ between the rows of {path}")
-    estimate = SpreadEstimate(rows["expected_spread"], rows["std_error"],
-                              int(rows["runs"][0]), int(rows["master_seed"][0]))
-    return estimate, comments.get("config_hash", "")
+    estimate = propagation.SpreadEstimate(rows["expected_spread"], rows["std_error"],
+                                          int(rows["runs"][0]), int(rows["master_seed"][0]))
+    return estimate, comments["config_hash"]
 
 
 def _metric_cell(value: float | None) -> str:
     return NA if value is None else _fmt(value)
 
 
-def write_evaluation(report: EvaluationReport, path: str | Path, config_hash: str,
+def write_evaluation(report: EvaluationReport, path: str | Path,
                      timestamps: bool = True) -> None:
-    comments = {
-        "config_hash": config_hash,
-        "node_count": str(report.node_count),
-        "density": _fmt(report.density),
-    }
+    comments = {"node_count": str(report.node_count), "density": _fmt(report.density)}
     _write_table(path, comments, _header(_REPORT_ROW), _report_rows(report), timestamps)
 
 
@@ -366,18 +370,17 @@ def _report_rows(report: EvaluationReport) -> list[str]:
     return rows
 
 
-def read_evaluation(path: str | Path) -> tuple[EvaluationReport, str]:
-    comments, rows = _read_table(path, _REPORT_ROW)
+def read_evaluation(path: str | Path) -> EvaluationReport:
+    comments, rows = _read_table(path, _REPORT_ROW, ("node_count", "density"))
     datasets = set(rows["dataset"].tolist())
     if len(datasets) > 1:
         raise DataError(f"evaluation file {path} mixes datasets {sorted(datasets)}")
     with _parsing(path):
         metrics = {measure: MeasureMetrics(*(None if c == NA else float(c) for c in cells))
                    for _, measure, *cells in rows.tolist()}
-        node_count = int(comments.get("node_count", "0"))
-        density = float(comments.get("density", "0") or 0.0)
-    report = EvaluationReport(datasets.pop() if datasets else "", node_count, density, metrics)
-    return report, comments.get("config_hash", "")
+        node_count = int(comments["node_count"])
+        density = float(comments["density"])
+    return EvaluationReport(datasets.pop(), node_count, density, metrics)
 
 
 def write_combined_report(reports: list[EvaluationReport], aggregate_report: EvaluationReport,

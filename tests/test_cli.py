@@ -12,11 +12,11 @@ import pytest
 
 from spreadrank import cli, storage
 from spreadrank.cli import main
-from spreadrank.config import RunConfig, simulation_hash
+from spreadrank.config import RunConfig
 from spreadrank.measures import MEASURES, MeasureContext, measure_ids
 from spreadrank.propagation import ENGINE
 from spreadrank.ranking import AGGREGATE
-from spreadrank.storage import INGEST
+from spreadrank.storage import INGEST, simulation_hash
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -160,8 +160,9 @@ class TestIngest:
 
 
 def _append(path):
+    """Change the file's bytes, not what it holds: a graph stays a valid graph."""
     with open(path, "a") as handle:
-        handle.write("# edited\n")
+        handle.write("\n")
 
 
 def sealed(record):
@@ -577,7 +578,7 @@ class TestEvaluate:
                            "--measures", "c_os,sk3,mgc_wk", "--top-k", "5",
                            "--out-dir", tmp_path, "--no-timestamps")
         assert code == 0
-        report, _ = storage.read_evaluation(tmp_path / "raw.evaluation.csv")
+        report = storage.read_evaluation(tmp_path / "raw.evaluation.csv")
         assert set(report.metrics) == {"c_od", "c_os", "sk3", "mgc_wk"}
         assert report.metrics["c_od"].tau_norm == pytest.approx(1.0)
 
@@ -630,6 +631,25 @@ class TestEvaluate:
                              "--measures", "c_os", "--top-k", "2", *common)
         assert code == 0, err
         assert out.startswith("wrote ")
+
+    def test_spread_without_config_hash_is_data_error(self, tmp_path, ingested, capsys):
+        # without its hash and its run file, nothing ties the spread to a graph
+        common = ("--out-dir", tmp_path, "--no-timestamps")
+        run(capsys, "simulate", ingested, "--runs", "50", "--quiet", *common)
+        spread = tmp_path / "toy.spread.csv"
+        lines = spread.read_text().splitlines(keepends=True)
+        assert lines[0].startswith("# config_hash=")
+        spread.write_text("".join(lines[1:]))
+        storage.run_path(spread).unlink()
+        other = tmp_path / "other.txt"
+        other.write_text("a b\nc b\n")  # another graph of three nodes
+        run(capsys, "ingest", other, "--directed", *common)
+        code, out, err = run(capsys, "evaluate", tmp_path / "other.edges", spread,
+                             "--measures", "c_os", "--top-k", "2", *common)
+        assert code == 3
+        assert err.startswith("error: ") and f"{spread}: no '# config_hash=' line" in err
+        assert out == ""
+        assert not list(tmp_path.glob("*.evaluation.csv"))
 
     def test_mismatched_spread_rejected(self, tmp_path, capsys):
         graph, spread = self._prepare(tmp_path, capsys)
@@ -715,6 +735,61 @@ class TestReport:
         assert code == 0, err
         assert (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("damage", ["no_node_count", "no_density", "comment_row"])
+    def test_evaluation_without_a_required_line_is_data_error(self, tmp_path, capsys, damage):
+        # with no run file, the file's own lines are all that is checked
+        evaluation = self.club_evaluation(tmp_path, capsys)
+        storage.run_path(evaluation).unlink()
+        lines = evaluation.read_text().splitlines()
+        if damage == "comment_row":
+            row = next(i for i, line in enumerate(lines) if line.startswith("synth_club,sk3,"))
+            lines[row] = "# " + lines[row]
+            expected = str(evaluation)
+        else:
+            key = damage[3:]
+            lines.remove(next(line for line in lines if line.startswith(f"# {key}=")))
+            expected = f"{evaluation}: no '# {key}=' line"
+        evaluation.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "report", evaluation, "--out-dir", tmp_path,
+                             "--no-timestamps")
+        assert code == 3
+        assert err.startswith("error: ") and expected in err and out == ""
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_evaluation_of_the_previous_format_is_reported(self, tmp_path, capsys):
+        # evaluate wrote the spread's config hash into the file before; nothing read it
+        evaluation = self.club_evaluation(tmp_path, capsys)
+        common = ("--out-dir", tmp_path, "--no-timestamps")
+        assert run(capsys, "report", evaluation, *common)[0] == 0
+        names = ("report.csv", "scatter.csv")
+        outputs = {name: (tmp_path / name).read_bytes() for name in names}
+        spread_hash = storage.read_spread(tmp_path / "synth_club.spread.csv")[1]
+        evaluation.write_text(f"# config_hash={spread_hash}\n" + evaluation.read_text())
+        run_file = storage.run_path(evaluation)
+        record = json.loads(run_file.read_text())
+        del record["sha256"], record["record_sha256"]
+        storage.write_run(run_file, record, [evaluation])  # as evaluate sealed it then
+        for name in outputs:
+            (tmp_path / name).unlink()
+        code, _, err = run(capsys, "report", evaluation, *common)
+        assert code == 0, err
+        assert {name: (tmp_path / name).read_bytes() for name in outputs} == outputs
+
+    def test_dataset_starting_with_hash_is_reported(self, tmp_path, ingested, capsys):
+        common = ("--out-dir", tmp_path, "--no-timestamps")
+        run(capsys, "simulate", ingested, "--runs", "50", "--quiet", *common)
+        code, _, err = run(capsys, "evaluate", ingested, tmp_path / "toy.spread.csv",
+                           "--dataset", "#campus", "--measures", "c_os", "--top-k", "2",
+                           *common)
+        assert code == 0, err
+        code, _, err = run(capsys, "report", tmp_path / "#campus.evaluation.csv", *common)
+        assert code == 0, err
+        rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["#campus", "c_od"], ["#campus", "c_os"], [AGGREGATE, "c_od"], [AGGREGATE, "c_os"]]
+        scatter = (tmp_path / "scatter.csv").read_text().splitlines()[1:]
+        assert scatter and {row.split(",")[0] for row in scatter} == {"#campus"}
+
     def test_duplicate_dataset_rejected(self, tmp_path, capsys):
         raw = tmp_path / "x.txt"
         raw.write_text("0 1\n1 2\n2 0\n")
@@ -747,9 +822,12 @@ class TestDamagedCanonicalGraph:
         ("1 2 1.0", "1 2 1.0\n0 1 1.0"),
         ("1 2 1.0", "1 2 1.0\n1 1 1.0"),
         ("# nodes=3", "# nodes=three"),
+        ("# nodes=3\n", ""),
+        ("1 2 1.0", "#1 2 1.0"),
     ], ids=["non_integer_id", "label_id", "negative_id", "out_of_range_id", "two_cells",
             "four_cells", "nan_weight", "infinite_weight", "zero_weight",
-            "negative_weight", "duplicate_row", "self_loop", "non_integer_node_count"])
+            "negative_weight", "duplicate_row", "self_loop", "non_integer_node_count",
+            "no_node_count", "comment_row"])
     @pytest.mark.parametrize("command", ["simulate", "centrality", "evaluate"])
     def test_rejected_with_exit_3(self, tmp_path, ingested, capsys, command, old, new):
         code, _, _ = run(capsys, "simulate", ingested, "--runs", "10",
@@ -807,8 +885,8 @@ class TestCachedParser:
         assert run(capsys, *argv, "--dataset", "club")[0] == 0
         assert run(capsys, *argv)[0] == 0
         assert parsed[1:] == [self.fresh(*argv, "--dataset", "club"), self.fresh(*argv)]
-        club, _ = storage.read_evaluation(tmp_path / "club.evaluation.csv")
-        toy, _ = storage.read_evaluation(tmp_path / "toy.evaluation.csv")
+        club = storage.read_evaluation(tmp_path / "club.evaluation.csv")
+        toy = storage.read_evaluation(tmp_path / "toy.evaluation.csv")
         assert (club.dataset, toy.dataset) == ("club", "toy")
         assert club.metrics == toy.metrics
 

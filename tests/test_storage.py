@@ -8,13 +8,14 @@ import re
 import numpy as np
 import pytest
 
-from spreadrank.config import RunConfig, simulation_hash
+from spreadrank.config import RunConfig
 from spreadrank.errors import DataError, ParseError
 from spreadrank.graph import Network
 from spreadrank.propagation import SpreadEstimate
 from spreadrank.ranking import EvaluationReport, MeasureMetrics
 from spreadrank.scores import ScoreVector
 from spreadrank import propagation, storage
+from spreadrank.storage import simulation_hash
 
 
 @pytest.fixture
@@ -42,13 +43,12 @@ def test_node_count_survives_nodes_without_edges(tmp_path):
             [net.src.tolist(), net.dst.tolist(), net.weight.tolist()]
 
 
-def test_canonical_file_without_node_count_counts_to_the_largest_id(tmp_path):
+def test_canonical_file_without_node_count_is_parse_error(tmp_path):
+    # the node count is never guessed from the largest id
     path = tmp_path / "old.edges"
     path.write_text("# dataset=old\n# graph_fingerprint=0\n0 3 0.5\n\n2 1 0.25\n")
-    back = storage.read_canonical_network(path)
-    assert back.node_count == 4
-    assert (back.src.tolist(), back.dst.tolist(), back.weight.tolist()) == \
-        ([0, 2], [3, 1], [0.5, 0.25])
+    with pytest.raises(ParseError, match=re.escape(f"{path}: no '# nodes=' line")):
+        storage.read_canonical_network(path)
 
 
 def test_id_map(net, tmp_path):
@@ -98,11 +98,11 @@ def test_evaluation_roundtrip_with_na(tmp_path):
         "wks": MeasureMetrics(None, None, None, None, 0.0),
     })
     path = tmp_path / "eval.csv"
-    storage.write_evaluation(report, path, config_hash="h2", timestamps=False)
-    back, stored_hash = storage.read_evaluation(path)
-    assert stored_hash == "h2"
+    storage.write_evaluation(report, path, timestamps=False)
+    assert path.read_text().splitlines()[:2] == ["# node_count=120", "# density=0.05"]
+    back = storage.read_evaluation(path)
     assert back.dataset == "ds"
-    assert back.node_count == 120
+    assert (back.node_count, back.density) == (120, 0.05)
     assert back.metrics["wks"].tau is None
     assert back.metrics["c_os"].tau_norm == 1.1
 
@@ -190,8 +190,10 @@ def _spread_file(tmp_path):
     ("node,expected_spread", "node,spread"),
     ("2,1.5,0.02,100,7", "2,1.5,0.02,100,7,0"),
     (",100,7\n", ",100,7,0\n"),
+    ("# config_hash=h1\n", ""),
+    ("2,1.5,", "#2,1.5,"),
 ], ids=["non_numeric", "missing_cell", "node_gap", "runs_vary", "header", "extra_cell",
-        "extra_cell_every_row"])
+        "extra_cell_every_row", "no_config_hash", "comment_row"])
 def test_damaged_spread_is_parse_error(tmp_path, old, new):
     path = _spread_file(tmp_path)
     text = path.read_text()
@@ -215,7 +217,14 @@ def _evaluation_file(tmp_path):
         "wks": MeasureMetrics(None, None, None, None, 0.0),
     })
     path = tmp_path / "eval.csv"
-    storage.write_evaluation(report, path, "h1", timestamps=False)
+    storage.write_evaluation(report, path, timestamps=False)
+    return path
+
+
+def _edges_file(tmp_path):
+    path = tmp_path / "g.edges"
+    storage.write_edge_list(Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.25), (2, 0, 1.0)]),
+                            path, timestamps=False)
     return path
 
 
@@ -223,6 +232,44 @@ def _evaluation_file(tmp_path):
 _TABLES = {"scores": (_scores_file, storage.read_scores),
            "spread": (_spread_file, storage.read_spread),
            "evaluation": (_evaluation_file, storage.read_evaluation)}
+
+
+# each table as its writer writes it without timestamps, and the reader
+_WRITTEN = {**_TABLES, "edges": (_edges_file, storage.read_canonical_network)}
+# the ``# key=`` lines each writes, in order; its reader requires every one
+_KEYS = {"scores": ("measure",), "spread": ("config_hash",),
+         "evaluation": ("node_count", "density"), "edges": ("nodes",)}
+# (kind, damage): each key line removed in turn, a line that is not ``# key=value``
+# before the rows, a ``#``-led line among them, and a CSV table left without rows
+_DAMAGES = [*((kind, f"no_{key}") for kind, keys in _KEYS.items() for key in keys),
+            *((kind, "bare_comment") for kind in _WRITTEN),
+            *((kind, "comment_row") for kind in _WRITTEN),
+            *((kind, "no_rows") for kind in _TABLES)]
+
+
+@pytest.mark.parametrize("kind, damage", _DAMAGES, ids=[f"{k}-{d}" for k, d in _DAMAGES])
+def test_damaged_table_is_parse_error_naming_the_file(tmp_path, kind, damage):
+    write, read = _WRITTEN[kind]
+    path = write(tmp_path)
+    lines = path.read_text().splitlines()
+    keys = len(_KEYS[kind])
+    # the writer's key lines, then the header or the first row
+    assert [line.partition("=")[0] for line in lines[:keys]] == [f"# {k}" for k in _KEYS[kind]]
+    assert not lines[keys].startswith("#")
+    message = str(path)
+    if damage.startswith("no_") and damage != "no_rows":
+        key = damage[3:]
+        lines.remove(next(line for line in lines if line.startswith(f"# {key}=")))
+        message = f"{path}: no '# {key}=' line"
+    elif damage == "bare_comment":
+        lines.insert(keys, "# edited")
+    elif damage == "comment_row":
+        lines.insert(-1, "# edited")
+    else:
+        del lines[keys + 1:]  # the key lines and the header
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(message)):
+        read(path)
 
 
 def _plain(table):
@@ -248,28 +295,29 @@ def test_extra_cell_is_parse_error(tmp_path, kind, rows):
 @pytest.mark.parametrize("body", ["", "# no rows\n\n"], ids=["empty", "only_comments"])
 @pytest.mark.parametrize("kind", _TABLES)
 def test_table_without_rows(tmp_path, kind, body):
+    # every CSV table holds a row, and a ``#`` line under the header is one
     write, read = _TABLES[kind]
     path = write(tmp_path)
     head = path.read_text().splitlines()[:-3]  # the comments and the header
     path.write_text("\n".join(head) + "\n" + body)
-    if kind == "spread":
-        with pytest.raises(DataError, match="holds no rows"):
-            read(path)
-    else:
-        content = read(path)[0] if kind == "evaluation" else read(path)
-        assert len(content.values if kind == "scores" else content.metrics) == 0
+    with pytest.raises(ParseError, match=re.escape(str(path))):
+        read(path)
 
 
 @pytest.mark.parametrize("kind", _TABLES)
-def test_comment_and_blank_lines_between_rows_are_skipped(tmp_path, kind):
+def test_blank_lines_are_skipped_and_comment_lines_are_rows(tmp_path, kind):
     write, read = _TABLES[kind]
     path = write(tmp_path)
     expected = _plain(read(path))
     lines = path.read_text().splitlines()
-    lines[-2:-2] = ["# between rows", ""]
-    lines[-1:-1] = ["   ", "  # indented"]
+    lines[-2:-2] = [""]
+    lines[-1:-1] = ["   ", ""]
     path.write_text("\n".join(lines) + "\n")
     assert _plain(read(path)) == expected
+    lines[-1:-1] = ["  # indented"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(str(path))):
+        read(path)
 
 
 def test_spread_row_count_checked_against_graph(tmp_path):
@@ -289,7 +337,7 @@ def test_non_numeric_score_and_metric_are_parse_errors(tmp_path):
     report = EvaluationReport("ds", 120, 0.05,
                               {"c_os": MeasureMetrics(0.9, 1.1, 0.2, 1.0, 0.99)})
     evaluation = tmp_path / "eval.csv"
-    storage.write_evaluation(report, evaluation, "h", timestamps=False)
+    storage.write_evaluation(report, evaluation, timestamps=False)
     evaluation.write_text(evaluation.read_text().replace("0.99", "high"))
     with pytest.raises(ParseError, match=re.escape(str(evaluation))):
         storage.read_evaluation(evaluation)
@@ -349,6 +397,9 @@ def test_combined_report_is_not_an_evaluation(tmp_path):
     reports = [EvaluationReport(name, 120, 0.05, metrics) for name in ("d1", "d2")]
     path = tmp_path / "report.csv"
     storage.write_combined_report(reports[:1], reports[1], path, timestamps=False)
+    with pytest.raises(ParseError, match=re.escape(f"{path}: no '# node_count=' line")):
+        storage.read_evaluation(path)
+    path.write_text("# node_count=120\n# density=0.05\n" + path.read_text())
     with pytest.raises(DataError, match="mixes datasets"):
         storage.read_evaluation(path)
 
