@@ -45,6 +45,7 @@ CASES = {
     "three_cells_unweighted": ("three.txt", b"a b 5\nb c 0.5\nc a 2\n", DIRECTED),
     "mixed_cells_weighted": ("mixed.txt", b"a b 0.5\nb c\nc a 2\na c\n", WEIGHTED),
     "keep_weights": ("keep.txt", b"a b 0.25\nb c 4\nc a 1e-3\na c 0.1\n", KEEP),
+    "labels_with_comma_and_quote": ("quote.txt", b'a,b q"x\nq"x "c"\n"c" ,\n, a,b\n', DIRECTED),
     "error_four_cells": ("bad.txt", b"0 1\n0 1 2 3\n", DIRECTED),
     "error_bad_weight_before_four_cells": ("bad.txt", b"0 1 0.5\n1 2 x\n0 1 2 3\n", WEIGHTED),
     "error_tab_four_cells": ("bad.txt", b"0\t1\t2\t3\n", DIRECTED),
