@@ -2,10 +2,13 @@
 """Time the simulation engine on one CPU and on every usable CPU.
 
 For each CPU count, ``spread_all`` runs over the four bundled synthetic
-sets (ingested as ``data/manifest.json`` declares them), and so does a
-draws-only pass: the same uniforms as the randomness contract draws
-them, ``_CHUNK`` rows at a time into one reused buffer per seed, on one
-thread per CPU.  That pass is the floor no engine can go below without
+sets (ingested as ``data/manifest.json`` declares them), or with
+``--ladder N`` over the generated scale-ladder graph of N nodes
+(``apply_wcs`` of ``social_digraph(default_rng(7), N, 6.0, 0.3)``), where
+a change that is neutral on the small bundled sets can still be much
+slower.  So does a draws-only pass: the same uniforms as the randomness
+contract draws them, ``_CHUNK`` rows at a time into one reused buffer
+per seed, on one thread per CPU.  That pass is the floor no engine can go below without
 changing the contract.  The script narrows the CPUs of its own process
 with ``os.sched_setaffinity`` (so ``spread_all`` sees and uses that many)
 and restores them afterwards.  Prints the best of ``--repeats`` wall
@@ -14,6 +17,7 @@ times and the speedups.
 Usage, from the repository root (Linux only):
 
     PYTHONPATH=src python3 scripts/engine_scaling.py --runs 4160 --repeats 3
+    PYTHONPATH=src python3 scripts/engine_scaling.py --ladder 1000 --runs 1000 --repeats 1
 """
 from __future__ import annotations
 
@@ -29,8 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
+from make_synthetic_data import social_digraph
 from spreadrank.config import RunConfig
-from spreadrank.graph import apply_wcs, orient_undirected
+from spreadrank.graph import Network, apply_wcs, orient_undirected
 from spreadrank.propagation import BLOCK, _CHUNK, spread_all
 from spreadrank.storage import load_edge_list
 
@@ -45,6 +50,12 @@ def bundled_networks() -> dict:
             net = load_edge_list(DATA_DIR / entry["file"], entry["weighted"])
             nets[entry["name"]] = apply_wcs(net if entry["directed"] else orient_undirected(net))
     return nets
+
+
+def ladder_network(n: int) -> Network:
+    """The scale ladder's generated graph of ``n`` nodes, with WCS probabilities."""
+    edges = social_digraph(np.random.default_rng(7), n, 6.0, 0.3)
+    return apply_wcs(Network.from_edges(n, edges))
 
 
 def draw_seed(seed_node: int, edges: int, runs: int, master_seed: int) -> None:
@@ -83,13 +94,18 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=4160)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--master-seed", type=int, default=1)
+    parser.add_argument("--ladder", type=int, metavar="N",
+                        help="time the generated N-node ladder graph instead of the bundled sets")
     args = parser.parse_args(argv)
     if args.runs < 2 or args.repeats < 1:
         parser.error("--runs must be >= 2 and --repeats >= 1")
+    if args.ladder is not None and args.ladder < 2:
+        parser.error("--ladder must be >= 2")
     if not hasattr(os, "sched_setaffinity"):
         print("error: os.sched_setaffinity is not available on this platform", file=sys.stderr)
         return 2
-    nets = bundled_networks()
+    nets = bundled_networks() if args.ladder is None else {
+        f"ladder_{args.ladder}": ladder_network(args.ladder)}
     usable = sorted(os.sched_getaffinity(0))
     seconds = {}
     try:

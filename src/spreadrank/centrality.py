@@ -1,5 +1,4 @@
-"""Degree, strength, betweenness, closeness, eigenvector, Katz, and
-k-shell style centralities.
+"""Betweenness, closeness, eigenvector, Katz, and k-shell style centralities.
 
 All functions are pure: they take an immutable :class:`GraphView` (or the
 network itself where the measure is inherently directed and weighted) and
@@ -43,20 +42,6 @@ _BLOCK = 16  # sources per distance pass
 class Direction(Enum):
     IN = "in"
     OUT = "out"
-
-
-def degree(view: GraphView) -> ScoreVector:
-    """Count of edges leaving each node.
-
-    Undirected views list every edge in both directions, so this is the degree.
-    """
-    return ScoreVector("out_degree", np.bincount(view.src, minlength=view.n))
-
-
-def strength(view: GraphView) -> ScoreVector:
-    """Sum of the weights of edges leaving each node."""
-    return ScoreVector("out_strength",
-                       np.bincount(view.src, weights=view.weight, minlength=view.n))
 
 
 def _blocks(nodes: np.ndarray) -> Iterator[np.ndarray]:

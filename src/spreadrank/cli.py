@@ -129,11 +129,24 @@ def _summary(record: dict) -> str:
             f"duplicates_dropped={record['duplicates_dropped']}")
 
 
+def _dataset_name(name: str) -> str:
+    """``name`` if it can name files in ``--out-dir`` and a table cell that reads back as written.
+
+    Either platform's path separator, a line break (any that ``str.splitlines``
+    breaks at), leading or trailing whitespace, ``.`` and ``..`` are refused.
+    """
+    if (any(sep in name for sep in "/\\") or name.splitlines() != [name]
+            or name != name.strip() or name in (".", "..")):
+        raise ParameterError(f"dataset name {name!r} must not hold a path separator or a line "
+                             "break, start or end with whitespace, or be '.' or '..'")
+    return name
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     if args.keep_weights and not args.weighted:
         raise ParameterError("--keep-weights needs --weighted: "
                              "an input without weights has none to keep")
-    name = args.name or args.input.stem
+    name = _dataset_name(args.name or args.input.stem)
     graph_path = args.out_dir / f"{name}.edges"
     outputs = (graph_path, args.out_dir / f"{name}.idmap.csv")
     # no measure id is "ingest", so no other command's run file has this name
@@ -229,7 +242,7 @@ def _check_unedited(path: Path, command: str) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    dataset = args.dataset or args.graph.stem
+    dataset = _dataset_name(args.dataset or args.graph.stem)
     if "," in dataset:
         raise ParameterError(f"dataset name {dataset!r} contains a comma, "
                              "which would split its report rows")
@@ -253,7 +266,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_path = args.out_dir / f"{dataset}.evaluation.csv"
     storage.write_evaluation(report, out_path, timestamps=not args.no_timestamps)
     # what the evaluation file was computed from
-    key = {"graph_sha256": graph_sha256, "spread_sha256": storage.sha256_of(args.spread),
+    key = {"format": MEASURES, "graph_sha256": graph_sha256,
+           "spread_sha256": storage.sha256_of(args.spread),
            "dataset": dataset, **cfg.fields(read), "timestamps": not args.no_timestamps}
     storage.write_run(storage.run_path(out_path), key, [out_path])
     print(f"wrote {out_path}")

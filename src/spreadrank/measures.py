@@ -4,18 +4,19 @@ The canonical input is a directed weighted network whose weights are
 cascade probabilities.  Each id encodes which view a measure runs on,
 e.g. ``c_b_uw`` is betweenness on the undirected weighted view with
 inverted distances, ``c_katz_du`` is incoming Katz on the directed
-unweighted view.  Combination measures (``sc1``, ``sk*``) consume
-max-normalized inputs and use the fixed constants of :mod:`.combined`.
-Only the Katz attenuation and the gravity radius come from the
-:class:`RunConfig`.
+unweighted view; ``c_od`` and ``c_os`` are the out-degree and
+out-strength that :class:`Network` counts.  Combination measures
+(``sc1``, ``sk*``) consume max-normalized inputs and use the fixed
+constants of :mod:`.combined`.  Only the Katz attenuation and the
+gravity radius come from the :class:`RunConfig`.
 """
 from __future__ import annotations
 
 from typing import Callable
 
 from . import combined, gravity
-from .centrality import (Direction, betweenness, closeness, degree, eigenvector,
-                         katz, strength, weighted_kshell, kshell)
+from .centrality import (Direction, betweenness, closeness, eigenvector, katz,
+                         weighted_kshell, kshell)
 from .config import RunConfig
 from .errors import ValidationError
 from .graph import Network, ViewKind, WeightMode, view
@@ -51,11 +52,11 @@ def measure_ids() -> tuple[str, ...]:
 
 
 def _c_od(ctx: MeasureContext) -> ScoreVector:
-    return degree(view(ctx.net, ViewKind.DU))
+    return ScoreVector("c_od", ctx.net.out_degree())
 
 
 def _c_os(ctx: MeasureContext) -> ScoreVector:
-    return strength(view(ctx.net, ViewKind.DW))
+    return ScoreVector("c_os", ctx.net.out_strength())
 
 
 def _c_b_uu(ctx: MeasureContext) -> ScoreVector:

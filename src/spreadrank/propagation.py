@@ -53,14 +53,19 @@ rest, and whole-slice updates of the frontier and of the not-yet-active
 words, all into preallocated arrays.  Run counts add the unpacked bits
 of up to 255 nodes at a time in the byte lanes of 64-bit words.
 
-Batches run concurrently, one worker thread per usable CPU.  numpy
-releases the GIL (Python's global interpreter lock) while it draws,
-compares, gathers and applies the word-wise ANDs, ORs and XORs; the
-einsum and the reduceat of the grouped in-edges hold it, and are a
-small share of a batch's time.  Counts depend only on each seed's
-stream, so they are the same for any worker count, batch size and
-completion order, and the ``progress`` callback of :func:`spread_all`
-still fires once per node, in node order, on the caller's thread.
+Batches run concurrently, one worker thread per usable CPU.  The threads
+overlap the draws, most of a batch's time, but not the breadth-first
+levels, although numpy releases the GIL (Python's global interpreter
+lock) in their gathers and word-wise ANDs, ORs and XORs; the reduceat of
+the grouped in-edges holds it, as does the einsum that packs the draws.
+Over the bundled sets at 4 160 runs on 2 vCPUs (Python 3.11.7, numpy
+2.4.6; medians), reach alone took 0.21 s on 1 thread, 0.21-0.25 s on 2
+threads and 0.10-0.17 s on 2 processes; the whole engine 0.91-0.95 s on
+2 threads and 0.78-0.92 s on 2 processes.  Counts depend only on each
+seed's stream, so they are the same for any worker count, batch size
+and completion order, and the ``progress`` callback of
+:func:`spread_all` still fires once per node, in node order, on the
+caller's thread.
 """
 from __future__ import annotations
 
@@ -130,7 +135,7 @@ class _Layout:
 
     def __init__(self, net: Network):
         n, m = net.node_count, net.edge_count
-        indeg = np.bincount(net.dst, minlength=n)
+        indeg = net.in_degree()
         self.renumber = np.empty(n, np.intp)  # node id -> row: by in-degree, largest first
         self.renumber[np.argsort(-indeg, kind="stable")] = np.arange(n)
         row = self.renumber[net.dst]  # each edge's target row

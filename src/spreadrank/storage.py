@@ -30,10 +30,8 @@ ids it was written with; it is never repaired.
 """
 from __future__ import annotations
 
-import csv
 import datetime as _dt
 import hashlib
-import io
 import json
 import os
 from contextlib import contextmanager
@@ -62,7 +60,9 @@ _SPREAD_ROW = np.dtype([("node", np.int64), ("expected_spread", np.float64),
 # fixed-width U dtypes truncate long dataset names
 _REPORT_ROW = np.dtype([(name, object) for name in (
     "dataset", "measure", "tau", "tau_norm", "epsilon", "epsilon_norm", "monotonicity")])
-_SCATTER_HEADER = "dataset,density,measure,metric,value"
+_ID_MAP_ROW = np.dtype([("original_label", object), ("dense_id", np.int64)])
+_SCATTER_ROW = np.dtype([("dataset", object), ("density", np.float64), ("measure", object),
+                         ("metric", object), ("value", np.float64)])
 
 
 def _header(row: np.dtype) -> str:
@@ -246,15 +246,19 @@ def read_canonical_network(path: str | Path) -> Network:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _quoted(cell: str) -> str:
+    """``cell`` as ``csv.writer`` quotes it: when it holds ``,``, ``"`` or a line feed."""
+    if any(c in cell for c in ',"\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def write_id_map(net: Network, path: str | Path) -> None:
     """CSV mapping original labels to dense ids."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["original_label", "dense_id"])
     labels = net.labels or tuple(str(i) for i in range(net.node_count))
-    for dense_id, label in enumerate(labels):
-        writer.writerow([label, dense_id])
-    _write_text(path, buffer.getvalue())
+    _write_table(path, {}, _header(_ID_MAP_ROW),
+                 (f"{_quoted(label)},{dense_id}" for dense_id, label in enumerate(labels)),
+                 timestamps=False)
 
 
 def sha256_of(path: str | Path) -> str:
@@ -400,4 +404,4 @@ def write_scatter(reports: list[EvaluationReport], path: str | Path,
                 if value is not None:
                     rows.append(f"{report.dataset},{_fmt(report.density)},"
                                 f"{measure_id},{metric_name},{_fmt(value)}")
-    _write_table(path, {}, _SCATTER_HEADER, rows, timestamps)
+    _write_table(path, {}, _header(_SCATTER_ROW), rows, timestamps)

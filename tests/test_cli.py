@@ -663,6 +663,56 @@ class TestEvaluate:
         assert "does not match" in err
 
 
+# dataset names that would leave --out-dir or not read back as written
+BAD_NAMES = {"parent_dir": "../escaped", "sub_dir": "sub/dir", "backslash": "sub\\dir",
+             "leading_space": " x", "trailing_tab": "x\t", "line_feed": "a\nb",
+             "carriage_return": "a\rb", "line_separator": "a\u2028b", "dot": ".",
+             "dot_dot": ".."}
+
+
+class TestDatasetName:
+    @staticmethod
+    def _files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+    @pytest.mark.parametrize("name", BAD_NAMES.values(), ids=BAD_NAMES)
+    def test_ingest_refuses_name(self, tmp_path, toy_edges, capsys, name):
+        before = self._files(tmp_path)
+        code, out, err = run(capsys, "ingest", toy_edges, "--directed", "--name", name,
+                             "--out-dir", tmp_path / "out" / "deep")
+        assert code == 2
+        assert err.startswith(f"error: dataset name {name!r} must not")
+        assert out == ""
+        assert self._files(tmp_path) == before
+
+    @pytest.mark.parametrize("name", BAD_NAMES.values(), ids=BAD_NAMES)
+    def test_evaluate_refuses_dataset(self, tmp_path, ingested, capsys, name):
+        run(capsys, "simulate", ingested, "--runs", "20", "--quiet", "--out-dir", tmp_path)
+        before = self._files(tmp_path)
+        code, out, err = run(capsys, "evaluate", ingested, tmp_path / "toy.spread.csv",
+                             "--dataset", name, "--measures", "c_os", "--top-k", "2",
+                             "--out-dir", tmp_path / "out" / "deep")
+        assert code == 2
+        assert err.startswith(f"error: dataset name {name!r} must not")
+        assert out == ""
+        assert self._files(tmp_path) == before
+
+    def test_names_that_read_back_are_accepted(self, tmp_path, ingested, capsys):
+        run(capsys, "simulate", ingested, "--runs", "20", "--quiet", "--out-dir", tmp_path)
+        for name in ("my set", "...", "a.b"):
+            code, _, err = run(capsys, "ingest", tmp_path / "toy.txt", "--directed",
+                               "--name", name, "--out-dir", tmp_path / "named")
+            assert code == 0, err
+            code, _, err = run(capsys, "evaluate", ingested, tmp_path / "toy.spread.csv",
+                               "--dataset", name, "--measures", "c_os", "--top-k", "2",
+                               "--out-dir", tmp_path / "named")
+            assert code == 0, err
+            report = storage.read_evaluation(tmp_path / "named" / f"{name}.evaluation.csv")
+            assert report.dataset == name
+        assert sorted(p.name for p in (tmp_path / "named").glob("*.edges")) == \
+            ["....edges", "a.b.edges", "my set.edges"]
+
+
 def _edit_tau(evaluation):
     """Set the c_os tau of synth_club's evaluation file to 0.99."""
     lines = evaluation.read_text().splitlines()
@@ -951,8 +1001,9 @@ class TestConfigProvenance:
           "timestamps": False}, ["toy.c_os.csv"]),
         (["evaluate", "toy.spread.csv", "--top-k", "2", "--measures", "c_os"],
          "toy.evaluation.run.json",
-         {"dataset": "toy", "top_k": 2, "measures": ["c_os"], "katz_alpha": None,
-          "gravity_radius": 3, "timestamps": False}, ["toy.evaluation.csv"])],
+         {"format": MEASURES, "dataset": "toy", "top_k": 2, "measures": ["c_os"],
+          "katz_alpha": None, "gravity_radius": 3, "timestamps": False},
+         ["toy.evaluation.csv"])],
         ids=["simulate", "centrality", "evaluate"])
     def test_config_holds_the_fields_the_command_read(self, tmp_path, ingested, capsys,
                                                       argv, run_file, expected, hashed):
@@ -1005,7 +1056,7 @@ class TestConfigProvenance:
             "toy.spread.run.json": spread_record(ingested, tmp_path, 20, 9),
             "toy.c_os.run.json": scores_record(ingested, tmp_path, "c_os", gravity_radius=2),
             "toy.evaluation.run.json": sealed({
-                "graph_sha256": storage.sha256_of(ingested),
+                "format": MEASURES, "graph_sha256": storage.sha256_of(ingested),
                 "spread_sha256": digests(tmp_path, "toy.spread.csv")["toy.spread.csv"],
                 "dataset": "toy", "top_k": 2, "measures": ["c_os"], "katz_alpha": None,
                 "gravity_radius": 3, "timestamps": False,

@@ -1,4 +1,5 @@
 import builtins
+import csv
 import dataclasses
 import errno
 import io
@@ -67,6 +68,17 @@ def test_id_map_uses_lf_line_endings(tmp_path):
     data = path.read_bytes()
     assert b"\r" not in data
     assert data == b'original_label,dense_id\na,0\n"b,c",1\n"d""e",2\n'
+
+
+@pytest.mark.parametrize("label", ["a,b", 'q"x', '"c"', ",", "", "x\ny", " x ", "Zoë"])
+def test_id_map_quotes_a_label_as_csv_writer_does(tmp_path, label):
+    labeled = Network(2, np.array([0]), np.array([1]), np.array([1.0]), labels=(label, "z"))
+    path = tmp_path / "g.idmap.csv"
+    storage.write_id_map(labeled, path)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(
+        [["original_label", "dense_id"], [label, 0], ["z", 1]])
+    assert path.read_bytes() == buffer.getvalue().encode()
 
 
 def test_scores_roundtrip(tmp_path):
