@@ -30,7 +30,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", type=Path, default=Path("."),
                         help="directory for output files")
     parser.add_argument("--no-timestamps", action="store_true",
-                        help="omit generated-at comments for reproducible bytes")
+                        help="omit the generated-at time from run files")
 
 
 # every RunConfig field's option: its flag and argparse keywords; the field gives the default
@@ -132,13 +132,15 @@ def _summary(record: dict) -> str:
 def _dataset_name(name: str) -> str:
     """``name`` if it can name files in ``--out-dir`` and a table cell that reads back as written.
 
-    Either platform's path separator, a line break (any that ``str.splitlines``
-    breaks at), leading or trailing whitespace, ``.`` and ``..`` are refused.
+    The empty name, either platform's path separator, a line break (any that
+    ``str.splitlines`` breaks at), leading or trailing whitespace, ``.`` and
+    ``..`` are refused.
     """
+    # the empty name has no line: splitlines gives []
     if (any(sep in name for sep in "/\\") or name.splitlines() != [name]
             or name != name.strip() or name in (".", "..")):
-        raise ParameterError(f"dataset name {name!r} must not hold a path separator or a line "
-                             "break, start or end with whitespace, or be '.' or '..'")
+        raise ParameterError(f"dataset name {name!r} must not be empty, hold a path separator "
+                             "or a line break, start or end with whitespace, or be '.' or '..'")
     return name
 
 
@@ -146,7 +148,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.keep_weights and not args.weighted:
         raise ParameterError("--keep-weights needs --weighted: "
                              "an input without weights has none to keep")
-    name = _dataset_name(args.name or args.input.stem)
+    name = _dataset_name(args.input.stem if args.name is None else args.name)
     graph_path = args.out_dir / f"{name}.edges"
     outputs = (graph_path, args.out_dir / f"{name}.idmap.csv")
     # no measure id is "ingest", so no other command's run file has this name
@@ -154,11 +156,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     # everything the two outputs' bytes depend on
     key = {"format": INGEST, "input_sha256": storage.sha256_of(args.input), "dataset": name,
            "directed": args.directed, "weighted": args.weighted,
-           "keep_weights": args.keep_weights, "timestamps": not args.no_timestamps}
+           "keep_weights": args.keep_weights}
     record = storage.current_run(run_file, key, outputs)
     if record is not None:
         try:
-            print(_summary(record))
+            print(f"cache hit: {_summary(record)}")
             return 0
         except (KeyError, TypeError, ValueError):  # sealed without its counts: not current
             pass
@@ -170,14 +172,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if not args.keep_weights:
         net = apply_wcs(net)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    storage.write_edge_list(net, graph_path, comments={"dataset": name},
-                            timestamps=not args.no_timestamps)
+    storage.write_edge_list(net, graph_path, comments={"dataset": name})
     storage.write_id_map(net, outputs[1])
     record = {**key, "nodes": net.node_count, "edges": net.edge_count,
               "density": net.density(), "self_loops_dropped": net.self_loops_dropped,
               "duplicates_dropped": net.duplicates_dropped}
     # written last, so a failure before it leaves a run file the outputs do not match
-    storage.write_run(run_file, record, outputs)
+    storage.write_run(run_file, record, outputs, timestamps=not args.no_timestamps)
     print(_summary(record))
     return 0
 
@@ -190,7 +191,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config_hash = storage.simulation_hash(graph_sha256, cfg.runs, cfg.master_seed)
     # everything the spread file's bytes depend on
     key = {**cfg.fields(read), "engine": ENGINE, "graph_sha256": graph_sha256,
-           "config_hash": config_hash, "timestamps": not args.no_timestamps}
+           "config_hash": config_hash}
     if storage.current_run(run_file, key, [cache_path]) is not None:
         print(f"cache hit: {cache_path} (config_hash={config_hash})")
         return 0
@@ -205,8 +206,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"simulated {done}/{total} seeds", file=sys.stderr)
 
     spread = spread_all(net, cfg, progress=None if args.quiet else progress)
-    storage.write_spread(spread, cache_path, config_hash, timestamps=not args.no_timestamps)
-    storage.write_run(run_file, key, [cache_path])
+    storage.write_spread(spread, cache_path, config_hash)
+    storage.write_run(run_file, key, [cache_path], timestamps=not args.no_timestamps)
     print(f"wrote {cache_path} (config_hash={config_hash})")
     return 0
 
@@ -217,14 +218,15 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     run_file = storage.run_path(out_path)
     # everything the scores file's bytes depend on
     key = {"format": MEASURES, "measure": args.measure,
-           "graph_sha256": storage.sha256_of(args.graph), **cfg.fields(read),
-           "timestamps": not args.no_timestamps}
-    if storage.current_run(run_file, key, [out_path]) is None:
-        net = storage.read_canonical_network(args.graph)
-        scores = MeasureContext(net, cfg).get(args.measure)
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-        storage.write_scores(scores, out_path, timestamps=not args.no_timestamps)
-        storage.write_run(run_file, key, [out_path])
+           "graph_sha256": storage.sha256_of(args.graph), **cfg.fields(read)}
+    if storage.current_run(run_file, key, [out_path]) is not None:
+        print(f"cache hit: {out_path}")
+        return 0
+    net = storage.read_canonical_network(args.graph)
+    scores = MeasureContext(net, cfg).get(args.measure)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    storage.write_scores(scores, out_path)
+    storage.write_run(run_file, key, [out_path], timestamps=not args.no_timestamps)
     print(f"wrote {out_path}")
     return 0
 
@@ -242,7 +244,7 @@ def _check_unedited(path: Path, command: str) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    dataset = _dataset_name(args.dataset or args.graph.stem)
+    dataset = _dataset_name(args.graph.stem if args.dataset is None else args.dataset)
     if "," in dataset:
         raise ParameterError(f"dataset name {dataset!r} contains a comma, "
                              "which would split its report rows")
@@ -264,12 +266,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                                spread, cfg.top_k)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = args.out_dir / f"{dataset}.evaluation.csv"
-    storage.write_evaluation(report, out_path, timestamps=not args.no_timestamps)
+    storage.write_evaluation(report, out_path)
     # what the evaluation file was computed from
     key = {"format": MEASURES, "graph_sha256": graph_sha256,
            "spread_sha256": storage.sha256_of(args.spread),
-           "dataset": dataset, **cfg.fields(read), "timestamps": not args.no_timestamps}
-    storage.write_run(storage.run_path(out_path), key, [out_path])
+           "dataset": dataset, **cfg.fields(read)}
+    storage.write_run(storage.run_path(out_path), key, [out_path],
+                      timestamps=not args.no_timestamps)
     print(f"wrote {out_path}")
     return 0
 
@@ -284,9 +287,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     report_path = args.out_dir / "report.csv"
     scatter_path = args.out_dir / "scatter.csv"
-    storage.write_combined_report(reports, combined, report_path,
-                                  timestamps=not args.no_timestamps)
-    storage.write_scatter(reports, scatter_path, timestamps=not args.no_timestamps)
+    # what the two tables are computed from, in argument order
+    evaluations = [{"name": path.name, "sha256": storage.sha256_of(path)}
+                   for path in args.evaluations]
+    storage.write_combined_report(reports, combined, report_path)
+    storage.write_scatter(reports, scatter_path)
+    storage.write_run(storage.run_path(report_path), {"evaluations": evaluations},
+                      [report_path, scatter_path], timestamps=not args.no_timestamps)
     print(f"wrote {report_path} and {scatter_path}")
     return 0
 

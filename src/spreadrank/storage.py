@@ -9,24 +9,25 @@ table reader below does not read.
 
 A spread file embeds, as a comment line, the config hash of the
 simulation it comes from (:func:`simulation_hash`), so that a spread file
-simulated on another graph is refused.  Timestamp comments are optional
-to allow byte-identical reruns.  A run file records what a command read, the
-SHA-256 of each output's bytes and that of the record itself:
-:func:`current_run` takes the outputs as current only while the run file
-is unedited, holds the same key, and every output still hashes to its
-recorded digest.
+simulated on another graph is refused.  No table holds the time it was
+written, so a table's bytes depend only on what it was computed from.  A
+run file records what a command read, when it ran (its ``generated``
+field, unless left out), the SHA-256 of each output's bytes and that of
+the record itself: :func:`current_run` takes the outputs as current only
+while the run file is unedited, holds the same key, and every output
+still hashes to its recorded digest.
 
 Every file is written to a temporary sibling and renamed over its target,
 so a write that fails midway leaves the previous file as it was.  A target
 that already holds exactly the bytes to be written is left untouched (no
-temporary file, no rename, same inode and mtime), so a warm rerun
-without timestamps writes nothing.  Each table format is a row dtype whose
-field names are the CSV's header, and the ``# key=`` lines it requires;
-one reader, :func:`_read_table`, takes exactly what :func:`_write_table`
-writes.  The readers raise :class:`ParseError` (or :class:`DataError` for
-a table that parses but does not fit) instead of passing a damaged file
-on, and fill in no missing value.  A canonical graph is read back with the
-ids it was written with; it is never repaired.
+temporary file, no rename, same inode and mtime), so a warm rerun writes
+no table.  Each table format is a row dtype whose field names are the
+CSV's header, and the ``# key=`` lines it requires; one reader,
+:func:`_read_table`, takes exactly what :func:`_write_table` writes.
+The readers raise :class:`ParseError` (or :class:`DataError` for a table
+that parses but does not fit) instead of passing a damaged file on, and
+fill in no missing value.  A canonical graph is read back with the ids
+it was written with; it is never repaired.
 """
 from __future__ import annotations
 
@@ -104,11 +105,9 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def _write_table(path: str | Path, comments: dict[str, str], header: str | None,
-                 rows: Iterable[str], timestamps: bool) -> None:
+                 rows: Iterable[str]) -> None:
     """``# key=value`` comment lines, the header line if any, then the rows."""
     lines = [f"# {key}={value}" for key, value in comments.items()]
-    if timestamps:
-        lines.append(f"# generated={_dt.datetime.now().isoformat(timespec='seconds')}")
     if header is not None:
         lines.append(header)
     lines.extend(rows)
@@ -214,15 +213,15 @@ def load_edge_list(path: str | Path, declared_weighted: bool) -> Network:
                    self_loops_dropped=int(loop.sum()), duplicates_dropped=duplicates)
 
 
-def write_edge_list(net: Network, path: str | Path, comments: dict[str, str] | None = None,
-                    timestamps: bool = True) -> None:
+def write_edge_list(net: Network, path: str | Path,
+                    comments: dict[str, str] | None = None) -> None:
     """Canonical whitespace edge list ``u v w`` over dense ids.
 
     A ``# nodes=N`` comment follows ``comments``, so that a node without
     edges keeps its id when the file is read back.
     """
     _write_table(path, {**(comments or {}), "nodes": str(net.node_count)}, None,
-                 (f"{u} {v} {_fmt(w)}" for u, v, w in net.edges()), timestamps)
+                 (f"{u} {v} {_fmt(w)}" for u, v, w in net.edges()))
 
 
 def read_canonical_network(path: str | Path) -> Network:
@@ -257,8 +256,7 @@ def write_id_map(net: Network, path: str | Path) -> None:
     """CSV mapping original labels to dense ids."""
     labels = net.labels or tuple(str(i) for i in range(net.node_count))
     _write_table(path, {}, _header(_ID_MAP_ROW),
-                 (f"{_quoted(label)},{dense_id}" for dense_id, label in enumerate(labels)),
-                 timestamps=False)
+                 (f"{_quoted(label)},{dense_id}" for dense_id, label in enumerate(labels)))
 
 
 def sha256_of(path: str | Path) -> str:
@@ -276,14 +274,18 @@ def _seal(record: dict) -> str:
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
-def write_run(path: str | Path, record: dict, outputs: Iterable[Path]) -> None:
+def write_run(path: str | Path, record: dict, outputs: Iterable[Path],
+              timestamps: bool) -> None:
     """``record`` as JSON in the run file at ``path``, sealed.
 
     Each of ``outputs``, written before, gets the SHA-256 of its bytes
-    under ``sha256``, keyed by file name, and the record then gets the
+    under ``sha256``, keyed by file name; with ``timestamps``, the local
+    time to the second goes under ``generated``.  The record then gets the
     SHA-256 of its own fields under ``record_sha256``.
     """
     record = {**record, "sha256": {p.name: sha256_of(p) for p in outputs}}
+    if timestamps:
+        record["generated"] = _dt.datetime.now().isoformat(timespec="seconds")
     record["record_sha256"] = _seal(record)
     _write_text(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
 
@@ -312,10 +314,9 @@ def current_run(path: str | Path, key: dict, outputs: Iterable[Path]) -> dict | 
     return record
 
 
-def write_scores(scores: ScoreVector, path: str | Path, timestamps: bool = True) -> None:
+def write_scores(scores: ScoreVector, path: str | Path) -> None:
     _write_table(path, {"measure": scores.measure}, _header(_SCORE_ROW),
-                 (f"{node},{_fmt(value)}" for node, value in enumerate(scores.values.tolist())),
-                 timestamps)
+                 (f"{node},{_fmt(value)}" for node, value in enumerate(scores.values.tolist())))
 
 
 def read_scores(path: str | Path) -> ScoreVector:
@@ -330,12 +331,10 @@ def simulation_hash(graph_sha256: str, runs: int, master_seed: int) -> str:
     return hashlib.sha256(f"{text};engine={propagation.ENGINE}".encode()).hexdigest()[:16]
 
 
-def write_spread(spread: propagation.SpreadEstimate, path: str | Path, config_hash: str,
-                 timestamps: bool = True) -> None:
+def write_spread(spread: propagation.SpreadEstimate, path: str | Path, config_hash: str) -> None:
     _write_table(path, {"config_hash": config_hash}, _header(_SPREAD_ROW),
                  (f"{node},{_fmt(spread.values[node])},{_fmt(spread.std_error[node])},"
-                  f"{spread.runs},{spread.master_seed}" for node in range(spread.values.size)),
-                 timestamps)
+                  f"{spread.runs},{spread.master_seed}" for node in range(spread.values.size)))
 
 
 def read_spread(path: str | Path,
@@ -358,10 +357,9 @@ def _metric_cell(value: float | None) -> str:
     return NA if value is None else _fmt(value)
 
 
-def write_evaluation(report: EvaluationReport, path: str | Path,
-                     timestamps: bool = True) -> None:
+def write_evaluation(report: EvaluationReport, path: str | Path) -> None:
     comments = {"node_count": str(report.node_count), "density": _fmt(report.density)}
-    _write_table(path, comments, _header(_REPORT_ROW), _report_rows(report), timestamps)
+    _write_table(path, comments, _header(_REPORT_ROW), _report_rows(report))
 
 
 def _report_rows(report: EvaluationReport) -> list[str]:
@@ -388,13 +386,12 @@ def read_evaluation(path: str | Path) -> EvaluationReport:
 
 
 def write_combined_report(reports: list[EvaluationReport], aggregate_report: EvaluationReport,
-                          path: str | Path, timestamps: bool = True) -> None:
+                          path: str | Path) -> None:
     rows = [row for report in reports for row in _report_rows(report)]
-    _write_table(path, {}, _header(_REPORT_ROW), rows + _report_rows(aggregate_report), timestamps)
+    _write_table(path, {}, _header(_REPORT_ROW), rows + _report_rows(aggregate_report))
 
 
-def write_scatter(reports: list[EvaluationReport], path: str | Path,
-                  timestamps: bool = True) -> None:
+def write_scatter(reports: list[EvaluationReport], path: str | Path) -> None:
     """Rows for density-versus-metric plots across datasets."""
     rows = []
     for report in sorted(reports, key=lambda r: (r.density, r.dataset)):
@@ -404,4 +401,4 @@ def write_scatter(reports: list[EvaluationReport], path: str | Path,
                 if value is not None:
                     rows.append(f"{report.dataset},{_fmt(report.density)},"
                                 f"{measure_id},{metric_name},{_fmt(value)}")
-    _write_table(path, {}, _header(_SCATTER_ROW), rows, timestamps)
+    _write_table(path, {}, _header(_SCATTER_ROW), rows)

@@ -1,4 +1,5 @@
 import argparse
+import datetime
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +65,12 @@ class TestIngest:
         assert code == 0
         assert "nodes=3" in out and "edges=2" in out
         assert "density=0.3333" in out
+
+    def test_hit_says_so(self, tmp_path, toy_edges, capsys):
+        argv = ("ingest", toy_edges, "--directed", "--out-dir", tmp_path)
+        code, cold, _ = run(capsys, *argv)
+        assert code == 0 and cold.startswith("dataset=toy nodes=3 ")
+        assert run(capsys, *argv) == (0, f"cache hit: {cold}", "")
 
     def test_empty_file_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
@@ -194,7 +202,7 @@ def spread_record(graph, out, runs, master_seed):
     """The run file ``simulate --no-timestamps`` writes for ``graph``'s spread in ``out``."""
     graph_sha256 = storage.sha256_of(graph)
     return sealed({"runs": runs, "master_seed": master_seed, "engine": ENGINE,
-                   "graph_sha256": graph_sha256, "timestamps": False,
+                   "graph_sha256": graph_sha256,
                    "config_hash": simulation_hash(graph_sha256, runs, master_seed),
                    "sha256": digests(out, f"{graph.stem}.spread.csv")})
 
@@ -203,7 +211,7 @@ def scores_record(graph, out, measure, gravity_radius=3):
     """The run file ``centrality --no-timestamps`` writes for ``graph``'s scores in ``out``."""
     return sealed({"format": MEASURES, "measure": measure,
                    "graph_sha256": storage.sha256_of(graph), "katz_alpha": None,
-                   "gravity_radius": gravity_radius, "timestamps": False,
+                   "gravity_radius": gravity_radius,
                    "sha256": digests(out, f"{graph.stem}.{measure}.csv")})
 
 
@@ -219,14 +227,17 @@ class TestIngestCache:
         assert code == 0, err
         return stdout
 
-    @pytest.mark.parametrize("flags", [FLAGS, ("--directed", "--weighted")],
-                             ids=["no_timestamps", "timestamps"])
+    # the flags of the first ingest and of the second: no output byte depends on
+    # --no-timestamps, so adding or dropping it is a hit too
+    @pytest.mark.parametrize("before, after", [(FLAGS, FLAGS), (FLAGS[:2], FLAGS[:2]),
+                                               (FLAGS[:2], FLAGS), (FLAGS, FLAGS[:2])],
+                             ids=["no_timestamps", "timestamps", "adds_flag", "drops_flag"])
     def test_hit_reads_no_edges_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
-                                                   flags):
+                                                   before, after):
         source = tmp_path / "toy.txt"
         source.write_text(self.SOURCE)
         out = tmp_path / "out"
-        first = self.ingest(capsys, source, out, flags)
+        first = self.ingest(capsys, source, out, before)
         stamps = _stamps(out)
         contents = {name: (out / name).read_bytes() for name in stamps}
         assert sorted(stamps) == ["toy.edges", "toy.idmap.csv", "toy.ingest.run.json"]
@@ -235,8 +246,8 @@ class TestIngestCache:
             raise AssertionError("a cache hit parsed its input")
 
         monkeypatch.setattr(cli, "load_edge_list", refuse)
-        assert self.ingest(capsys, source, out, flags) == first
-        # a timestamped hit keeps the earlier generated line
+        assert self.ingest(capsys, source, out, after) == f"cache hit: {first}"
+        # a hit keeps the run file it found, and with it the time of the cold run
         assert _stamps(out) == stamps
         assert {name: (out / name).read_bytes() for name in stamps} == contents
 
@@ -258,7 +269,7 @@ class TestIngestCache:
             raise AssertionError("a cache hit parsed its input")
 
         monkeypatch.setattr(cli, "load_edge_list", refuse)
-        assert self.ingest(capsys, source, out, dotted) == first
+        assert self.ingest(capsys, source, out, dotted) == f"cache hit: {first}"
         assert _stamps(out) == stamps
         assert json.loads((out / "toy.c_os.run.json").read_text()) == \
             scores_record(out / "toy.edges", out, "c_os")
@@ -270,7 +281,6 @@ class TestIngestCache:
         "weighted": (FLAGS, ("--directed", "--no-timestamps"), None),
         "keep_weights": (FLAGS, FLAGS + ("--keep-weights",), None),
         "name": (FLAGS, FLAGS + ("--name", "other"), None),
-        "no_timestamps": (FLAGS[:2], FLAGS, None),
         "edges_edited": (FLAGS, FLAGS, lambda source, out, mp: _append(out / "toy.edges")),
         "edges_deleted": (FLAGS, FLAGS, lambda source, out, mp: (out / "toy.edges").unlink()),
         "idmap_edited": (FLAGS, FLAGS, lambda source, out, mp: _append(out / "toy.idmap.csv")),
@@ -397,6 +407,12 @@ class TestCentrality:
         assert scores.measure == "c_os"
         assert scores.values.tolist() == [1.0, 1.0, 0.0]
 
+    def test_hit_says_so(self, tmp_path, ingested, capsys):
+        argv = ("centrality", ingested, "--measure", "c_os", "--out-dir", tmp_path)
+        scores = tmp_path / "toy.c_os.csv"
+        assert run(capsys, *argv) == (0, f"wrote {scores}\n", "")
+        assert run(capsys, *argv) == (0, f"cache hit: {scores}\n", "")
+
     def test_unknown_measure_usage_error(self, tmp_path, ingested, capsys):
         code, _, err = run(capsys, "centrality", ingested, "--measure", "bogus",
                            "--out-dir", tmp_path)
@@ -450,14 +466,17 @@ class TestCommandCache:
         assert code == 0, err
         return stdout
 
-    @pytest.mark.parametrize("timestamps", [False, True], ids=["no_timestamps", "timestamps"])
+    # whether the first run and the second pass --no-timestamps: no output byte
+    # depends on it, so adding or dropping it is a hit too
+    @pytest.mark.parametrize("flags", [(True, True), (False, False), (False, True),
+                                       (True, False)],
+                             ids=["no_timestamps", "timestamps", "adds_flag", "drops_flag"])
     @pytest.mark.parametrize("argv", [SIMULATE, CENTRALITY], ids=["simulate", "centrality"])
     def test_hit_reads_no_graph_and_writes_nothing(self, tmp_path, capsys, monkeypatch, graph,
-                                                   argv, timestamps):
-        if timestamps:
-            argv = argv[:-1]
+                                                   argv, flags):
+        before, after = (argv if flag else argv[:-1] for flag in flags)
         out = tmp_path / "out"
-        first = self.command(capsys, graph, out, argv)
+        first = self.command(capsys, graph, out, before)
         stamps = _stamps(out)
         contents = {name: (out / name).read_bytes() for name in stamps}
         assert len(stamps) == 2
@@ -468,9 +487,8 @@ class TestCommandCache:
         monkeypatch.setattr(cli.storage, "read_canonical_network", refuse)
         monkeypatch.setattr(MeasureContext, "get", refuse)
         # simulate's hit prints the config hash the cold run printed
-        expected = first.replace("wrote ", "cache hit: ") if argv[0] == "simulate" else first
-        assert self.command(capsys, graph, out, argv) == expected
-        # a timestamped hit keeps the earlier generated line
+        assert self.command(capsys, graph, out, after) == first.replace("wrote ", "cache hit: ")
+        # a hit keeps the run file it found, and with it the time of the cold run
         assert _stamps(out) == stamps
         assert {name: (out / name).read_bytes() for name in stamps} == contents
 
@@ -481,7 +499,6 @@ class TestCommandCache:
             graph.read_text().replace("1 2 0.5", "1 2 0.25"))),
         "simulate-runs": (SIMULATE, SIMULATE[:2] + ("30",) + SIMULATE[3:], None),
         "simulate-seed": (SIMULATE, SIMULATE[:4] + ("10",) + SIMULATE[5:], None),
-        "simulate-no_timestamps": (SIMULATE[:-1], SIMULATE, None),
         "simulate-engine_bumped": (SIMULATE, SIMULATE, lambda graph, out, mp: mp.setattr(
             cli, "ENGINE", ENGINE + "-next")),
         "simulate-output_edited": (SIMULATE, SIMULATE,
@@ -515,7 +532,6 @@ class TestCommandCache:
                                             "--no-timestamps"), None),
         "centrality-katz_alpha": (CENTRALITY, CENTRALITY + ("--katz-alpha", "0.05"), None),
         "centrality-radius": (CENTRALITY, CENTRALITY + ("--radius", "1"), None),
-        "centrality-no_timestamps": (CENTRALITY[:-1], CENTRALITY, None),
         "centrality-measures_bumped": (CENTRALITY, CENTRALITY, lambda graph, out, mp: mp.setattr(
             cli, "MEASURES", MEASURES + "-next")),
         "centrality-output_edited": (CENTRALITY, CENTRALITY,
@@ -667,7 +683,7 @@ class TestEvaluate:
 BAD_NAMES = {"parent_dir": "../escaped", "sub_dir": "sub/dir", "backslash": "sub\\dir",
              "leading_space": " x", "trailing_tab": "x\t", "line_feed": "a\nb",
              "carriage_return": "a\rb", "line_separator": "a\u2028b", "dot": ".",
-             "dot_dot": ".."}
+             "dot_dot": "..", "empty": ""}
 
 
 class TestDatasetName:
@@ -818,7 +834,8 @@ class TestReport:
         run_file = storage.run_path(evaluation)
         record = json.loads(run_file.read_text())
         del record["sha256"], record["record_sha256"]
-        storage.write_run(run_file, record, [evaluation])  # as evaluate sealed it then
+        # as evaluate sealed it then
+        storage.write_run(run_file, record, [evaluation], timestamps=False)
         for name in outputs:
             (tmp_path / name).unlink()
         code, _, err = run(capsys, "report", evaluation, *common)
@@ -994,16 +1011,15 @@ class TestConfigProvenance:
 
     @pytest.mark.parametrize("argv, run_file, expected, hashed", [
         (["simulate", "--runs", "30", "--seed", "4", "--quiet"], "toy.spread.run.json",
-         {"runs": 30, "master_seed": 4, "engine": ENGINE, "timestamps": False},
+         {"runs": 30, "master_seed": 4, "engine": ENGINE},
          ["toy.spread.csv"]),
         (["centrality", "--measure", "c_os", "--radius", "2"], "toy.c_os.run.json",
-         {"format": MEASURES, "measure": "c_os", "katz_alpha": None, "gravity_radius": 2,
-          "timestamps": False}, ["toy.c_os.csv"]),
+         {"format": MEASURES, "measure": "c_os", "katz_alpha": None, "gravity_radius": 2},
+         ["toy.c_os.csv"]),
         (["evaluate", "toy.spread.csv", "--top-k", "2", "--measures", "c_os"],
          "toy.evaluation.run.json",
          {"format": MEASURES, "dataset": "toy", "top_k": 2, "measures": ["c_os"],
-          "katz_alpha": None, "gravity_radius": 3, "timestamps": False},
-         ["toy.evaluation.csv"])],
+          "katz_alpha": None, "gravity_radius": 3}, ["toy.evaluation.csv"])],
         ids=["simulate", "centrality", "evaluate"])
     def test_config_holds_the_fields_the_command_read(self, tmp_path, ingested, capsys,
                                                       argv, run_file, expected, hashed):
@@ -1049,7 +1065,7 @@ class TestConfigProvenance:
         assert {p.name: json.loads(p.read_text()) for p in tmp_path.glob("*.run.json")} == {
             "toy.ingest.run.json": sealed({
                 "format": INGEST, **input_digest, "dataset": "toy", "directed": True,
-                "weighted": False, "keep_weights": False, "timestamps": False,
+                "weighted": False, "keep_weights": False,
                 "nodes": 3, "edges": 2, "density": 2 / 6,
                 "self_loops_dropped": 0, "duplicates_dropped": 0,
                 "sha256": digests(tmp_path, "toy.edges", "toy.idmap.csv")}),
@@ -1059,8 +1075,7 @@ class TestConfigProvenance:
                 "format": MEASURES, "graph_sha256": storage.sha256_of(ingested),
                 "spread_sha256": digests(tmp_path, "toy.spread.csv")["toy.spread.csv"],
                 "dataset": "toy", "top_k": 2, "measures": ["c_os"], "katz_alpha": None,
-                "gravity_radius": 3, "timestamps": False,
-                "sha256": digests(tmp_path, "toy.evaluation.csv")})}
+                "gravity_radius": 3, "sha256": digests(tmp_path, "toy.evaluation.csv")})}
         assert not (tmp_path / "config.json").exists()
 
 
@@ -1085,10 +1100,81 @@ def test_warm_rerun_leaves_every_output_untouched(tmp_path, toy_edges, capsys):
     assert not [*out.glob(".*.tmp")]
     # every run file is sealed and its outputs hash to what it records
     run_files = sorted(out.glob("*.run.json"))
-    assert len(run_files) == 4
+    assert len(run_files) == 5
     for run_file in run_files:
         outputs = [out / name for name in json.loads(run_file.read_text())["sha256"]]
         assert outputs and storage.current_run(run_file, {}, outputs) is not None
+
+
+def _pipeline(capsys, raw, out, *flags):
+    """ingest, simulate, centrality, evaluate as toy and as club, then report both."""
+    graph = out / "toy.edges"
+    evaluate = ("evaluate", graph, out / "toy.spread.csv", "--top-k", "2", "--measures", "c_os")
+    for argv in (("ingest", raw, "--directed"),
+                 ("simulate", graph, "--runs", "20", "--quiet"),
+                 ("centrality", graph, "--measure", "c_os"),
+                 evaluate, evaluate + ("--dataset", "club"),
+                 ("report", out / "toy.evaluation.csv", out / "club.evaluation.csv")):
+        code, _, err = run(capsys, *argv, "--out-dir", out, *flags)
+        assert code == 0, err
+
+
+def _tables(out):
+    """Every output but the run files, by name: its bytes, inode and mtime."""
+    return {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in out.iterdir() if not p.name.endswith(".run.json")}
+
+
+def _clock_at(monkeypatch, when):
+    """Make storage's clock read ``when``."""
+    class Clock(datetime.datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return when
+    monkeypatch.setattr(storage, "_dt", SimpleNamespace(datetime=Clock))
+
+
+def test_default_warm_rerun_writes_no_table(tmp_path, toy_edges, capsys, monkeypatch):
+    out = tmp_path / "out"
+    first, second = datetime.datetime(2020, 1, 2, 3, 4, 5), datetime.datetime(2020, 1, 2, 4, 0)
+    _clock_at(monkeypatch, first)
+    _pipeline(capsys, toy_edges, out)
+    tables = _tables(out)
+    assert sorted(tables) == ["club.evaluation.csv", "report.csv", "scatter.csv",
+                              "toy.c_os.csv", "toy.edges", "toy.evaluation.csv",
+                              "toy.idmap.csv", "toy.spread.csv"]
+    _clock_at(monkeypatch, second)
+    _pipeline(capsys, toy_edges, out)
+    assert _tables(out) == tables
+    # a hit keeps the run file it found; evaluate and report always run
+    assert {p.name: json.loads(p.read_text())["generated"] for p in out.glob("*.run.json")} == {
+        **dict.fromkeys(["toy.ingest.run.json", "toy.spread.run.json", "toy.c_os.run.json"],
+                        first.isoformat()),
+        **dict.fromkeys(["toy.evaluation.run.json", "club.evaluation.run.json",
+                         "report.run.json"], second.isoformat())}
+
+
+def test_no_timestamps_touches_only_run_files(tmp_path, toy_edges, capsys):
+    timed, untimed = tmp_path / "timed", tmp_path / "untimed"
+    _pipeline(capsys, toy_edges, timed)
+    _pipeline(capsys, toy_edges, untimed, "--no-timestamps")
+    assert {name: data for name, (data, *_) in _tables(timed).items()} == \
+        {name: data for name, (data, *_) in _tables(untimed).items()}
+    runs = {}
+    for out in (timed, untimed):
+        runs[out] = {p.name: json.loads(p.read_text()) for p in out.glob("*.run.json")}
+        assert len(runs[out]) == 6
+    for name, record in runs[timed].items():
+        assert "generated" in record
+        drop = ("generated", "record_sha256")
+        assert {k: v for k, v in record.items() if k not in drop} == \
+            {k: v for k, v in runs[untimed][name].items() if k not in drop}
+        assert "generated" not in runs[untimed][name]
+    for out in (timed, untimed):
+        evaluations = [{"name": name, "sha256": storage.sha256_of(out / name)}
+                       for name in ("toy.evaluation.csv", "club.evaluation.csv")]
+        assert storage.current_run(out / "report.run.json", {"evaluations": evaluations},
+                                   [out / "report.csv", out / "scatter.csv"]) is not None
 
 
 def _readme_options():

@@ -62,7 +62,7 @@ class TestLoadEdgeList:
     def test_roundtrip_identical(self, tmp_path):
         net = load_edge_list(write(tmp_path, "0 1 0.25\n2 0 0.125\n1 2 1\n"), True)
         out = tmp_path / "canonical.edges"
-        write_edge_list(net, out, timestamps=False)
+        write_edge_list(net, out)
         back = read_canonical_network(out)
         assert back.node_count == net.node_count
         assert np.array_equal(back.src, net.src)

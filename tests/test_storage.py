@@ -26,7 +26,7 @@ def net():
 
 def test_edge_list_roundtrip(net, tmp_path):
     path = tmp_path / "g.edges"
-    storage.write_edge_list(net, path, comments={"dataset": "g"}, timestamps=False)
+    storage.write_edge_list(net, path, comments={"dataset": "g"})
     back = storage.read_canonical_network(path)
     assert np.array_equal(back.src, net.src)
     assert np.array_equal(back.weight, net.weight)
@@ -36,7 +36,7 @@ def test_edge_list_roundtrip(net, tmp_path):
 def test_node_count_survives_nodes_without_edges(tmp_path):
     path = tmp_path / "g.edges"
     for net in (Network.from_edges(5, [(1, 2, 0.5), (2, 3, 1.0)]), Network.from_edges(2, [])):
-        storage.write_edge_list(net, path, comments={"dataset": "g"}, timestamps=False)
+        storage.write_edge_list(net, path, comments={"dataset": "g"})
         assert f"\n# nodes={net.node_count}\n" in path.read_text()
         back = storage.read_canonical_network(path)
         assert back.node_count == net.node_count
@@ -84,7 +84,7 @@ def test_id_map_quotes_a_label_as_csv_writer_does(tmp_path, label):
 def test_scores_roundtrip(tmp_path):
     scores = ScoreVector("c_os", np.array([0.5, 1.25, 0.0]))
     path = tmp_path / "scores.csv"
-    storage.write_scores(scores, path, timestamps=False)
+    storage.write_scores(scores, path)
     assert path.read_text().splitlines()[:2] == ["# measure=c_os", "node,score"]
     back = storage.read_scores(path)
     assert back.measure == "c_os"
@@ -95,7 +95,7 @@ def test_spread_roundtrip(tmp_path):
     est = SpreadEstimate(np.array([2.5, 1.0]), np.array([0.01, 0.0]),
                          runs=100, master_seed=7)
     path = tmp_path / "spread.csv"
-    storage.write_spread(est, path, config_hash="h1", timestamps=False)
+    storage.write_spread(est, path, config_hash="h1")
     back, stored_hash = storage.read_spread(path)
     assert stored_hash == "h1"
     assert back.runs == 100
@@ -110,7 +110,7 @@ def test_evaluation_roundtrip_with_na(tmp_path):
         "wks": MeasureMetrics(None, None, None, None, 0.0),
     })
     path = tmp_path / "eval.csv"
-    storage.write_evaluation(report, path, timestamps=False)
+    storage.write_evaluation(report, path)
     assert path.read_text().splitlines()[:2] == ["# node_count=120", "# density=0.05"]
     back = storage.read_evaluation(path)
     assert back.dataset == "ds"
@@ -124,19 +124,26 @@ def test_scatter_rows(tmp_path):
         "c_os": MeasureMetrics(0.9, 1.1, 0.2, 0.8, 0.99),
     })
     path = tmp_path / "scatter.csv"
-    storage.write_scatter([report], path, timestamps=False)
+    storage.write_scatter([report], path)
     text = path.read_text()
     assert "ds,0.05,c_os,tau_norm,1.1" in text
     assert "ds,0.05,c_os,epsilon_norm,0.8" in text
 
 
 def test_timestamps_toggle(net, tmp_path):
-    a = tmp_path / "a.edges"
-    b = tmp_path / "b.edges"
-    storage.write_edge_list(net, a, timestamps=True)
-    storage.write_edge_list(net, b, timestamps=False)
-    assert "generated=" in a.read_text()
-    assert "generated=" not in b.read_text()
+    # the time goes into the run file only; the table is the same either way
+    graph = tmp_path / "g.edges"
+    storage.write_edge_list(net, graph)
+    assert "generated" not in graph.read_text()
+    runs = {}
+    for timestamps in (True, False):
+        run_file = tmp_path / f"{timestamps}.run.json"
+        storage.write_run(run_file, {"dataset": "g"}, [graph], timestamps=timestamps)
+        runs[timestamps] = storage.current_run(run_file, {"dataset": "g"}, [graph])
+    stamp = runs[True].pop("generated")
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", stamp)
+    assert runs[True] == runs[False] == {"dataset": "g", "sha256": {
+        "g.edges": storage.sha256_of(graph)}}
 
 
 def test_simulation_hash_sensitivity(monkeypatch):
@@ -157,7 +164,8 @@ def test_config_json_roundtrip(tmp_path):
     output = tmp_path / "d.evaluation.csv"
     output.write_text("x\n")
     storage.write_run(storage.run_path(output),
-                      cfg.fields(f.name for f in dataclasses.fields(RunConfig)), [output])
+                      cfg.fields(f.name for f in dataclasses.fields(RunConfig)), [output],
+                      timestamps=False)
     payload = storage.current_run(tmp_path / "d.evaluation.run.json", {}, [output])
     assert payload.pop("sha256") == {output.name: storage.sha256_of(output)}
     assert RunConfig(**{**payload, "measures": tuple(payload["measures"])}) == cfg
@@ -170,7 +178,7 @@ def test_current_run_key_survives_json(tmp_path):
     run_file = storage.run_path(output)
     key = RunConfig(measures=("c_os", "sk3"), katz_alpha=0.1).fields(
         ("measures", "katz_alpha", "gravity_radius"))
-    storage.write_run(run_file, key, [output])
+    storage.write_run(run_file, key, [output], timestamps=False)
     assert storage.current_run(run_file, key, [output]) == {
         "measures": ["c_os", "sk3"], "katz_alpha": 0.1, "gravity_radius": 3,
         "sha256": {output.name: storage.sha256_of(output)}}
@@ -181,7 +189,7 @@ def test_current_run_key_survives_json(tmp_path):
 def test_scores_format_each_value_as_its_own_repr(tmp_path):
     values = [-0.0, 0.0, 1 / 3, 1 / 3, -0.0, 2.5, 0.0, 5e-324, 1 / 3, 1e300]
     path = tmp_path / "s.csv"
-    storage.write_scores(ScoreVector("m", np.array(values)), path, timestamps=False)
+    storage.write_scores(ScoreVector("m", np.array(values)), path)
     assert path.read_text().splitlines()[2:] == \
         [f"{node},{value!r}" for node, value in enumerate(values)]
 
@@ -190,7 +198,7 @@ def _spread_file(tmp_path):
     est = SpreadEstimate(np.array([2.5, 1.0, 1.5]), np.array([0.01, 0.0, 0.02]),
                          runs=100, master_seed=7)
     path = tmp_path / "spread.csv"
-    storage.write_spread(est, path, config_hash="h1", timestamps=False)
+    storage.write_spread(est, path, config_hash="h1")
     return path
 
 
@@ -217,8 +225,7 @@ def test_damaged_spread_is_parse_error(tmp_path, old, new):
 
 def _scores_file(tmp_path):
     path = tmp_path / "scores.csv"
-    storage.write_scores(ScoreVector("c_os", np.array([0.5, 1.25, 0.0])), path,
-                         timestamps=False)
+    storage.write_scores(ScoreVector("c_os", np.array([0.5, 1.25, 0.0])), path)
     return path
 
 
@@ -229,14 +236,14 @@ def _evaluation_file(tmp_path):
         "wks": MeasureMetrics(None, None, None, None, 0.0),
     })
     path = tmp_path / "eval.csv"
-    storage.write_evaluation(report, path, timestamps=False)
+    storage.write_evaluation(report, path)
     return path
 
 
 def _edges_file(tmp_path):
     path = tmp_path / "g.edges"
     storage.write_edge_list(Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.25), (2, 0, 1.0)]),
-                            path, timestamps=False)
+                            path)
     return path
 
 
@@ -246,7 +253,7 @@ _TABLES = {"scores": (_scores_file, storage.read_scores),
            "evaluation": (_evaluation_file, storage.read_evaluation)}
 
 
-# each table as its writer writes it without timestamps, and the reader
+# each table as its writer writes it, and the reader
 _WRITTEN = {**_TABLES, "edges": (_edges_file, storage.read_canonical_network)}
 # the ``# key=`` lines each writes, in order; its reader requires every one
 _KEYS = {"scores": ("measure",), "spread": ("config_hash",),
@@ -342,14 +349,14 @@ def test_spread_row_count_checked_against_graph(tmp_path):
 
 def test_non_numeric_score_and_metric_are_parse_errors(tmp_path):
     scores = tmp_path / "scores.csv"
-    storage.write_scores(ScoreVector("c_os", np.array([0.5, 1.25])), scores, timestamps=False)
+    storage.write_scores(ScoreVector("c_os", np.array([0.5, 1.25])), scores)
     scores.write_text(scores.read_text().replace("1.25", "1.2.5"))
     with pytest.raises(ParseError, match=re.escape(str(scores))):
         storage.read_scores(scores)
     report = EvaluationReport("ds", 120, 0.05,
                               {"c_os": MeasureMetrics(0.9, 1.1, 0.2, 1.0, 0.99)})
     evaluation = tmp_path / "eval.csv"
-    storage.write_evaluation(report, evaluation, timestamps=False)
+    storage.write_evaluation(report, evaluation)
     evaluation.write_text(evaluation.read_text().replace("0.99", "high"))
     with pytest.raises(ParseError, match=re.escape(str(evaluation))):
         storage.read_evaluation(evaluation)
@@ -387,7 +394,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     other = SpreadEstimate(np.array([9.0, 8.0, 7.0]), np.array([0.5, 0.5, 0.5]),
                            runs=200, master_seed=8)
     with pytest.raises(OSError):
-        storage.write_spread(other, path, config_hash="h2", timestamps=False)
+        storage.write_spread(other, path, config_hash="h2")
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spread.csv"]
@@ -396,9 +403,9 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
 def test_successful_write_unlinks_nothing(net, tmp_path, monkeypatch):
     unlinked = []
     monkeypatch.setattr(os, "unlink", lambda path, *args, **kwargs: unlinked.append(path))
-    storage.write_edge_list(net, tmp_path / "g.edges", timestamps=False)
+    storage.write_edge_list(net, tmp_path / "g.edges")
     storage.write_spread(SpreadEstimate(np.ones(3), np.zeros(3), runs=2, master_seed=1),
-                         tmp_path / "spread.csv", config_hash="h", timestamps=False)
+                         tmp_path / "spread.csv", config_hash="h")
     monkeypatch.undo()
     assert unlinked == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.edges", "spread.csv"]
@@ -408,7 +415,7 @@ def test_combined_report_is_not_an_evaluation(tmp_path):
     metrics = {"c_os": MeasureMetrics(0.9, 1.1, 0.2, 1.0, 0.99)}
     reports = [EvaluationReport(name, 120, 0.05, metrics) for name in ("d1", "d2")]
     path = tmp_path / "report.csv"
-    storage.write_combined_report(reports[:1], reports[1], path, timestamps=False)
+    storage.write_combined_report(reports[:1], reports[1], path)
     with pytest.raises(ParseError, match=re.escape(f"{path}: no '# node_count=' line")):
         storage.read_evaluation(path)
     path.write_text("# node_count=120\n# density=0.05\n" + path.read_text())
@@ -436,7 +443,7 @@ def test_identical_rewrite_leaves_the_file_untouched(tmp_path, monkeypatch):
     est, config_hash = storage.read_spread(path)
     before = path.stat()
     _spy_replace(monkeypatch, fail=True)
-    storage.write_spread(est, path, config_hash=config_hash, timestamps=False)
+    storage.write_spread(est, path, config_hash=config_hash)
     monkeypatch.undo()
     after = path.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
@@ -455,7 +462,7 @@ def test_rewrite_that_changes_bytes_replaces_the_file(tmp_path, monkeypatch, old
     else:
         path.write_text(old(want))
     calls = _spy_replace(monkeypatch, fail=False)
-    storage.write_spread(est, path, config_hash=config_hash, timestamps=False)
+    storage.write_spread(est, path, config_hash=config_hash)
     monkeypatch.undo()
     assert calls == [path]
     assert path.read_text() == want
