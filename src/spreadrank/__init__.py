@@ -6,7 +6,6 @@ from .config import RunConfig
 from .graph import Network, GraphView, ViewKind, WeightMode, view, orient_undirected, \
     apply_wcs
 from .propagation import SpreadEstimate, spread_all
-from .scores import ScoreVector
 from .measures import measure_ids, MeasureContext
 from .ranking import kendall_tau, ranking_error, monotonicity, aggregate, \
     evaluate_measures, EvaluationReport
@@ -16,7 +15,7 @@ __all__ = [
     "RunConfig", "Network", "GraphView", "ViewKind", "WeightMode", "view",
     "load_edge_list", "orient_undirected", "apply_wcs",
     "SpreadEstimate", "spread_all",
-    "ScoreVector", "measure_ids", "MeasureContext",
+    "measure_ids", "MeasureContext",
     "kendall_tau", "ranking_error", "monotonicity", "aggregate",
     "evaluate_measures", "EvaluationReport",
 ]

@@ -2,7 +2,7 @@
 
 All functions are pure: they take an immutable :class:`GraphView` (or the
 network itself where the measure is inherently directed and weighted) and
-return a :class:`ScoreVector`.  Distance-based measures expect the caller
+return one float per node.  Distance-based measures expect the caller
 to hand them the appropriate view; by convention weighted distances use
 inverted weights so that a high cascade probability reads as proximity.
 
@@ -21,14 +21,12 @@ the undirected unweighted view as the level, ``wks`` the quantized
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, ValidationError
 from .graph import GraphView, Network, ViewKind
-from .scores import ScoreVector
 
 EIGEN_TOL = 1e-9
 EIGEN_MAX_ITERS = 10_000
@@ -37,11 +35,6 @@ KATZ_MAX_ITERS = 10_000
 KATZ_ALPHA_FRACTION = 0.85
 _SPECTRAL_ITERATIONS = 200
 _BLOCK = 16  # sources per distance pass
-
-
-class Direction(Enum):
-    IN = "in"
-    OUT = "out"
 
 
 def _blocks(nodes: np.ndarray) -> Iterator[np.ndarray]:
@@ -86,7 +79,7 @@ def _distances(view: GraphView, sources: np.ndarray, hops: int | None = None,
     return dist.T
 
 
-def betweenness(view: GraphView) -> ScoreVector:
+def betweenness(view: GraphView) -> np.ndarray:
     """Fraction of shortest paths passing through each node as intermediate.
 
     Pair accumulation follows the standard dependency scheme: ordered
@@ -131,10 +124,10 @@ def betweenness(view: GraphView) -> ScoreVector:
             bc += from_source
     if view.undirected:
         bc *= 0.5
-    return ScoreVector("betweenness", bc)
+    return bc
 
 
-def closeness(view: GraphView) -> ScoreVector:
+def closeness(view: GraphView) -> np.ndarray:
     """Reciprocal average outbound distance, scaled to the reachable set.
 
     For a node reaching ``r`` others with total distance ``t`` the score is
@@ -149,7 +142,7 @@ def closeness(view: GraphView) -> ScoreVector:
             reached = int(finite.sum())
             if reached:
                 values[u] = (reached / (n - 1)) * (reached / float(dist[finite].sum()))
-    return ScoreVector("closeness", values)
+    return values
 
 
 def _multiply_adjacency(view: GraphView, x: np.ndarray, incoming: bool) -> np.ndarray:
@@ -159,7 +152,7 @@ def _multiply_adjacency(view: GraphView, x: np.ndarray, incoming: bool) -> np.nd
     return np.bincount(view.src, weights=view.weight * x[view.dst], minlength=view.n)
 
 
-def eigenvector(view: GraphView, tol: float = EIGEN_TOL) -> ScoreVector:
+def eigenvector(view: GraphView, tol: float = EIGEN_TOL) -> np.ndarray:
     """Leading eigenvector of the undirected unweighted adjacency matrix.
 
     Power iteration with an identity shift, which keeps bipartite graphs
@@ -169,13 +162,13 @@ def eigenvector(view: GraphView, tol: float = EIGEN_TOL) -> ScoreVector:
         raise ValidationError("eigenvector centrality runs on the undirected unweighted view")
     n = view.n
     if n == 0:
-        return ScoreVector("eigenvector", np.zeros(0))
+        return np.zeros(0)
     x = np.full(n, 1.0 / math.sqrt(n))
     for _ in range(EIGEN_MAX_ITERS):
         y = _multiply_adjacency(view, x, incoming=False) + x
         y /= np.linalg.norm(y)
         if np.linalg.norm(y - x) < tol:
-            return ScoreVector("eigenvector", y)
+            return y
         x = y
     ax = _multiply_adjacency(view, x, incoming=False)
     rayleigh = float(x @ ax)
@@ -207,12 +200,11 @@ def _katz_alpha(radius: float) -> float:
     return KATZ_ALPHA_FRACTION / radius
 
 
-def katz(view: GraphView, direction: Direction = Direction.IN,
-         alpha: float | None = None) -> ScoreVector:
-    """Attenuated count of walks ending at (IN) or leaving (OUT) each node.
+def katz(view: GraphView, incoming: bool, alpha: float | None) -> np.ndarray:
+    """Attenuated count of walks ending at each node (``incoming``) or leaving it.
 
     Walk counts of length k are damped by ``alpha**k``; the empty walk is
-    excluded, so sources (IN) respectively sinks (OUT) score 0.
+    excluded, so sources (incoming) respectively sinks (outgoing) score 0.
     """
     radius = spectral_radius_estimate(view)
     if alpha is None:
@@ -220,7 +212,6 @@ def katz(view: GraphView, direction: Direction = Direction.IN,
     if radius > 0 and alpha * radius >= 1.0:
         raise ParameterError(
             f"katz alpha {alpha} >= 1/spectral_radius ({1.0 / radius:.6g}); series diverges")
-    incoming = direction is Direction.IN
     n = view.n
     c = np.zeros(n)
     ones = np.ones(n)
@@ -230,7 +221,7 @@ def katz(view: GraphView, direction: Direction = Direction.IN,
         diff = float(np.max(np.abs(c_next - c))) if n else 0.0
         c = c_next
         if diff < KATZ_TOL:
-            return ScoreVector(f"katz_{direction.value}", c)
+            return c
         if not np.all(np.isfinite(c)) or float(np.max(np.abs(c), initial=0.0)) > 1e15:
             raise ConvergenceError("katz iteration diverged; alpha too large")
     raise ConvergenceError("katz iteration did not converge", residual=diff)
@@ -263,15 +254,14 @@ def _peel(src: np.ndarray, dst: np.ndarray, weight: np.ndarray, n: int,
     return shell
 
 
-def kshell(view: GraphView) -> ScoreVector:
+def kshell(view: GraphView) -> np.ndarray:
     """Iterative-peeling shell index on the undirected unweighted view, by degree."""
     if view.kind is not ViewKind.UU:
         raise ValidationError("k-shell decomposition runs on the undirected unweighted view")
-    return ScoreVector("kshell", _peel(view.src, view.dst, view.weight, view.n,
-                                       lambda count, _: count))
+    return _peel(view.src, view.dst, view.weight, view.n, lambda count, _: count)
 
 
-def weighted_kshell(net: Network) -> ScoreVector:
+def weighted_kshell(net: Network) -> np.ndarray:
     """Shell decomposition driven by the partially weighted out-degree.
 
     Each node's mass is ``sqrt(out_degree * out_strength)``, recomputed on
@@ -282,8 +272,8 @@ def weighted_kshell(net: Network) -> ScoreVector:
     n = net.node_count
     peak = float(np.sqrt(net.out_degree() * net.out_strength()).max(initial=0.0))
     if peak == 0.0:
-        return ScoreVector("wks", np.zeros(n))
+        return np.zeros(n)
     scale = n / peak
     # np.maximum guards the product against float drift in the weight sums
-    return ScoreVector("wks", _peel(net.src, net.dst, net.weight, n, lambda count, total:
-                                    np.floor(scale * np.sqrt(np.maximum(count * total, 0.0)))))
+    return _peel(net.src, net.dst, net.weight, n, lambda count, total:
+                 np.floor(scale * np.sqrt(np.maximum(count * total, 0.0))))

@@ -225,22 +225,26 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     net = storage.read_canonical_network(args.graph)
     scores = MeasureContext(net, cfg).get(args.measure)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    storage.write_scores(scores, out_path)
+    storage.write_scores(args.measure, scores, out_path)
     storage.write_run(run_file, key, [out_path], timestamps=not args.no_timestamps)
     print(f"wrote {out_path}")
     return 0
 
 
-def _check_unedited(path: Path, command: str) -> None:
-    """Reject ``path`` if a run file beside it does not record the SHA-256 it has now.
+def _check_unedited(path: Path, command: str) -> str:
+    """The SHA-256 of ``path``'s bytes, which a run file beside it must record.
 
     Called after the parse, so a damaged file gets the parser's message;
-    a file with no run file is taken as it is.
+    a file with no run file is taken as it is.  The file is hashed once.
     """
     run_file = storage.run_path(path)
-    if run_file.exists() and storage.current_run(run_file, {}, [path]) is None:
+    if not run_file.exists():
+        return storage.sha256_of(path)
+    record = storage.current_run(run_file, {}, [path])
+    if record is None:
         raise DataError(f"{path} does not match its run file {run_file}: "
                         f"edited after {command} wrote it; run {command} again")
+    return record["sha256"][path.name]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -253,7 +257,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg, read = _config_from_args(args)  # a bad setting fails before any input is read
     net = storage.read_canonical_network(args.graph)
     spread, stored_hash = storage.read_spread(args.spread, net.node_count)
-    _check_unedited(args.spread, "simulate")
+    spread_sha256 = _check_unedited(args.spread, "simulate")
     graph_sha256 = storage.sha256_of(args.graph)
     expected_hash = storage.simulation_hash(graph_sha256, spread.runs, spread.master_seed)
     if stored_hash != expected_hash:
@@ -269,7 +273,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     storage.write_evaluation(report, out_path)
     # what the evaluation file was computed from
     key = {"format": MEASURES, "graph_sha256": graph_sha256,
-           "spread_sha256": storage.sha256_of(args.spread),
+           "spread_sha256": spread_sha256,
            "dataset": dataset, **cfg.fields(read)}
     storage.write_run(storage.run_path(out_path), key, [out_path],
                       timestamps=not args.no_timestamps)
@@ -279,17 +283,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     reports = [storage.read_evaluation(path) for path in args.evaluations]
-    for path in args.evaluations:
-        _check_unedited(path, "evaluate")
+    # what the two tables are computed from, in argument order
+    evaluations = [{"name": path.name, "sha256": _check_unedited(path, "evaluate")}
+                   for path in args.evaluations]
     if len(args.evaluations) != len({r.dataset for r in reports}):
         raise DataError("duplicate dataset names across evaluation files")
     combined = aggregate(reports)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     report_path = args.out_dir / "report.csv"
     scatter_path = args.out_dir / "scatter.csv"
-    # what the two tables are computed from, in argument order
-    evaluations = [{"name": path.name, "sha256": storage.sha256_of(path)}
-                   for path in args.evaluations]
     storage.write_combined_report(reports, combined, report_path)
     storage.write_scatter(reports, scatter_path)
     storage.write_run(storage.run_path(report_path), {"evaluations": evaluations},

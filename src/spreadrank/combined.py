@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .scores import ScoreVector
 
 # Fixed by the paper: the closeness fold point, sc1's weights (the published
 # correlation strengths split over a unit budget), and sk's zero-Katz stand-in.
@@ -21,45 +20,39 @@ DEFAULT_EPS = 1e-12
 SK_VARIANTS = ("sk1", "sk2", "sk3")
 
 
-def modified_closeness(c: ScoreVector) -> ScoreVector:
+def modified_closeness(c: np.ndarray) -> np.ndarray:
     """Fold raw closeness so that values at or below ``t = DEFAULT_CLOSENESS_THRESHOLD``
     score highest.
 
     value <= t  ->  value + 1 - t
     value >  t  ->  1 - value + t
     """
-    v, t = c.values, DEFAULT_CLOSENESS_THRESHOLD
-    out = np.where(v <= t, v + 1.0 - t, 1.0 - v + t)
-    return ScoreVector("closeness_mod", out)
+    t = DEFAULT_CLOSENESS_THRESHOLD
+    return np.where(c <= t, c + 1.0 - t, 1.0 - c + t)
 
 
-def sc1(c_os: ScoreVector, c_mod_closeness: ScoreVector) -> ScoreVector:
+def sc1(c_os: np.ndarray, c_mod_closeness: np.ndarray) -> np.ndarray:
     """Convex combination ``gamma * out_strength + delta * folded_closeness``.
 
     Both inputs are expected max-normalized over the same node set.
     """
-    if len(c_os) != len(c_mod_closeness):
+    if c_os.shape != c_mod_closeness.shape:
         raise ValidationError("sc1 inputs must cover the same node set")
-    values = DEFAULT_GAMMA * c_os.values + DEFAULT_DELTA * c_mod_closeness.values
-    return ScoreVector("sc1", values)
+    return DEFAULT_GAMMA * c_os + DEFAULT_DELTA * c_mod_closeness
 
 
-def sk_family(c_os: ScoreVector, c_katz: ScoreVector, variant: str) -> ScoreVector:
+def sk_family(c_os: np.ndarray, c_katz: np.ndarray, variant: str) -> np.ndarray:
     """Strength/Katz combinations; ``DEFAULT_EPS`` replaces zero Katz values.
 
     sk1 = s + s/z      sk2 = s - z/(s+z)      sk3 = s/z
     """
     if variant not in SK_VARIANTS:
         raise ValidationError(f"unknown sk variant {variant!r}")
-    if len(c_os) != len(c_katz):
+    if c_os.shape != c_katz.shape:
         raise ValidationError("sk inputs must cover the same node set")
-    s = c_os.values
-    z = np.where(c_katz.values == 0.0, DEFAULT_EPS, c_katz.values)
+    s, z = c_os, np.where(c_katz == 0.0, DEFAULT_EPS, c_katz)
     if variant == "sk1":
-        values = s + s / z
-    elif variant == "sk2":
-        denom = np.where(s + z == 0.0, DEFAULT_EPS, s + z)
-        values = s - z / denom
-    else:
-        values = s / z
-    return ScoreVector(variant, values)
+        return s + s / z
+    if variant == "sk2":
+        return s - z / np.where(s + z == 0.0, DEFAULT_EPS, s + z)
+    return s / z

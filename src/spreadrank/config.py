@@ -41,6 +41,9 @@ class RunConfig:
             raise ParameterError("gravity radius must be >= 1")
         if self.katz_alpha is not None and not 0 < self.katz_alpha < math.inf:
             raise ParameterError("katz alpha must be a finite number > 0")
+        # a spread file holds the seed as a signed 64-bit integer
+        if not -2**63 <= self.master_seed < 2**63:
+            raise ParameterError("master seed must be in [-2**63, 2**63)")
 
     def fields(self, names: Iterable[str]) -> dict:
         """The fields ``names``: what a command read, for provenance."""

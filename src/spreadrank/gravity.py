@@ -15,39 +15,34 @@ import numpy as np
 from .centrality import _blocks, _distances
 from .errors import ValidationError
 from .graph import GraphView, Network
-from .scores import ScoreVector
 
 
-def gravity(distance_view: GraphView, mass: ScoreVector | np.ndarray,
-            radius: int) -> ScoreVector:
+def gravity(distance_view: GraphView, mass: np.ndarray, radius: int) -> np.ndarray:
     """Mass-product-over-squared-distance sum across each hop neighborhood."""
-    masses = mass.values if isinstance(mass, ScoreVector) else np.asarray(mass, np.float64)
     n = distance_view.n
-    if masses.size != n:
+    if mass.size != n:
         raise ValidationError("mass vector must cover every node")
     if radius < 1:
         raise ValidationError("gravity radius must be >= 1")
     scores = np.zeros(n)
-    for sources in _blocks(np.flatnonzero(masses)):
+    for sources in _blocks(np.flatnonzero(mass)):
         members = np.isfinite(_distances(distance_view, sources, hops=radius))
         members[np.arange(sources.size), sources] = False
         # hop-reachable implies weight-reachable inside the induced search
         dist = _distances(distance_view, sources, allowed=members)
         for u, inside, row in zip(sources.tolist(), members, dist):
             if inside.any():
-                scores[u] = masses[u] * np.sum(masses[inside] / row[inside] ** 2)
-    return ScoreVector("gravity", scores)
+                scores[u] = mass[u] * np.sum(mass[inside] / row[inside] ** 2)
+    return scores
 
 
-def mass_ods(net: Network) -> ScoreVector:
+def mass_ods(net: Network) -> np.ndarray:
     """Out-degree times out-strength."""
-    values = net.out_degree().astype(np.float64) * net.out_strength()
-    return ScoreVector("ods", values)
+    return net.out_degree().astype(np.float64) * net.out_strength()
 
 
-def mass_wk(net: Network, katz_out_dw: ScoreVector) -> ScoreVector:
+def mass_wk(net: Network, katz_out_dw: np.ndarray) -> np.ndarray:
     """ods times outgoing Katz on the weighted graph."""
-    if len(katz_out_dw) != net.node_count:
+    if katz_out_dw.size != net.node_count:
         raise ValidationError("katz vector must cover every node")
-    values = mass_ods(net).values * katz_out_dw.values
-    return ScoreVector("wk", values)
+    return mass_ods(net) * katz_out_dw

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from . import combined, gravity
-from .centrality import (Direction, betweenness, closeness, eigenvector, katz,
-                         weighted_kshell, kshell)
+from .centrality import betweenness, closeness, eigenvector, katz, weighted_kshell, kshell
 from .config import RunConfig
 from .errors import ValidationError
 from .graph import Network, ViewKind, WeightMode, view
-from .scores import ScoreVector
 
 # tag of the measures' values, part of centrality's cache key: bump it
 # whenever a score could change, as ENGINE and INGEST are bumped
@@ -33,9 +33,14 @@ class MeasureContext:
     def __init__(self, net: Network, cfg: RunConfig | None = None):
         self.net = net
         self.cfg = cfg or RunConfig()
-        self._cache: dict[str, ScoreVector] = {}
+        self._cache: dict[str, np.ndarray] = {}
 
-    def get(self, measure_id: str) -> ScoreVector:
+    def get(self, measure_id: str) -> np.ndarray:
+        """``measure_id``'s values: one finite float64 per node, read-only, computed once.
+
+        An unknown id, or values of another shape or not finite, raise
+        :class:`ValidationError` naming the id.
+        """
         if measure_id not in self._cache:
             try:
                 builder = _BUILDERS[measure_id]
@@ -43,7 +48,12 @@ class MeasureContext:
                 raise ValidationError(
                     f"unknown measure {measure_id!r}; valid ids: {', '.join(measure_ids())}"
                 ) from None
-            self._cache[measure_id] = builder(self).with_measure(measure_id)
+            values = np.array(builder(self), dtype=np.float64)
+            if values.shape != (self.net.node_count,) or not np.all(np.isfinite(values)):
+                raise ValidationError(f"measure {measure_id!r} must give one finite score "
+                                      "per node")
+            values.setflags(write=False)
+            self._cache[measure_id] = values
         return self._cache[measure_id]
 
 
@@ -51,80 +61,87 @@ def measure_ids() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
-def _c_od(ctx: MeasureContext) -> ScoreVector:
-    return ScoreVector("c_od", ctx.net.out_degree())
+def _peak_scaled(values: np.ndarray) -> np.ndarray:
+    """``values`` over their largest absolute value; all zeros pass through."""
+    peak = float(np.max(np.abs(values), initial=0.0))
+    return values / peak if peak else values
 
 
-def _c_os(ctx: MeasureContext) -> ScoreVector:
-    return ScoreVector("c_os", ctx.net.out_strength())
+def _c_od(ctx: MeasureContext) -> np.ndarray:
+    return ctx.net.out_degree()
 
 
-def _c_b_uu(ctx: MeasureContext) -> ScoreVector:
+def _c_os(ctx: MeasureContext) -> np.ndarray:
+    return ctx.net.out_strength()
+
+
+def _c_b_uu(ctx: MeasureContext) -> np.ndarray:
     return betweenness(view(ctx.net, ViewKind.UU))
 
 
-def _c_b_uw(ctx: MeasureContext) -> ScoreVector:
+def _c_b_uw(ctx: MeasureContext) -> np.ndarray:
     return betweenness(view(ctx.net, ViewKind.UW, WeightMode.INVERTED))
 
 
-def _c_c_du(ctx: MeasureContext) -> ScoreVector:
+def _c_c_du(ctx: MeasureContext) -> np.ndarray:
     return closeness(view(ctx.net, ViewKind.DU))
 
 
-def _c_c_dw(ctx: MeasureContext) -> ScoreVector:
+def _c_c_dw(ctx: MeasureContext) -> np.ndarray:
     return closeness(view(ctx.net, ViewKind.DW, WeightMode.INVERTED))
 
 
-def _c_c_dw_mod(ctx: MeasureContext) -> ScoreVector:
+def _c_c_dw_mod(ctx: MeasureContext) -> np.ndarray:
     return combined.modified_closeness(ctx.get("c_c_dw"))
 
 
-def _c_e_uu(ctx: MeasureContext) -> ScoreVector:
+def _c_e_uu(ctx: MeasureContext) -> np.ndarray:
     return eigenvector(view(ctx.net, ViewKind.UU))
 
 
-def _c_katz_du(ctx: MeasureContext) -> ScoreVector:
-    return katz(view(ctx.net, ViewKind.DU), Direction.IN, ctx.cfg.katz_alpha)
+def _c_katz_du(ctx: MeasureContext) -> np.ndarray:
+    return katz(view(ctx.net, ViewKind.DU), incoming=True, alpha=ctx.cfg.katz_alpha)
 
 
-def _c_katz_dw_out(ctx: MeasureContext) -> ScoreVector:
-    return katz(view(ctx.net, ViewKind.DW), Direction.OUT, ctx.cfg.katz_alpha)
+def _c_katz_dw_out(ctx: MeasureContext) -> np.ndarray:
+    return katz(view(ctx.net, ViewKind.DW), incoming=False, alpha=ctx.cfg.katz_alpha)
 
 
-def _ks(ctx: MeasureContext) -> ScoreVector:
+def _ks(ctx: MeasureContext) -> np.ndarray:
     return kshell(view(ctx.net, ViewKind.UU))
 
 
-def _wks(ctx: MeasureContext) -> ScoreVector:
+def _wks(ctx: MeasureContext) -> np.ndarray:
     return weighted_kshell(ctx.net)
 
 
-def _gc(ctx: MeasureContext) -> ScoreVector:
+def _gc(ctx: MeasureContext) -> np.ndarray:
     """Classic gravity: k-shell masses over undirected hop distances."""
     return gravity.gravity(view(ctx.net, ViewKind.UU), ctx.get("ks"), ctx.cfg.gravity_radius)
 
 
-def _sc1(ctx: MeasureContext) -> ScoreVector:
-    return combined.sc1(ctx.get("c_os").normalize(), ctx.get("c_c_dw_mod").normalize())
+def _sc1(ctx: MeasureContext) -> np.ndarray:
+    return combined.sc1(_peak_scaled(ctx.get("c_os")),
+                        _peak_scaled(ctx.get("c_c_dw_mod")))
 
 
-def _sk(variant: str) -> Callable[[MeasureContext], ScoreVector]:
-    def build(ctx: MeasureContext) -> ScoreVector:
-        return combined.sk_family(ctx.get("c_os").normalize(),
-                                  ctx.get("c_katz_du").normalize(), variant)
+def _sk(variant: str) -> Callable[[MeasureContext], np.ndarray]:
+    def build(ctx: MeasureContext) -> np.ndarray:
+        return combined.sk_family(_peak_scaled(ctx.get("c_os")),
+                                  _peak_scaled(ctx.get("c_katz_du")), variant)
     return build
 
 
-def _mgc(mass: Callable[[MeasureContext], ScoreVector]
-         ) -> Callable[[MeasureContext], ScoreVector]:
+def _mgc(mass: Callable[[MeasureContext], np.ndarray]
+         ) -> Callable[[MeasureContext], np.ndarray]:
     """Gravity over inverted weighted distances with the mass ``mass`` builds."""
-    def build(ctx: MeasureContext) -> ScoreVector:
+    def build(ctx: MeasureContext) -> np.ndarray:
         return gravity.gravity(view(ctx.net, ViewKind.DW, WeightMode.INVERTED), mass(ctx),
                                ctx.cfg.gravity_radius)
     return build
 
 
-_BUILDERS: dict[str, Callable[[MeasureContext], ScoreVector]] = {
+_BUILDERS: dict[str, Callable[[MeasureContext], np.ndarray]] = {
     "c_od": _c_od,
     "c_os": _c_os,
     "c_b_uu": _c_b_uu,

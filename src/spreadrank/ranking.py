@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import UndefinedCorrelationError, ValidationError
 from .propagation import SpreadEstimate
-from .scores import ScoreVector
 
 EPSILON_AGG_MIN_NODES = 100  # datasets below this are excluded from error aggregation
 RANK_DECIMALS = 12
@@ -51,7 +50,7 @@ def _inversions(ranks: np.ndarray) -> int:
     return inversions
 
 
-def kendall_tau(x: ScoreVector | np.ndarray, y: ScoreVector | np.ndarray) -> float:
+def kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
     """Tie-corrected Kendall correlation between two score vectors.
 
     Tied pairs come from the group sizes of x, of y and of the joint (x, y)
@@ -59,17 +58,15 @@ def kendall_tau(x: ScoreVector | np.ndarray, y: ScoreVector | np.ndarray) -> flo
     order.  Raises :class:`UndefinedCorrelationError` when either input is
     all ties, and :class:`ValidationError` on non-finite input.
     """
-    xv = x.values if isinstance(x, ScoreVector) else np.asarray(x, np.float64)
-    yv = y.values if isinstance(y, ScoreVector) else np.asarray(y, np.float64)
-    if xv.shape != yv.shape or xv.ndim != 1:
+    if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("kendall_tau inputs must be equal-length vectors")
-    n = xv.size
+    n = x.size
     if n < 2:
         raise ValidationError("kendall_tau needs at least two observations")
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValidationError("kendall_tau inputs must be finite")
-    _, rx, cx = np.unique(xv, return_inverse=True, return_counts=True)
-    _, ry, cy = np.unique(yv, return_inverse=True, return_counts=True)
+    _, rx, cx = np.unique(x, return_inverse=True, return_counts=True)
+    _, ry, cy = np.unique(y, return_inverse=True, return_counts=True)
     n0 = n * (n - 1) // 2
     n1, n2 = _pairs(cx), _pairs(cy)
     n3 = _pairs(np.unique(rx * cy.size + ry, return_counts=True)[1])
@@ -87,7 +84,7 @@ def top_k_nodes(values: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
-def ranking_error(scores: ScoreVector, spread: SpreadEstimate, k: int) -> float:
+def ranking_error(scores: np.ndarray, spread: SpreadEstimate, k: int) -> float:
     """One minus the spread mass captured by the measure's top-k.
 
     The reference set is the spread-optimal top-k, so the result is always
@@ -95,29 +92,28 @@ def ranking_error(scores: ScoreVector, spread: SpreadEstimate, k: int) -> float:
     """
     f = spread.values
     n = f.size
-    if len(scores) != n:
+    if scores.size != n:
         raise ValidationError("scores and spread must cover the same node set")
     if not 1 <= k <= n:
         raise ValidationError(f"top-k size {k} out of range for {n} nodes")
-    chosen = top_k_nodes(scores.values, k)
+    chosen = top_k_nodes(scores, k)
     optimal = top_k_nodes(f, k)
     return 1.0 - float(f[chosen].sum()) / float(f[optimal].sum())
 
 
-def monotonicity(scores: ScoreVector | np.ndarray) -> float:
+def monotonicity(scores: np.ndarray) -> float:
     """Squared fraction of distinguishable pairs in a ranking, in [0, 1].
 
     Scores equal after rounding to 12 decimals share a rank; tied pairs
     are counted from the sizes of those groups.  Non-finite scores raise
     :class:`ValidationError`.
     """
-    values = scores.values if isinstance(scores, ScoreVector) else np.asarray(scores, np.float64)
-    n = values.size
+    n = scores.size
     if n < 2:
         raise ValidationError("monotonicity needs at least two nodes")
-    if not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(scores)):
         raise ValidationError("monotonicity needs finite scores")
-    tied = float(2 * _pairs(np.unique(np.round(values, RANK_DECIMALS), return_counts=True)[1]))
+    tied = float(2 * _pairs(np.unique(np.round(scores, RANK_DECIMALS), return_counts=True)[1]))
     return (1.0 - tied / (n * (n - 1))) ** 2
 
 
@@ -143,7 +139,7 @@ class EvaluationReport:
 
 
 def evaluate_measures(dataset: str, node_count: int, density: float,
-                      scores: dict[str, ScoreVector], spread: SpreadEstimate,
+                      scores: dict[str, np.ndarray], spread: SpreadEstimate,
                       k: int) -> EvaluationReport:
     """Compute tau / error / monotonicity per measure, normalized by baselines.
 
@@ -155,27 +151,27 @@ def evaluate_measures(dataset: str, node_count: int, density: float,
         if baseline not in scores:
             raise ValidationError(f"evaluation needs baseline measure {baseline!r}")
 
-    def tau_or_none(vec: ScoreVector) -> float | None:
+    def tau_or_none(values: np.ndarray) -> float | None:
         try:
-            return kendall_tau(vec, spread.values)
+            return kendall_tau(values, spread.values)
         except UndefinedCorrelationError:
             return None
 
     use_epsilon = k <= node_count
-    taus = {measure_id: tau_or_none(vec) for measure_id, vec in scores.items()}
-    epsilons = {measure_id: ranking_error(vec, spread, k) if use_epsilon else None
-                for measure_id, vec in scores.items()}
+    taus = {measure_id: tau_or_none(values) for measure_id, values in scores.items()}
+    epsilons = {measure_id: ranking_error(values, spread, k) if use_epsilon else None
+                for measure_id, values in scores.items()}
     tau_base, eps_base = taus["c_od"], epsilons["c_os"]
 
     metrics: dict[str, MeasureMetrics] = {}
-    for measure_id, vec in scores.items():
+    for measure_id, values in scores.items():
         tau, epsilon = taus[measure_id], epsilons[measure_id]
         # a baseline of None or 0.0 leaves the normalized value undefined
         tau_norm = tau / tau_base if tau is not None and tau_base else None
         epsilon_norm = epsilon / eps_base if epsilon is not None and eps_base else None
         metrics[measure_id] = MeasureMetrics(
             tau=tau, tau_norm=tau_norm, epsilon=epsilon, epsilon_norm=epsilon_norm,
-            monotonicity=monotonicity(vec) if node_count >= 2 else None)
+            monotonicity=monotonicity(values) if node_count >= 2 else None)
     return EvaluationReport(dataset, node_count, density, metrics)
 
 

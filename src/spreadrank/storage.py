@@ -44,8 +44,7 @@ import numpy as np
 from .errors import DataError, ParseError, ValidationError
 from . import propagation
 from .graph import Network, dedup_keep_first
-from .ranking import EvaluationReport, MeasureMetrics
-from .scores import ScoreVector
+from .ranking import AGGREGATE, EvaluationReport, MeasureMetrics
 
 NA = "NA"
 COMMENT_PREFIXES = ("#", "%")
@@ -314,15 +313,18 @@ def current_run(path: str | Path, key: dict, outputs: Iterable[Path]) -> dict | 
     return record
 
 
-def write_scores(scores: ScoreVector, path: str | Path) -> None:
-    _write_table(path, {"measure": scores.measure}, _header(_SCORE_ROW),
-                 (f"{node},{_fmt(value)}" for node, value in enumerate(scores.values.tolist())))
+def write_scores(measure: str, scores: np.ndarray, path: str | Path) -> None:
+    _write_table(path, {"measure": measure}, _header(_SCORE_ROW),
+                 (f"{node},{_fmt(value)}" for node, value in enumerate(scores.tolist())))
 
 
-def read_scores(path: str | Path) -> ScoreVector:
+def read_scores(path: str | Path) -> tuple[str, np.ndarray]:
+    """A scores table's measure id and its score per node, every one finite."""
     comments, rows = _read_table(path, _SCORE_ROW, ("measure",))
     _check_node_ids(path, rows)
-    return ScoreVector(comments["measure"], rows["score"])
+    if not np.all(np.isfinite(rows["score"])):
+        raise ParseError(f"{path}: non-finite score")
+    return comments["measure"], rows["score"]
 
 
 def simulation_hash(graph_sha256: str, runs: int, master_seed: int) -> str:
@@ -377,6 +379,9 @@ def read_evaluation(path: str | Path) -> EvaluationReport:
     datasets = set(rows["dataset"].tolist())
     if len(datasets) > 1:
         raise DataError(f"evaluation file {path} mixes datasets {sorted(datasets)}")
+    if AGGREGATE in datasets:
+        raise DataError(f"evaluation file {path} names its dataset {AGGREGATE!r}, "
+                        "which is reserved for report's aggregate rows")
     with _parsing(path):
         metrics = {measure: MeasureMetrics(*(None if c == NA else float(c) for c in cells))
                    for _, measure, *cells in rows.tolist()}

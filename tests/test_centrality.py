@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spreadrank.centrality import (KATZ_ALPHA_FRACTION, Direction, _distances, betweenness,
+from spreadrank.centrality import (KATZ_ALPHA_FRACTION, _distances, betweenness,
                                    closeness, eigenvector, katz, kshell,
                                    spectral_radius_estimate, weighted_kshell)
 from spreadrank.errors import ParameterError, ValidationError
@@ -59,11 +59,11 @@ def star(n=5):
 
 
 def degree(net: Network) -> np.ndarray:
-    return MeasureContext(net).get("c_od").values
+    return MeasureContext(net).get("c_od")
 
 
 def strength(net: Network) -> np.ndarray:
-    return MeasureContext(net).get("c_os").values
+    return MeasureContext(net).get("c_os")
 
 
 class TestDegreeStrength:
@@ -107,18 +107,18 @@ class TestBetweenness:
     def test_path_midpoint_unordered(self):
         net = Network.from_edges(3, [(0, 1), (1, 2)])
         g = view(net, ViewKind.UU)
-        assert betweenness(g).values.tolist() == [0.0, 1.0, 0.0]
+        assert betweenness(g).tolist() == [0.0, 1.0, 0.0]
 
     def test_complete_graph_zero(self):
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
         g = view(Network.from_edges(4, edges), ViewKind.UU)
-        assert np.all(betweenness(g).values == 0.0)
+        assert np.all(betweenness(g) == 0.0)
 
     def test_directed_ordered_pairs(self):
         net = Network.from_edges(3, [(0, 1), (1, 2), (2, 0)])
         g = view(net, ViewKind.DU)
         # every node sits on exactly one two-step shortest path
-        assert betweenness(g).values.tolist() == [1.0, 1.0, 1.0]
+        assert betweenness(g).tolist() == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("directed,kind", [(True, ViewKind.DW), (False, ViewKind.UW)])
     def test_matches_path_enumeration(self, directed, kind):
@@ -131,7 +131,7 @@ class TestBetweenness:
             g = view(net, kind)
             oracle_edges = edges if directed else undirected_edges(g)
             expected = bf_betweenness(n, oracle_edges, directed)
-            np.testing.assert_allclose(betweenness(g).values, expected, atol=1e-9)
+            np.testing.assert_allclose(betweenness(g), expected, atol=1e-9)
 
     # path enumeration grows fast with cycles, so the undirected graphs are sparser
     @pytest.mark.parametrize("kind, mean_out", [(ViewKind.DW, 1.2), (ViewKind.UW, 0.7)])
@@ -143,7 +143,7 @@ class TestBetweenness:
             g = view(Network.from_edges(n, edges), kind, WeightMode.INVERTED)
             oracle_edges = inverted(edges) if kind is ViewKind.DW else undirected_edges(g)
             expected = bf_betweenness(n, oracle_edges, directed=kind is ViewKind.DW)
-            np.testing.assert_allclose(betweenness(g).values, expected, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(betweenness(g), expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(TIED))
     @pytest.mark.parametrize("kind", [ViewKind.UU, ViewKind.UW])
@@ -153,18 +153,18 @@ class TestBetweenness:
         g = view(Network.from_edges(n, [(u, v, 0.5) for u, v in pairs]), kind,
                  WeightMode.INVERTED)
         expected = bf_betweenness(n, undirected_edges(g), directed=False)
-        np.testing.assert_allclose(betweenness(g).values, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(betweenness(g), expected, rtol=1e-12, atol=1e-12)
 
 
 class TestCloseness:
     def test_star_center_is_one(self):
         g = view(star(), ViewKind.DU)
-        assert closeness(g).values[0] == 1.0
+        assert closeness(g)[0] == 1.0
 
     def test_sink_scores_zero(self):
         net = Network.from_edges(3, [(0, 1), (0, 2)])
         g = view(net, ViewKind.DU)
-        assert closeness(g).values[1] == 0.0
+        assert closeness(g)[1] == 0.0
 
     def test_matches_floyd_warshall(self):
         rng = np.random.default_rng(33)
@@ -172,7 +172,7 @@ class TestCloseness:
             n, edges = random_digraph(rng, max_n=6, weights="dyadic")
             net = Network.from_edges(n, edges)
             g = view(net, ViewKind.DW)
-            np.testing.assert_allclose(closeness(g).values,
+            np.testing.assert_allclose(closeness(g),
                                        bf_closeness(n, edges, directed=True), atol=1e-12)
 
     def test_inverted_probabilities_match_floyd_warshall(self):
@@ -181,7 +181,7 @@ class TestCloseness:
             n, edges = (random_digraph(rng, max_n=7, weights="uniform") if small
                         else sparse_digraph(rng, mean_out=2.0))
             g = view(Network.from_edges(n, edges), ViewKind.DW, WeightMode.INVERTED)
-            np.testing.assert_allclose(closeness(g).values,
+            np.testing.assert_allclose(closeness(g),
                                        bf_closeness(n, inverted(edges), directed=True),
                                        rtol=1e-12, atol=0)
 
@@ -205,12 +205,12 @@ class TestEigenvector:
     def test_regular_graph_uniform(self):
         edges = [(u, (u + 1) % 6) for u in range(6)]
         g = view(Network.from_edges(6, edges), ViewKind.UU)
-        np.testing.assert_allclose(eigenvector(g).values, 1 / math.sqrt(6), atol=1e-8)
+        np.testing.assert_allclose(eigenvector(g), 1 / math.sqrt(6), atol=1e-8)
 
     def test_edge_plus_isolated(self):
         net = Network.from_edges(3, [(0, 1)])
         g = view(net, ViewKind.UU)
-        values = eigenvector(g).values
+        values = eigenvector(g)
         np.testing.assert_allclose(values[:2], 1 / math.sqrt(2), atol=1e-8)
         assert values[2] < 1e-8
 
@@ -224,14 +224,14 @@ class TestEigenvector:
             n, edges = random_connected_undirected(rng, max_n=6)
             net = Network.from_edges(n, edges)
             g = view(net, ViewKind.UU)
-            np.testing.assert_allclose(eigenvector(g).values,
+            np.testing.assert_allclose(eigenvector(g),
                                        bf_eigenvector(n, edges), atol=1e-6)
 
     def test_rayleigh_residual_small(self):
         rng = np.random.default_rng(45)
         n, edges = random_connected_undirected(rng, max_n=8)
         g = view(Network.from_edges(n, edges), ViewKind.UU)
-        x = eigenvector(g).values
+        x = eigenvector(g)
         a = dense_adjacency(g.n, zip(g.src, g.dst, g.weight))
         lam = x @ a @ x
         assert np.linalg.norm(a @ x - lam * x) < 1e-5
@@ -241,12 +241,12 @@ class TestKatz:
     def test_isolated_node_zero(self):
         net = Network.from_edges(2, [(0, 1)])
         g = view(net, ViewKind.DU)
-        assert katz(g, Direction.IN, alpha=0.3).values[0] == 0.0
+        assert katz(g, True, alpha=0.3)[0] == 0.0
 
     def test_single_edge_incoming(self):
         net = Network.from_edges(2, [(0, 1)])
         g = view(net, ViewKind.DU)
-        values = katz(g, Direction.IN, alpha=0.5).values
+        values = katz(g, True, alpha=0.5)
         np.testing.assert_allclose(values, [0.0, 0.5], atol=1e-10)
 
     def test_matches_truncated_series(self):
@@ -258,8 +258,8 @@ class TestKatz:
             net = Network.from_edges(n, edges)
             g = view(net, ViewKind.DW)
             alpha = 0.5 / max(spectral_radius_estimate(g), 1.0)
-            for direction, outgoing in ((Direction.IN, False), (Direction.OUT, True)):
-                np.testing.assert_allclose(katz(g, direction, alpha).values,
+            for outgoing in (False, True):
+                np.testing.assert_allclose(katz(g, not outgoing, alpha),
                                            bf_katz(n, edges, alpha, outgoing), atol=1e-8)
 
     def test_incoming_equals_outgoing_on_reversed(self):
@@ -267,28 +267,28 @@ class TestKatz:
         n, edges = random_digraph(rng, max_n=7, weights="unit")
         net = Network.from_edges(n, edges)
         alpha = 0.3 / max(spectral_radius_estimate(view(net, ViewKind.DU)), 1.0)
-        incoming = katz(view(net, ViewKind.DU), Direction.IN, alpha).values
-        outgoing = katz(view(reversed_network(net), ViewKind.DU), Direction.OUT, alpha).values
+        incoming = katz(view(net, ViewKind.DU), True, alpha)
+        outgoing = katz(view(reversed_network(net), ViewKind.DU), False, alpha)
         np.testing.assert_allclose(incoming, outgoing, atol=1e-12)
 
     def test_divergent_alpha_rejected(self):
         edges = [(u, v) for u in range(4) for v in range(4) if u != v]
         g = view(Network.from_edges(4, edges), ViewKind.DU)
         with pytest.raises(ParameterError):
-            katz(g, Direction.IN, alpha=0.9)  # spectral radius 3
+            katz(g, True, alpha=0.9)  # spectral radius 3
 
     def test_auto_alpha_converges(self):
         rng = np.random.default_rng(57)
         n, edges = random_digraph(rng, max_n=7)
         net = Network.from_edges(n, edges)
         g = view(net, ViewKind.DW)
-        values = katz(g, Direction.OUT).values
+        values = katz(g, False, None)
         assert np.all(np.isfinite(values))
         # the default is 0.85 over the spectral radius, or 0.85 itself when the
         # radius is 0 (an acyclic graph, as here)
         radius = spectral_radius_estimate(g)
         alpha = KATZ_ALPHA_FRACTION / radius if radius > 1e-12 else KATZ_ALPHA_FRACTION
-        assert np.array_equal(values, katz(g, Direction.OUT, alpha).values)
+        assert np.array_equal(values, katz(g, False, alpha))
 
 
 class TestWeightScaleInvariance:
@@ -304,8 +304,8 @@ class TestWeightScaleInvariance:
             lambda g: closeness(view(g, ViewKind.DW, WeightMode.INVERTED)),
             lambda g: betweenness(view(g, ViewKind.DW, WeightMode.INVERTED)),
         ):
-            base = builder(net).values
-            other = builder(scaled).values
+            base = builder(net)
+            other = builder(scaled)
             assert np.array_equal(np.lexsort((np.arange(n), base)),
                                   np.lexsort((np.arange(n), other)))
 
@@ -314,11 +314,11 @@ class TestKshell:
     def test_cycle_all_two(self):
         edges = [(u, (u + 1) % 5) for u in range(5)]
         g = view(Network.from_edges(5, edges), ViewKind.UU)
-        assert np.all(kshell(g).values == 2.0)
+        assert np.all(kshell(g) == 2.0)
 
     def test_star_all_one(self):
         g = view(star(), ViewKind.UU)
-        assert np.all(kshell(g).values == 1.0)
+        assert np.all(kshell(g) == 1.0)
 
     def test_matches_subset_enumeration(self):
         rng = np.random.default_rng(66)
@@ -326,27 +326,27 @@ class TestKshell:
             n, edges = random_undirected(rng, max_n=8)
             net = Network.from_edges(n, edges)
             g = view(net, ViewKind.UU)
-            np.testing.assert_array_equal(kshell(g).values, bf_core_numbers(n, edges))
+            np.testing.assert_array_equal(kshell(g), bf_core_numbers(n, edges))
 
 
 class TestWeightedKshell:
     def test_star_collapses_like_unweighted_shell(self):
         # removing the mass-0 leaves drains the center, so all share shell 0
         net = Network.from_edges(3, [(0, 1, 0.5), (0, 2, 0.5)])
-        values = weighted_kshell(net).values
+        values = weighted_kshell(net)
         assert values.tolist() == [0.0, 0.0, 0.0]
 
     def test_core_outranks_appendage(self):
         core = [(u, v, 1.0) for u in range(4) for v in range(4) if u != v]
         net = Network.from_edges(5, core + [(4, 0, 0.25)])
-        values = weighted_kshell(net).values
+        values = weighted_kshell(net)
         assert values[4] < values[0]
         assert len(set(values[:4].tolist())) == 1
 
     def test_all_zero_out_strength(self):
         net = Network.from_edges(2, [(0, 1, 0.5)])
         wks = weighted_kshell(reversed_network(net))
-        assert wks.values[0] >= 0.0
+        assert wks[0] >= 0.0
 
     def test_unit_weights_rank_like_out_degree_peel(self):
         # with unit weights the mass reduces to the out-degree, so the
@@ -357,7 +357,7 @@ class TestWeightedKshell:
             if not edges:
                 continue
             net = Network.from_edges(n, edges)
-            wks = weighted_kshell(net).values
+            wks = weighted_kshell(net)
             plain = _out_degree_peel(net)
             order_a = np.argsort(wks, kind="stable")
             # same grouping: shells agree as partitions in the same order
@@ -367,7 +367,7 @@ class TestWeightedKshell:
 
     def test_scale_levels_cover_range(self):
         net = apply_wcs(Network.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]))
-        values = weighted_kshell(net).values
+        values = weighted_kshell(net)
         assert values.min() >= 0.0
         assert values.max() <= net.node_count
 
@@ -381,11 +381,11 @@ class TestWeightedKshell:
             net = Network.from_edges(n, edges)
             if weights == "wcs":
                 net = apply_wcs(net)
-            np.testing.assert_array_equal(weighted_kshell(net).values, _per_node_wks(net))
+            np.testing.assert_array_equal(weighted_kshell(net), _per_node_wks(net))
 
     def test_empty_network(self):
-        assert weighted_kshell(Network.from_edges(0, [])).values.size == 0
-        assert kshell(view(Network.from_edges(0, []), ViewKind.UU)).values.size == 0
+        assert weighted_kshell(Network.from_edges(0, [])).size == 0
+        assert kshell(view(Network.from_edges(0, []), ViewKind.UU)).size == 0
 
 
 def _per_node_wks(net):

@@ -1,11 +1,14 @@
 import argparse
+import builtins
 import datetime
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -403,9 +406,9 @@ class TestCentrality:
         code, out, _ = run(capsys, "centrality", ingested, "--measure", "c_os",
                            "--out-dir", tmp_path, "--no-timestamps")
         assert code == 0
-        scores = storage.read_scores(tmp_path / "toy.c_os.csv")
-        assert scores.measure == "c_os"
-        assert scores.values.tolist() == [1.0, 1.0, 0.0]
+        measure, scores = storage.read_scores(tmp_path / "toy.c_os.csv")
+        assert measure == "c_os"
+        assert scores.tolist() == [1.0, 1.0, 0.0]
 
     def test_hit_says_so(self, tmp_path, ingested, capsys):
         argv = ("centrality", ingested, "--measure", "c_os", "--out-dir", tmp_path)
@@ -423,8 +426,8 @@ class TestCentrality:
         code, _, _ = run(capsys, "centrality", ingested, "--measure", "mgc_wk",
                          "--out-dir", tmp_path, "--no-timestamps")
         assert code == 0
-        scores = storage.read_scores(tmp_path / "toy.mgc_wk.csv")
-        assert len(scores) == 3
+        measure, scores = storage.read_scores(tmp_path / "toy.mgc_wk.csv")
+        assert (measure, scores.size) == ("mgc_wk", 3)
 
 
 def _fingerprint_config_hash(graph, runs, master_seed):
@@ -857,6 +860,22 @@ class TestReport:
         scatter = (tmp_path / "scatter.csv").read_text().splitlines()[1:]
         assert scatter and {row.split(",")[0] for row in scatter} == {"#campus"}
 
+    def test_evaluation_of_the_aggregate_dataset_is_data_error(self, tmp_path, ingested,
+                                                              capsys):
+        # evaluate refuses the name, so only a file without a run file can hold it
+        common = ("--out-dir", tmp_path, "--no-timestamps")
+        run(capsys, "simulate", ingested, "--runs", "50", "--quiet", *common)
+        run(capsys, "evaluate", ingested, tmp_path / "toy.spread.csv", "--measures", "c_os",
+            "--top-k", "2", *common)
+        evaluation = tmp_path / "toy.evaluation.csv"
+        storage.run_path(evaluation).unlink()
+        evaluation.write_text(evaluation.read_text().replace("\ntoy,", f"\n{AGGREGATE},"))
+        code, out, err = run(capsys, "report", evaluation, *common)
+        assert code == 3
+        assert err.startswith("error: ") and out == ""
+        assert str(evaluation) in err and repr(AGGREGATE) in err
+        assert not (tmp_path / "report.csv").exists()
+
     def test_duplicate_dataset_rejected(self, tmp_path, capsys):
         raw = tmp_path / "x.txt"
         raw.write_text("0 1\n1 2\n2 0\n")
@@ -1106,6 +1125,35 @@ def test_warm_rerun_leaves_every_output_untouched(tmp_path, toy_edges, capsys):
         assert outputs and storage.current_run(run_file, {}, outputs) is not None
 
 
+def test_evaluate_and_report_open_each_input_twice(tmp_path, ingested, capsys, monkeypatch):
+    # one parse and one hash: the run-file check hands its verified digest to the key
+    common = ("--out-dir", tmp_path, "--no-timestamps")
+    run(capsys, "simulate", ingested, "--runs", "20", "--quiet", *common)
+    spread, evaluation = tmp_path / "toy.spread.csv", tmp_path / "toy.evaluation.csv"
+    opened = Counter()
+    real_open = io.open
+
+    def counting(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened[Path(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting)
+    monkeypatch.setattr(builtins, "open", counting)
+    code, _, err = run(capsys, "evaluate", ingested, spread, "--measures", "c_os",
+                       "--top-k", "2", *common)
+    assert code == 0, err
+    assert opened[spread] == 2
+    opened.clear()  # evaluate hashed the evaluation file it wrote
+    code, _, err = run(capsys, "report", evaluation, *common)
+    assert code == 0, err
+    assert opened[evaluation] == 2
+    key = json.loads(storage.run_path(tmp_path / "report.csv").read_text())["evaluations"]
+    assert key == [{"name": evaluation.name, "sha256": storage.sha256_of(evaluation)}]
+    record = json.loads(storage.run_path(evaluation).read_text())
+    assert record["spread_sha256"] == storage.sha256_of(spread)
+
+
 def _pipeline(capsys, raw, out, *flags):
     """ingest, simulate, centrality, evaluate as toy and as club, then report both."""
     graph = out / "toy.edges"
@@ -1256,6 +1304,24 @@ class TestExitCodes:
         assert code == 2
         assert "error: katz alpha must be a finite number > 0" in err
         assert not (tmp_path / "toy.c_os.csv").exists()
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**70, -2**63 - 1])
+    def test_seed_a_spread_file_cannot_hold_is_usage_error(self, tmp_path, capsys, seed):
+        # checked before the graph, which is missing, is read
+        code, _, err = run(capsys, "simulate", tmp_path / "missing.edges", "--seed", seed,
+                           "--out-dir", tmp_path, "--quiet")
+        assert code == 2
+        assert "error: master seed must be in [-2**63, 2**63)" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
+    def test_seed_at_either_bound_is_evaluated(self, tmp_path, ingested, capsys, seed):
+        common = ("--out-dir", tmp_path, "--no-timestamps")
+        run(capsys, "simulate", ingested, "--runs", "10", "--seed", seed, "--quiet", *common)
+        code, _, err = run(capsys, "evaluate", ingested, tmp_path / "toy.spread.csv",
+                           "--measures", "c_os", "--top-k", "2", *common)
+        assert code == 0, err
+        assert storage.read_spread(tmp_path / "toy.spread.csv")[0].master_seed == seed
 
     @pytest.mark.parametrize("runs", ["0", "1"])
     def test_single_run_is_usage_error(self, tmp_path, ingested, capsys, runs):

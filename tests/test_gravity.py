@@ -6,7 +6,6 @@ from spreadrank.errors import ValidationError
 from spreadrank.gravity import gravity, mass_ods, mass_wk
 from spreadrank.graph import Network, ViewKind, WeightMode, apply_wcs, view
 from spreadrank.measures import MeasureContext
-from spreadrank.scores import ScoreVector
 
 from oracles import bf_gravity, bf_hop_set, random_digraph
 from test_centrality import inverted, sparse_digraph, undirected_edges
@@ -63,20 +62,20 @@ class TestGravityKernel:
         net = Network.from_edges(3, [(0, 1), (1, 2)])
         g = view(net, ViewKind.DW, WeightMode.INVERTED)
         out = gravity(g, np.zeros(3), 3)
-        assert np.all(out.values == 0.0)
+        assert np.all(out == 0.0)
 
     def test_node_with_zero_mass_scores_zero(self):
         net = Network.from_edges(3, [(0, 1), (1, 2), (2, 0)])
         g = view(net, ViewKind.DW)
         out = gravity(g, np.array([0.0, 2.0, 3.0]), 3)
-        assert out.values[0] == 0.0
-        assert out.values[1] > 0.0
+        assert out[0] == 0.0
+        assert out[1] > 0.0
 
     def test_two_node_single_term(self):
         net = Network.from_edges(2, [(0, 1, 1.0)])
         g = view(net, ViewKind.DW)
         out = gravity(g, np.array([2.0, 3.0]), 3)
-        assert out.values.tolist() == [6.0, 0.0]
+        assert out.tolist() == [6.0, 0.0]
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(8)
@@ -89,7 +88,7 @@ class TestGravityKernel:
             mass = rng.random(n) * 3
             for r in (1, 2, 3):
                 np.testing.assert_allclose(
-                    gravity(g, mass, r).values,
+                    gravity(g, mass, r),
                     bf_gravity(n, edges, mass, r, directed=True), atol=1e-9)
 
     # the oracle's Floyd-Warshall per node is slow on wide neighborhoods
@@ -105,7 +104,7 @@ class TestGravityKernel:
             mass = rng.random(n) * (rng.random(n) < 0.6)
             for r in (1, 2, 3):
                 np.testing.assert_allclose(
-                    gravity(g, mass, r).values,
+                    gravity(g, mass, r),
                     bf_gravity(n, oracle_edges, mass, r, directed=kind is ViewKind.DW),
                     rtol=1e-12, atol=0)
 
@@ -116,9 +115,9 @@ class TestGravityKernel:
             net = Network.from_edges(n, edges)
             g = view(net, ViewKind.DW, WeightMode.INVERTED)
             mass = rng.random(n)
-            previous = gravity(g, mass, 1).values
+            previous = gravity(g, mass, 1)
             for r in (2, 3, 4):
-                current = gravity(g, mass, r).values
+                current = gravity(g, mass, r)
                 assert np.all(current >= previous - 1e-12)
                 previous = current
 
@@ -127,12 +126,12 @@ class TestGravityKernel:
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
         net = Network.from_edges(4, edges)
         uu = view(net, ViewKind.UU)
-        ks = kshell(uu).values
+        ks = kshell(uu)
         assert ks.tolist() == [2.0, 2.0, 2.0, 2.0]
-        out = gravity(uu, ks, 3).values
+        out = gravity(uu, ks, 3)
         # node 0: neighbors 1,2,3 all at distance 1 -> 3 * (2*2)/1
         assert out[0] == 12.0
-        assert MeasureContext(net).get("gc").values.tolist() == out.tolist()
+        assert MeasureContext(net).get("gc").tolist() == out.tolist()
 
     def test_mass_length_checked(self):
         net = Network.from_edges(3, [(0, 1)])
@@ -143,24 +142,24 @@ class TestGravityKernel:
 class TestMasses:
     def test_ods_product(self):
         net = Network.from_edges(3, [(0, 1, 0.25), (0, 2, 0.25)])
-        values = mass_ods(net).values
+        values = mass_ods(net)
         assert values[0] == 2 * 0.5
         assert values[1] == 0.0
 
     def test_ods_degree_three_half_strength(self):
         net = Network.from_edges(4, [(0, 1, 0.25), (0, 2, 0.125), (0, 3, 0.125)])
-        assert mass_ods(net).values[0] == 1.5
+        assert mass_ods(net)[0] == 1.5
 
     def test_out_degree_zero_all_zero(self):
         net = Network.from_edges(2, [(0, 1, 0.5)])
-        assert mass_ods(net).values[1] == 0.0
-        wk = mass_wk(net, ScoreVector("katz", np.array([1.0, 1.0])))
-        assert wk.values[1] == 0.0
+        assert mass_ods(net)[1] == 0.0
+        wk = mass_wk(net, np.array([1.0, 1.0]))
+        assert wk[1] == 0.0
 
     def test_wk_multiplies_katz(self):
         net = Network.from_edges(2, [(0, 1, 0.5)])
-        wk = mass_wk(net, ScoreVector("katz", np.array([0.3, 9.9])))
-        assert np.isclose(wk.values[0], 1 * 0.5 * 0.3)
+        wk = mass_wk(net, np.array([0.3, 9.9]))
+        assert np.isclose(wk[0], 1 * 0.5 * 0.3)
 
 
 class TestMGC:
@@ -168,15 +167,15 @@ class TestMGC:
         edges = [(u, v, 1.0) for u in range(3) for v in range(3) if u != v]
         net = Network.from_edges(3, edges)
         unit = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), np.ones(3), 3)
-        assert unit.values.tolist() == [2.0, 2.0, 2.0]
+        assert unit.tolist() == [2.0, 2.0, 2.0]
         # out-strength 2 everywhere: two neighbors at distance 1, each 2 * 2
-        assert MeasureContext(net).get("mgc_s").values.tolist() == [8.0, 8.0, 8.0]
+        assert MeasureContext(net).get("mgc_s").tolist() == [8.0, 8.0, 8.0]
 
     def test_zero_sk3_all_zero(self):
         net = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.5)])
         dw_inv = view(net, ViewKind.DW, WeightMode.INVERTED)
-        out = gravity(dw_inv, ScoreVector("sk3", np.zeros(3)), 3)
-        assert np.all(out.values == 0.0)
+        out = gravity(dw_inv, np.zeros(3), 3)
+        assert np.all(out == 0.0)
 
     def test_unknown_variant(self):
         net = Network.from_edges(2, [(0, 1, 0.5)])
@@ -195,8 +194,8 @@ class TestMGC:
         n, edges = random_digraph(rng, max_n=8, p=0.35)
         net = apply_wcs(Network.from_edges(n, edges))
         ctx = MeasureContext(net)
-        expected = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), mass(ctx), 3).values
-        assert np.array_equal(ctx.get(f"mgc_{variant}").values, expected)
+        expected = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), mass(ctx), 3)
+        assert np.array_equal(ctx.get(f"mgc_{variant}"), expected)
 
     def test_gc_weighted_composition(self):
         # equals assembling the pieces by hand
@@ -204,14 +203,14 @@ class TestMGC:
         rng = np.random.default_rng(10)
         n, edges = random_digraph(rng, max_n=7, p=0.35)
         net = apply_wcs(Network.from_edges(n, edges))
-        direct = MeasureContext(net).get("gc_w").values
+        direct = MeasureContext(net).get("gc_w")
         dw_inv = view(net, ViewKind.DW, WeightMode.INVERTED)
-        assembled = gravity(dw_inv, weighted_kshell(net), 3).values
+        assembled = gravity(dw_inv, weighted_kshell(net), 3)
         np.testing.assert_allclose(direct, assembled, atol=0)
 
     def test_distances_use_inverted_weights(self):
         # strong tie (p=1) at distance 1, weak tie (p=0.25) at distance 4
         net = Network.from_edges(3, [(0, 1, 1.0), (0, 2, 0.25)])
-        mass = ScoreVector("c_os", np.array([1.0, 1.0, 1.0]))
+        mass = np.array([1.0, 1.0, 1.0])
         out = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), mass, 3)
-        assert np.isclose(out.values[0], 1.0 / 1.0 + 1.0 / 16.0)
+        assert np.isclose(out[0], 1.0 / 1.0 + 1.0 / 16.0)

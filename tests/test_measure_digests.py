@@ -53,7 +53,7 @@ NETWORKS = {**dict(bundled_networks()), "ladder_300": ladder_network(300)}
 @functools.cache
 def measures(name: str) -> dict[str, np.ndarray]:
     ctx = MeasureContext(NETWORKS[name])
-    return {measure_id: ctx.get(measure_id).values for measure_id in measure_ids()}
+    return {measure_id: ctx.get(measure_id) for measure_id in measure_ids()}
 
 
 def digest(values: np.ndarray) -> str:

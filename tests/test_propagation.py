@@ -294,7 +294,7 @@ class TestConcurrentSeeds:
 
     @pytest.mark.parametrize("cpus", [None, 1, 3])
     @settings(max_examples=40, deadline=None)
-    @given(weighted_digraphs(), st.integers(2, 200), st.integers(0, 2**64 - 1))
+    @given(weighted_digraphs(), st.integers(2, 200), st.integers(-2**63, 2**63 - 1))
     def test_random_digraphs_bit_identical(self, cpus, graph, runs, master_seed):
         net = Network.from_edges(*graph)
         config = cfg(runs=runs, seed=master_seed)

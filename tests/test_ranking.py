@@ -6,7 +6,6 @@ from spreadrank.propagation import SpreadEstimate
 from spreadrank.ranking import (EvaluationReport, MeasureMetrics, _inversions, aggregate,
                                 evaluate_measures, kendall_tau, monotonicity,
                                 ranking_error, top_k_nodes)
-from spreadrank.scores import ScoreVector
 
 from oracles import bf_kendall, bf_monotonicity, bf_ranking_error
 
@@ -132,17 +131,17 @@ class TestInversions:
 
 class TestRankingError:
     def test_perfect_topk_zero(self):
-        scores = ScoreVector("m", np.array([5.0, 4.0, 1.0, 0.5]))
+        scores = np.array([5.0, 4.0, 1.0, 0.5])
         spread = spread_of([9.0, 8.0, 1.0, 1.0])
         assert ranking_error(scores, spread, 2) == 0.0
 
     def test_tie_break_by_node_id(self):
-        scores = ScoreVector("m", np.array([1.0, 1.0]))
+        scores = np.array([1.0, 1.0])
         spread = spread_of([2.0, 1.0])
         assert ranking_error(scores, spread, 1) == 0.0
 
     def test_worst_pick(self):
-        scores = ScoreVector("m", np.array([0.0, 1.0]))
+        scores = np.array([0.0, 1.0])
         spread = spread_of([3.0, 1.0])
         assert ranking_error(scores, spread, 1) == pytest.approx(1 - 1 / 3)
 
@@ -150,7 +149,7 @@ class TestRankingError:
         rng = np.random.default_rng(4)
         for _ in range(50):
             n = int(rng.integers(2, 40))
-            scores = ScoreVector("m", rng.random(n))
+            scores = rng.random(n)
             spread = spread_of(1.0 + rng.random(n) * 9)
             k = int(rng.integers(1, n + 1))
             eps = ranking_error(scores, spread, k)
@@ -163,12 +162,12 @@ class TestRankingError:
             scores = rng.integers(0, 5, n).astype(float)
             spread = 1.0 + rng.integers(0, 5, n).astype(float)
             k = int(rng.integers(1, n + 1))
-            got = ranking_error(ScoreVector("m", scores), spread_of(spread), k)
+            got = ranking_error(scores, spread_of(spread), k)
             assert got == bf_ranking_error(scores, spread, k)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValidationError):
-            ranking_error(ScoreVector("m", np.ones(3)), spread_of([1, 1, 1]), 4)
+            ranking_error(np.ones(3), spread_of([1, 1, 1]), 4)
 
     def test_top_k_ordering(self):
         values = np.array([1.0, 3.0, 3.0, 2.0])
@@ -283,9 +282,9 @@ class TestAggregate:
 class TestEvaluateMeasures:
     def _scores(self, n, rng):
         return {
-            "c_od": ScoreVector("c_od", rng.integers(0, 6, n).astype(float)),
-            "c_os": ScoreVector("c_os", rng.random(n)),
-            "probe": ScoreVector("probe", rng.random(n)),
+            "c_od": rng.integers(0, 6, n).astype(float),
+            "c_os": rng.random(n),
+            "probe": rng.random(n),
         }
 
     def test_measure_equal_to_spread_scores_perfectly(self):
@@ -293,7 +292,7 @@ class TestEvaluateMeasures:
         n = 60
         spread_values = 1.0 + rng.random(n) * 5
         scores = self._scores(n, rng)
-        scores["probe"] = ScoreVector("probe", spread_values.copy())
+        scores["probe"] = spread_values.copy()
         report = evaluate_measures("d", n, 0.1, scores, spread_of(spread_values), k=10)
         assert report.metrics["probe"].tau == pytest.approx(1.0)
         assert report.metrics["probe"].epsilon == 0.0
@@ -302,7 +301,7 @@ class TestEvaluateMeasures:
         rng = np.random.default_rng(9)
         n = 30
         scores = self._scores(n, rng)
-        scores["probe"] = ScoreVector("probe", np.full(n, 2.5))
+        scores["probe"] = np.full(n, 2.5)
         report = evaluate_measures("d", n, 0.1, scores, spread_of(1 + rng.random(n)), k=5)
         assert report.metrics["probe"].tau is None
         assert report.metrics["probe"].monotonicity == 0.0
@@ -327,10 +326,11 @@ class TestEvaluateMeasures:
         spread = spread_of(1 + rng.random(n))
         expected = evaluate_measures("d", n, 0.1, scores, spread, k=10)
         calls = {"kendall_tau": [], "ranking_error": []}
+        ids = {id(values): measure_id for measure_id, values in scores.items()}
         for name, seen in calls.items():
-            def counted(vec, *rest, _original=getattr(ranking, name), _seen=seen):
-                _seen.append(vec.measure)
-                return _original(vec, *rest)
+            def counted(values, *rest, _original=getattr(ranking, name), _seen=seen):
+                _seen.append(ids[id(values)])
+                return _original(values, *rest)
             monkeypatch.setattr(ranking, name, counted)
         report = evaluate_measures("d", n, 0.1, scores, spread, k=10)
         assert report == expected
@@ -338,7 +338,7 @@ class TestEvaluateMeasures:
 
     def test_requires_baselines(self):
         with pytest.raises(ValidationError):
-            evaluate_measures("d", 3, 0.1, {"x": ScoreVector("x", np.ones(3))},
+            evaluate_measures("d", 3, 0.1, {"x": np.ones(3)},
                               spread_of([1, 1, 1]), k=1)
 
     def test_topk_larger_than_graph_skips_epsilon(self):

@@ -14,7 +14,6 @@ from spreadrank.errors import DataError, ParseError
 from spreadrank.graph import Network
 from spreadrank.propagation import SpreadEstimate
 from spreadrank.ranking import EvaluationReport, MeasureMetrics
-from spreadrank.scores import ScoreVector
 from spreadrank import propagation, storage
 from spreadrank.storage import simulation_hash
 
@@ -82,13 +81,13 @@ def test_id_map_quotes_a_label_as_csv_writer_does(tmp_path, label):
 
 
 def test_scores_roundtrip(tmp_path):
-    scores = ScoreVector("c_os", np.array([0.5, 1.25, 0.0]))
+    scores = np.array([0.5, 1.25, 0.0])
     path = tmp_path / "scores.csv"
-    storage.write_scores(scores, path)
+    storage.write_scores("c_os", scores, path)
     assert path.read_text().splitlines()[:2] == ["# measure=c_os", "node,score"]
-    back = storage.read_scores(path)
-    assert back.measure == "c_os"
-    np.testing.assert_array_equal(back.values, scores.values)
+    measure, back = storage.read_scores(path)
+    assert measure == "c_os"
+    np.testing.assert_array_equal(back, scores)
 
 
 def test_spread_roundtrip(tmp_path):
@@ -189,7 +188,7 @@ def test_current_run_key_survives_json(tmp_path):
 def test_scores_format_each_value_as_its_own_repr(tmp_path):
     values = [-0.0, 0.0, 1 / 3, 1 / 3, -0.0, 2.5, 0.0, 5e-324, 1 / 3, 1e300]
     path = tmp_path / "s.csv"
-    storage.write_scores(ScoreVector("m", np.array(values)), path)
+    storage.write_scores("m", np.array(values), path)
     assert path.read_text().splitlines()[2:] == \
         [f"{node},{value!r}" for node, value in enumerate(values)]
 
@@ -225,7 +224,7 @@ def test_damaged_spread_is_parse_error(tmp_path, old, new):
 
 def _scores_file(tmp_path):
     path = tmp_path / "scores.csv"
-    storage.write_scores(ScoreVector("c_os", np.array([0.5, 1.25, 0.0])), path)
+    storage.write_scores("c_os", np.array([0.5, 1.25, 0.0]), path)
     return path
 
 
@@ -291,11 +290,15 @@ def test_damaged_table_is_parse_error_naming_the_file(tmp_path, kind, damage):
         read(path)
 
 
-def _plain(table):
+def _plain(value):
     """A reader's result as comparable Python values."""
-    content, stored_hash = table if isinstance(table, tuple) else (table, None)
-    return stored_hash, {key: value.tolist() if isinstance(value, np.ndarray) else value
-                         for key, value in vars(content).items()}
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if hasattr(value, "__dict__"):
+        return {key: _plain(item) for key, item in vars(value).items()}
+    return value
 
 
 @pytest.mark.parametrize("rows", [slice(-2, -1), slice(-3, None)],
@@ -347,9 +350,18 @@ def test_spread_row_count_checked_against_graph(tmp_path):
         storage.read_spread(path, 3)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_score_is_parse_error(tmp_path, value):
+    scores = tmp_path / "scores.csv"
+    storage.write_scores("c_os", np.array([0.5, 1.25]), scores)
+    scores.write_text(scores.read_text().replace("1.25", value))
+    with pytest.raises(ParseError, match=re.escape(f"{scores}: non-finite score")):
+        storage.read_scores(scores)
+
+
 def test_non_numeric_score_and_metric_are_parse_errors(tmp_path):
     scores = tmp_path / "scores.csv"
-    storage.write_scores(ScoreVector("c_os", np.array([0.5, 1.25])), scores)
+    storage.write_scores("c_os", np.array([0.5, 1.25]), scores)
     scores.write_text(scores.read_text().replace("1.25", "1.2.5"))
     with pytest.raises(ParseError, match=re.escape(str(scores))):
         storage.read_scores(scores)
