@@ -7,12 +7,14 @@ sets (ingested as ``data/manifest.json`` declares them), or with
 (``apply_wcs`` of ``social_digraph(default_rng(7), N, 6.0, 0.3)``), where
 a change that is neutral on the small bundled sets can still be much
 slower.  So does a draws-only pass: the same uniforms as the randomness
-contract draws them, ``_CHUNK`` rows at a time into one reused buffer
-per seed, on one thread per CPU.  That pass is the floor no engine can go below without
-changing the contract.  The script narrows the CPUs of its own process
-with ``os.sched_setaffinity`` (so ``spread_all`` sees and uses that many)
-and restores them afterwards.  Prints the best of ``--repeats`` wall
-times and the speedups.
+contract draws them, ``_DRAWS`` rows at a time into one reused buffer
+of that many rows per seed, as the engine draws them, on one thread per
+CPU.  That pass is the floor no engine can go below without changing the
+contract.  The script narrows the CPUs of its own process with
+``os.sched_setaffinity`` (so ``spread_all`` sees and uses that many) and
+restores them afterwards.  Prints the best of ``--repeats`` wall times,
+the ``tracemalloc`` peak of one more, untimed engine pass (the engine's
+working set over all its workers) and the speedups.
 
 Usage, from the repository root (Linux only):
 
@@ -27,6 +29,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 from pathlib import Path
@@ -36,7 +39,7 @@ import numpy as np
 from make_synthetic_data import social_digraph
 from spreadrank.config import RunConfig
 from spreadrank.graph import Network, apply_wcs, orient_undirected
-from spreadrank.propagation import BLOCK, _CHUNK, spread_all
+from spreadrank.propagation import BLOCK, _DRAWS, spread_all
 from spreadrank.storage import load_edge_list
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -59,12 +62,12 @@ def ladder_network(n: int) -> Network:
 
 
 def draw_seed(seed_node: int, edges: int, runs: int, master_seed: int) -> None:
-    draws = np.empty((_CHUNK, edges))
+    draws = np.empty((_DRAWS, edges))
     for block in range(math.ceil(runs / BLOCK)):
         seq = np.random.SeedSequence([master_seed & ((1 << 64) - 1), seed_node, block])
         rng = np.random.default_rng(seq)
-        for lo in range(block * BLOCK, min(runs, (block + 1) * BLOCK), _CHUNK):
-            rng.random(out=draws[:min(_CHUNK, runs - lo)])
+        for lo in range(block * BLOCK, min(runs, (block + 1) * BLOCK), _DRAWS):
+            rng.random(out=draws[:min(_DRAWS, runs - lo)])
 
 
 def draws_only(nets: dict, runs: int, master_seed: int) -> None:
@@ -89,6 +92,16 @@ def best_of(repeats: int, work, *args) -> float:
     return min(times)
 
 
+def traced_peak(work, *args) -> int:
+    """Peak bytes ``tracemalloc`` traces while ``work(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        work(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=4160)
@@ -107,22 +120,24 @@ def main(argv=None) -> int:
     nets = bundled_networks() if args.ladder is None else {
         f"ladder_{args.ladder}": ladder_network(args.ladder)}
     usable = sorted(os.sched_getaffinity(0))
-    seconds = {}
+    measured = {}
     try:
         for cpus in sorted({1, len(usable)}):
             os.sched_setaffinity(0, usable[:cpus])
-            seconds[cpus] = {name: best_of(args.repeats, work, nets, args.runs, args.master_seed)
-                             for name, work in (("engine", engine), ("draws", draws_only))}
+            measured[cpus] = {name: best_of(args.repeats, work, nets, args.runs, args.master_seed)
+                              for name, work in (("engine", engine), ("draws", draws_only))}
+            measured[cpus]["peak"] = traced_peak(engine, nets, args.runs, args.master_seed)
     finally:
         os.sched_setaffinity(0, usable)
     print(f"spread_all over {', '.join(nets)} at {args.runs} runs, "
           f"best of {args.repeats}")
-    print(f"{'cpus':>4} {'engine_s':>9} {'draws_s':>8} {'engine/draws':>13}")
-    for cpus, row in seconds.items():
+    print(f"{'cpus':>4} {'engine_s':>9} {'draws_s':>8} {'engine/draws':>13} "
+          f"{'engine_peak_kib':>16}")
+    for cpus, row in measured.items():
         print(f"{cpus:>4} {row['engine']:9.3f} {row['draws']:8.3f} "
-              f"{row['engine'] / row['draws']:13.2f}")
-    if len(seconds) > 1:
-        one, every = seconds[1], seconds[len(usable)]
+              f"{row['engine'] / row['draws']:13.2f} {row['peak'] / 1024:16.0f}")
+    if len(measured) > 1:
+        one, every = measured[1], measured[len(usable)]
         print(f"speedup on {len(usable)} cpus: engine {one['engine'] / every['engine']:.2f}x, "
               f"draws {one['draws'] / every['draws']:.2f}x")
     return 0

@@ -172,13 +172,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if not args.keep_weights:
         net = apply_wcs(net)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    storage.write_edge_list(net, graph_path, comments={"dataset": name})
-    storage.write_id_map(net, outputs[1])
+    digests = {graph_path: storage.write_edge_list(net, graph_path, comments={"dataset": name}),
+               outputs[1]: storage.write_id_map(net, outputs[1])}
     record = {**key, "nodes": net.node_count, "edges": net.edge_count,
               "density": net.density(), "self_loops_dropped": net.self_loops_dropped,
               "duplicates_dropped": net.duplicates_dropped}
     # written last, so a failure before it leaves a run file the outputs do not match
-    storage.write_run(run_file, record, outputs, timestamps=not args.no_timestamps)
+    storage.write_run(run_file, record, digests, timestamps=not args.no_timestamps)
     print(_summary(record))
     return 0
 
@@ -206,8 +206,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"simulated {done}/{total} seeds", file=sys.stderr)
 
     spread = spread_all(net, cfg, progress=None if args.quiet else progress)
-    storage.write_spread(spread, cache_path, config_hash)
-    storage.write_run(run_file, key, [cache_path], timestamps=not args.no_timestamps)
+    digest = storage.write_spread(spread, cache_path, config_hash)
+    storage.write_run(run_file, key, {cache_path: digest}, timestamps=not args.no_timestamps)
     print(f"wrote {cache_path} (config_hash={config_hash})")
     return 0
 
@@ -225,8 +225,8 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     net = storage.read_canonical_network(args.graph)
     scores = MeasureContext(net, cfg).get(args.measure)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    storage.write_scores(args.measure, scores, out_path)
-    storage.write_run(run_file, key, [out_path], timestamps=not args.no_timestamps)
+    digest = storage.write_scores(args.measure, scores, out_path)
+    storage.write_run(run_file, key, {out_path: digest}, timestamps=not args.no_timestamps)
     print(f"wrote {out_path}")
     return 0
 
@@ -270,12 +270,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                                spread, cfg.top_k)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = args.out_dir / f"{dataset}.evaluation.csv"
-    storage.write_evaluation(report, out_path)
+    digest = storage.write_evaluation(report, out_path)
     # what the evaluation file was computed from
     key = {"format": MEASURES, "graph_sha256": graph_sha256,
            "spread_sha256": spread_sha256,
            "dataset": dataset, **cfg.fields(read)}
-    storage.write_run(storage.run_path(out_path), key, [out_path],
+    storage.write_run(storage.run_path(out_path), key, {out_path: digest},
                       timestamps=not args.no_timestamps)
     print(f"wrote {out_path}")
     return 0
@@ -292,10 +292,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     report_path = args.out_dir / "report.csv"
     scatter_path = args.out_dir / "scatter.csv"
-    storage.write_combined_report(reports, combined, report_path)
-    storage.write_scatter(reports, scatter_path)
-    storage.write_run(storage.run_path(report_path), {"evaluations": evaluations},
-                      [report_path, scatter_path], timestamps=not args.no_timestamps)
+    digests = {report_path: storage.write_combined_report(reports, combined, report_path),
+               scatter_path: storage.write_scatter(reports, scatter_path)}
+    storage.write_run(storage.run_path(report_path), {"evaluations": evaluations}, digests,
+                      timestamps=not args.no_timestamps)
     print(f"wrote {report_path} and {scatter_path}")
     return 0
 

@@ -17,7 +17,7 @@ rows, and the uniforms of block ``b`` come from a generator seeded with
 column ``j`` is edge ``j``.  A run's draws are thus a pure function of
 (master_seed, seed_node, run_index) and the edge count, so results do
 not depend on scheduling or on the total number of runs requested.  A
-block's rows are drawn :data:`_CHUNK` at a time, which yields the same
+block's rows are drawn :data:`_DRAWS` at a time, which yields the same
 doubles as one call.  :data:`ENGINE` names this contract and engine in
 every spread cache key; it is bumped whenever counts could change.
 
@@ -31,27 +31,36 @@ words and ORs the result per target, so one word operation advances 64
 (seed, run) pairs; bits never cross columns, so every seed's counts are
 those it would have alone.  A batch holds at most ``64 // W`` seeds (at
 least one), so at most 64 words; from 2 049 runs on a batch is one seed.
-The nodes are split evenly, in node order, into the fewest such batches
-whose count is a multiple of the worker count (or one per node), so every
+A seed without out-edges reaches itself alone in every run, so
+:func:`spread_all` gives it 1.0 and 0.0 without drawing its streams; the
+other seeds are split evenly, in node order, into the fewest such batches
+whose count is a multiple of the worker count (or one per seed), so every
 worker gets a batch and no batch is left nearly empty.
 
 Kernel: the tables that depend only on the network are built once per
 :func:`spread_all` call.  Nodes are renumbered by in-degree, largest
 first, so rank ``k`` of the in-edges (each node's ``k``-th in-edge, in
 edge order) targets rows ``0 .. r_k - 1``, where ``r_k`` nodes have more
-than ``k`` in-edges.  A batch allocates its buffers once: a
-(:data:`_CHUNK` x edges) float64 draw buffer that ``Generator.random``
-fills in place, a boolean buffer that ``np.less`` fills in place, and
-the chunk's packed bytes, which ``np.einsum`` fills by weighting each 8
-boolean rows by their bit values.  The batch's packed rows are then
-put in reach order with one ``np.take``: rank after rank while a rank
-spans at least :data:`_SLICE_ROWS` rows, then the other in-edges
-grouped by target.  A level is a ``np.take`` of the frontier rows of
-the edges' sources, an AND with the live words, one OR per sliced rank
-into the rows of rank 0, an ``np.bitwise_or.reduceat`` of the grouped
-rest, and whole-slice updates of the frontier and of the not-yet-active
-words, all into preallocated arrays.  Run counts add the unpacked bits
-of up to 255 nodes at a time in the byte lanes of 64-bit words.
+than ``k`` in-edges.  A batch allocates its buffers once and compares
+:data:`_CHUNK` rows of uniforms at a time: a (:data:`_DRAWS` x edges)
+float64 draw buffer that ``Generator.random`` fills in place twice per
+chunk, a (:data:`_CHUNK` x edges) boolean buffer that ``np.less`` fills
+in place, and the chunk's packed bytes, which ``np.einsum`` fills by
+weighting each 8 boolean rows by their bit values.  Each chunk's packed
+bytes are stored straight into the batch's live words in reach order:
+rank after rank while a rank spans at least :data:`_SLICE_ROWS` rows,
+then the other in-edges grouped by target; so a batch holds its live
+words once.  A level is a ``np.take`` of the frontier rows of the edges'
+sources, an AND with the live words, one OR per sliced rank into the
+rows of rank 0, an ``np.bitwise_or.reduceat`` of the grouped rest, and
+whole-slice updates of the frontier and of the not-yet-active words,
+all into preallocated arrays.  Run counts unpack the final active bits
+of at most 64 words of columns at a time and add those of up to 255
+nodes at a time in the byte lanes of 64-bit words.  With ``m`` edges,
+``n`` nodes and ``W`` words in a batch, a worker thus holds at most
+about ``max(1312 * m + 8 * m * W, 16 * m * W + 24 * n * W + 64 * n *
+min(W, 64))`` bytes, drawing or reaching: about 102 MB on the 2 000-node
+ladder graph (m = 15 708) at 20 000 runs.
 
 Batches run concurrently, one worker thread per usable CPU.  The threads
 overlap the draws, most of a batch's time, but not the breadth-first
@@ -59,9 +68,11 @@ levels, although numpy releases the GIL (Python's global interpreter
 lock) in their gathers and word-wise ANDs, ORs and XORs; the reduceat of
 the grouped in-edges holds it, as does the einsum that packs the draws.
 Over the bundled sets at 4 160 runs on 2 vCPUs (Python 3.11.7, numpy
-2.4.6; medians), reach alone took 0.21 s on 1 thread, 0.21-0.25 s on 2
-threads and 0.10-0.17 s on 2 processes; the whole engine 0.91-0.95 s on
-2 threads and 0.78-0.92 s on 2 processes.  Counts depend only on each
+2.4.6; ``scripts/engine_scaling.py``, best of 3, two runs), the engine
+took 1.45-1.58 s on 1 thread and 0.84 s on 2 threads, the draws alone
+1.01-1.02 s and 0.52-0.53 s, and the engine's traced peak was 1.1 MiB on
+1 thread and 2.1 MiB on 2.  An earlier probe put reach alone at
+0.21-0.25 s on 2 threads and 0.10-0.17 s on 2 processes.  Counts depend only on each
 seed's stream, so they are the same for any worker count, batch size
 and completion order, and the ``progress`` callback of
 :func:`spread_all` still fires once per node, in node order, on the
@@ -75,7 +86,7 @@ import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -84,10 +95,12 @@ from .graph import Network
 
 ENGINE = "ic-packed-1"
 BLOCK = 4096
-# Uniform rows drawn at once: a multiple of 64 that divides BLOCK.  Small, as
-# every concurrent batch holds a (_CHUNK x edges) float64 buffer of its own,
-# reused for all its seeds, which it draws one after another.
+# Uniform rows compared and packed at once: a multiple of 64 that divides BLOCK
 _CHUNK = 256
+# Uniform rows drawn at once, twice per chunk.  Small, as every concurrent
+# batch holds a (_DRAWS x edges) float64 buffer of its own, reused for all
+# its seeds, which it draws one after another.
+_DRAWS = _CHUNK // 2
 _MASK64 = (1 << 64) - 1
 _WORD = np.dtype("<u8")
 _BIT = np.array([1, 2, 4, 8, 16, 32, 64, 128], np.uint8)
@@ -159,7 +172,7 @@ class _Layout:
 
 
 def _live_edges(lay: _Layout, seeds: Sequence[int], runs: int, master_seed: int) -> np.ndarray:
-    """Packed live-edge bits of a batch: one row per edge, one block of words per seed.
+    """A batch's packed live-edge bits: a row per edge in reach order, a block of words per seed.
 
     Bit ``j`` of word ``w`` in seed ``i``'s block (words ``i * W`` to
     ``(i + 1) * W - 1``, ``W = ceil(runs / 64)``) is that seed's run ``64*w + j``.
@@ -168,7 +181,7 @@ def _live_edges(lay: _Layout, seeds: Sequence[int], runs: int, master_seed: int)
     words = -(-runs // 64)
     live = np.zeros((m, len(seeds) * words), _WORD)
     live_bytes = live.view(np.uint8)
-    draws = np.empty((_CHUNK, m))
+    draws = np.empty((_DRAWS, m))
     is_live = np.empty((_CHUNK, m), bool)
     packed = np.empty((_CHUNK // 8, m), np.uint8)
     for i, seed_node in enumerate(seeds):
@@ -180,13 +193,15 @@ def _live_edges(lay: _Layout, seeds: Sequence[int], runs: int, master_seed: int)
             for lo in range(block * BLOCK, block_end, _CHUNK):
                 rows = min(_CHUNK, block_end - lo)
                 nbytes = -(-rows // 8)
-                rng.random(out=draws[:rows])
-                np.less(draws[:rows], lay.weight, out=is_live[:rows])
+                for at in range(0, rows, _DRAWS):
+                    part = min(_DRAWS, rows - at)
+                    rng.random(out=draws[:part])
+                    np.less(draws[:part], lay.weight, out=is_live[at:at + part])
                 is_live[rows:nbytes * 8] = False  # a partial byte's missing runs
                 bits = is_live[:nbytes * 8].view(np.uint8).reshape(nbytes, 8, m)
                 np.einsum("rkm,k->rm", bits, _BIT, out=packed[:nbytes])
                 first = base + lo // 8
-                live_bytes[:, first:first + nbytes] = packed[:nbytes].T
+                live_bytes[:, first:first + nbytes] = packed[:nbytes].T[lay.order]
     return live
 
 
@@ -198,7 +213,6 @@ def _reach_counts(lay: _Layout, seeds: Sequence[int], live: np.ndarray, runs: in
     Columns never mix, so each seed's block evolves as if it ran alone.
     """
     n, targets = lay.node_count, lay.targets
-    live = np.take(live, lay.order, axis=0)  # rows in reach order
     idle = np.full((n, len(seeds), live.shape[1] // len(seeds)), ~np.uint64(0))
     idle[lay.renumber[seeds], range(len(seeds))] = 0
     idle = idle.reshape(n, -1)  # the (node, run) bits not yet active
@@ -220,10 +234,13 @@ def _reach_counts(lay: _Layout, seeds: Sequence[int], live: np.ndarray, runs: in
         if not fresh.any():
             break
         np.bitwise_xor(idle[:targets], fresh, out=idle[:targets])
-    bits = np.unpackbits(np.invert(idle, out=idle).view(np.uint8), axis=1, bitorder="little")
-    sizes = np.zeros(bits.shape[1], np.int64)
-    for lo in range(0, n, 255):  # 255 rows of 0/1 bytes add up in uint64 lanes without carries
-        sizes += bits[lo:lo + 255].view(np.uint64).sum(axis=0, dtype=np.uint64).view(np.uint8)
+    active = np.invert(idle, out=idle)
+    sizes = np.zeros(64 * active.shape[1], np.int64)
+    for col in range(0, active.shape[1], 64):  # unpack at most 64 words of columns at a time
+        bits = np.unpackbits(active[:, col:col + 64].view(np.uint8), axis=1, bitorder="little")
+        lanes = sizes[64 * col:64 * col + bits.shape[1]]
+        for lo in range(0, n, 255):  # 255 rows of 0/1 bytes add up in uint64 lanes without carries
+            lanes += bits[lo:lo + 255].view(np.uint64).sum(axis=0, dtype=np.uint64).view(np.uint8)
     return sizes.reshape(len(seeds), -1)[:, :runs]
 
 
@@ -245,11 +262,11 @@ def _simulate_batch(lay: _Layout, seeds: Sequence[int], cfg) -> list[tuple[float
             for sizes in _batch_sizes(lay, seeds, cfg.runs, cfg.master_seed)]
 
 
-def _batches(node_count: int, runs: int, workers: int) -> list[range]:
-    """Consecutive seed nodes sharing a BFS: at most 64 words, split evenly over the workers."""
-    rounds = -(-node_count // (max(1, 64 // -(-runs // 64)) * workers))
-    count = min(node_count, rounds * workers)
-    return [range(i * node_count // count, (i + 1) * node_count // count) for i in range(count)]
+def _batches(seed_count: int, runs: int, workers: int) -> list[range]:
+    """Consecutive seeds sharing a BFS: at most 64 words, split evenly over the workers."""
+    rounds = -(-seed_count // (max(1, 64 // -(-runs // 64)) * workers))
+    count = min(seed_count, rounds * workers)
+    return [range(i * seed_count // count, (i + 1) * seed_count // count) for i in range(count)]
 
 
 def _usable_cpus() -> int:
@@ -264,7 +281,9 @@ def spread_all(net: Network, cfg, progress=None) -> SpreadEstimate:
     ``cfg`` (a :class:`~spreadrank.config.RunConfig`, whose ``runs`` is at
     least 2) supplies ``runs`` and ``master_seed``.  Batches of seed nodes
     are simulated concurrently, one worker per usable CPU; the values are
-    bit-identical for any worker count and completion order.
+    bit-identical for any worker count and completion order.  A seed without
+    out-edges is not simulated: its value is exactly 1.0 and its error 0.0,
+    as its all-ones cascade sizes give.
     ``progress`` is an optional callable invoked as ``progress(done, total)``
     on the calling thread, in node order, as each node's result arrives.
     An exception from a worker or from ``progress`` cancels the batches
@@ -272,17 +291,20 @@ def spread_all(net: Network, cfg, progress=None) -> SpreadEstimate:
     """
     _check_probabilities(net)
     n = net.node_count
-    values = np.empty(n)
-    errors = np.empty(n)
+    values = np.ones(n)  # a seed without out-edges reaches itself alone in every run
+    errors = np.zeros(n)
+    fires = net.out_degree() > 0
+    seeds = np.flatnonzero(fires).tolist()
     workers = _usable_cpus()
-    batches = _batches(n, cfg.runs, workers)
+    batches = [seeds[r.start:r.stop] for r in _batches(len(seeds), cfg.runs, workers)]
     with ThreadPoolExecutor(workers) as pool, contextlib.closing(
             pool.map(_simulate_batch, repeat(_Layout(net)), batches, repeat(cfg))) as results:
         # closing the result iterator cancels the pending batches before the
         # pool's shutdown waits for the running ones
-        for seeds, pairs in zip(batches, results):
-            for u, (mean, std_error) in zip(seeds, pairs):
-                values[u], errors[u] = mean, std_error
-                if progress is not None:
-                    progress(u + 1, n)
+        pairs = chain.from_iterable(results)  # (mean, std_error) of each seed, in node order
+        for u in range(n):
+            if fires[u]:
+                values[u], errors[u] = next(pairs)
+            if progress is not None:
+                progress(u + 1, n)
     return SpreadEstimate(values, errors, runs=cfg.runs, master_seed=cfg.master_seed)

@@ -84,15 +84,17 @@ def _holds(path: Path, data: bytes) -> bool:
         return False
 
 
-def _write_text(path: str | Path, text: str) -> None:
+def _write_text(path: str | Path, text: str) -> str:
     """Replace ``path`` by ``text`` through a temporary file and a rename.
 
-    A file that already holds ``text`` is left as it is.
+    A file that already holds ``text`` is left as it is.  Returns the hex
+    SHA-256 of the file's bytes, which are then ``text``'s.
     """
     path = Path(path)
     data = text.encode("utf-8")
+    digest = hashlib.sha256(data).hexdigest()
     if _holds(path, data):
-        return
+        return digest
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as handle:
@@ -101,16 +103,17 @@ def _write_text(path: str | Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest
 
 
 def _write_table(path: str | Path, comments: dict[str, str], header: str | None,
-                 rows: Iterable[str]) -> None:
-    """``# key=value`` comment lines, the header line if any, then the rows."""
+                 rows: Iterable[str]) -> str:
+    """``# key=value`` comment lines, the header line if any, then the rows; their SHA-256."""
     lines = [f"# {key}={value}" for key, value in comments.items()]
     if header is not None:
         lines.append(header)
     lines.extend(rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
 @contextmanager
@@ -213,14 +216,14 @@ def load_edge_list(path: str | Path, declared_weighted: bool) -> Network:
 
 
 def write_edge_list(net: Network, path: str | Path,
-                    comments: dict[str, str] | None = None) -> None:
+                    comments: dict[str, str] | None = None) -> str:
     """Canonical whitespace edge list ``u v w`` over dense ids.
 
     A ``# nodes=N`` comment follows ``comments``, so that a node without
     edges keeps its id when the file is read back.
     """
-    _write_table(path, {**(comments or {}), "nodes": str(net.node_count)}, None,
-                 (f"{u} {v} {_fmt(w)}" for u, v, w in net.edges()))
+    return _write_table(path, {**(comments or {}), "nodes": str(net.node_count)}, None,
+                        (f"{u} {v} {_fmt(w)}" for u, v, w in net.edges()))
 
 
 def read_canonical_network(path: str | Path) -> Network:
@@ -251,11 +254,12 @@ def _quoted(cell: str) -> str:
     return cell
 
 
-def write_id_map(net: Network, path: str | Path) -> None:
+def write_id_map(net: Network, path: str | Path) -> str:
     """CSV mapping original labels to dense ids."""
     labels = net.labels or tuple(str(i) for i in range(net.node_count))
-    _write_table(path, {}, _header(_ID_MAP_ROW),
-                 (f"{_quoted(label)},{dense_id}" for dense_id, label in enumerate(labels)))
+    return _write_table(path, {}, _header(_ID_MAP_ROW),
+                        (f"{_quoted(label)},{dense_id}"
+                         for dense_id, label in enumerate(labels)))
 
 
 def sha256_of(path: str | Path) -> str:
@@ -273,16 +277,17 @@ def _seal(record: dict) -> str:
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
-def write_run(path: str | Path, record: dict, outputs: Iterable[Path],
+def write_run(path: str | Path, record: dict, outputs: dict[Path, str],
               timestamps: bool) -> None:
     """``record`` as JSON in the run file at ``path``, sealed.
 
-    Each of ``outputs``, written before, gets the SHA-256 of its bytes
-    under ``sha256``, keyed by file name; with ``timestamps``, the local
-    time to the second goes under ``generated``.  The record then gets the
-    SHA-256 of its own fields under ``record_sha256``.
+    ``outputs`` maps each output, written before, to the SHA-256 of its
+    bytes, as its writer returned it; the digests go under ``sha256``,
+    keyed by file name.  With ``timestamps``, the local time to the second
+    goes under ``generated``.  The record then gets the SHA-256 of its own
+    fields under ``record_sha256``.
     """
-    record = {**record, "sha256": {p.name: sha256_of(p) for p in outputs}}
+    record = {**record, "sha256": {p.name: digest for p, digest in outputs.items()}}
     if timestamps:
         record["generated"] = _dt.datetime.now().isoformat(timespec="seconds")
     record["record_sha256"] = _seal(record)
@@ -313,9 +318,9 @@ def current_run(path: str | Path, key: dict, outputs: Iterable[Path]) -> dict | 
     return record
 
 
-def write_scores(measure: str, scores: np.ndarray, path: str | Path) -> None:
-    _write_table(path, {"measure": measure}, _header(_SCORE_ROW),
-                 (f"{node},{_fmt(value)}" for node, value in enumerate(scores.tolist())))
+def write_scores(measure: str, scores: np.ndarray, path: str | Path) -> str:
+    return _write_table(path, {"measure": measure}, _header(_SCORE_ROW),
+                        (f"{node},{_fmt(value)}" for node, value in enumerate(scores.tolist())))
 
 
 def read_scores(path: str | Path) -> tuple[str, np.ndarray]:
@@ -333,10 +338,11 @@ def simulation_hash(graph_sha256: str, runs: int, master_seed: int) -> str:
     return hashlib.sha256(f"{text};engine={propagation.ENGINE}".encode()).hexdigest()[:16]
 
 
-def write_spread(spread: propagation.SpreadEstimate, path: str | Path, config_hash: str) -> None:
-    _write_table(path, {"config_hash": config_hash}, _header(_SPREAD_ROW),
-                 (f"{node},{_fmt(spread.values[node])},{_fmt(spread.std_error[node])},"
-                  f"{spread.runs},{spread.master_seed}" for node in range(spread.values.size)))
+def write_spread(spread: propagation.SpreadEstimate, path: str | Path, config_hash: str) -> str:
+    return _write_table(path, {"config_hash": config_hash}, _header(_SPREAD_ROW),
+                        (f"{node},{_fmt(spread.values[node])},{_fmt(spread.std_error[node])},"
+                         f"{spread.runs},{spread.master_seed}"
+                         for node in range(spread.values.size)))
 
 
 def read_spread(path: str | Path,
@@ -359,9 +365,9 @@ def _metric_cell(value: float | None) -> str:
     return NA if value is None else _fmt(value)
 
 
-def write_evaluation(report: EvaluationReport, path: str | Path) -> None:
+def write_evaluation(report: EvaluationReport, path: str | Path) -> str:
     comments = {"node_count": str(report.node_count), "density": _fmt(report.density)}
-    _write_table(path, comments, _header(_REPORT_ROW), _report_rows(report))
+    return _write_table(path, comments, _header(_REPORT_ROW), _report_rows(report))
 
 
 def _report_rows(report: EvaluationReport) -> list[str]:
@@ -391,12 +397,12 @@ def read_evaluation(path: str | Path) -> EvaluationReport:
 
 
 def write_combined_report(reports: list[EvaluationReport], aggregate_report: EvaluationReport,
-                          path: str | Path) -> None:
+                          path: str | Path) -> str:
     rows = [row for report in reports for row in _report_rows(report)]
-    _write_table(path, {}, _header(_REPORT_ROW), rows + _report_rows(aggregate_report))
+    return _write_table(path, {}, _header(_REPORT_ROW), rows + _report_rows(aggregate_report))
 
 
-def write_scatter(reports: list[EvaluationReport], path: str | Path) -> None:
+def write_scatter(reports: list[EvaluationReport], path: str | Path) -> str:
     """Rows for density-versus-metric plots across datasets."""
     rows = []
     for report in sorted(reports, key=lambda r: (r.density, r.dataset)):
@@ -406,4 +412,4 @@ def write_scatter(reports: list[EvaluationReport], path: str | Path) -> None:
                 if value is not None:
                     rows.append(f"{report.dataset},{_fmt(report.density)},"
                                 f"{measure_id},{metric_name},{_fmt(value)}")
-    _write_table(path, {}, _header(_SCATTER_ROW), rows)
+    return _write_table(path, {}, _header(_SCATTER_ROW), rows)

@@ -838,7 +838,8 @@ class TestReport:
         record = json.loads(run_file.read_text())
         del record["sha256"], record["record_sha256"]
         # as evaluate sealed it then
-        storage.write_run(run_file, record, [evaluation], timestamps=False)
+        storage.write_run(run_file, record, {evaluation: storage.sha256_of(evaluation)},
+                          timestamps=False)
         for name in outputs:
             (tmp_path / name).unlink()
         code, _, err = run(capsys, "report", evaluation, *common)
@@ -1125,26 +1126,33 @@ def test_warm_rerun_leaves_every_output_untouched(tmp_path, toy_edges, capsys):
         assert outputs and storage.current_run(run_file, {}, outputs) is not None
 
 
-def test_evaluate_and_report_open_each_input_twice(tmp_path, ingested, capsys, monkeypatch):
-    # one parse and one hash: the run-file check hands its verified digest to the key
-    common = ("--out-dir", tmp_path, "--no-timestamps")
-    run(capsys, "simulate", ingested, "--runs", "20", "--quiet", *common)
-    spread, evaluation = tmp_path / "toy.spread.csv", tmp_path / "toy.evaluation.csv"
-    opened = Counter()
+@pytest.fixture
+def opened(monkeypatch):
+    """How often each path is opened from now on, by ``open`` or ``io.open``."""
+    counts = Counter()
     real_open = io.open
 
     def counting(file, *args, **kwargs):
         if isinstance(file, (str, os.PathLike)):
-            opened[Path(file)] += 1
+            counts[Path(file)] += 1
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(io, "open", counting)
     monkeypatch.setattr(builtins, "open", counting)
+    return counts
+
+
+def test_evaluate_and_report_open_each_input_twice(tmp_path, ingested, capsys, opened):
+    # one parse and one hash: the run-file check hands its verified digest to the key
+    common = ("--out-dir", tmp_path, "--no-timestamps")
+    run(capsys, "simulate", ingested, "--runs", "20", "--quiet", *common)
+    spread, evaluation = tmp_path / "toy.spread.csv", tmp_path / "toy.evaluation.csv"
+    opened.clear()
     code, _, err = run(capsys, "evaluate", ingested, spread, "--measures", "c_os",
                        "--top-k", "2", *common)
     assert code == 0, err
     assert opened[spread] == 2
-    opened.clear()  # evaluate hashed the evaluation file it wrote
+    opened.clear()
     code, _, err = run(capsys, "report", evaluation, *common)
     assert code == 0, err
     assert opened[evaluation] == 2
@@ -1152,6 +1160,19 @@ def test_evaluate_and_report_open_each_input_twice(tmp_path, ingested, capsys, m
     assert key == [{"name": evaluation.name, "sha256": storage.sha256_of(evaluation)}]
     record = json.loads(storage.run_path(evaluation).read_text())
     assert record["spread_sha256"] == storage.sha256_of(spread)
+
+
+def test_cold_evaluate_never_reads_its_evaluation_file(tmp_path, ingested, capsys, opened):
+    # the run file seals the digest of the bytes evaluate wrote, not a reread of them
+    common = ("--out-dir", tmp_path, "--no-timestamps")
+    run(capsys, "simulate", ingested, "--runs", "20", "--quiet", *common)
+    evaluation = tmp_path / "toy.evaluation.csv"
+    opened.clear()
+    code, _, err = run(capsys, "evaluate", ingested, tmp_path / "toy.spread.csv",
+                       "--measures", "c_os", "--top-k", "2", *common)
+    assert code == 0, err
+    assert opened[evaluation] == 0
+    assert storage.current_run(storage.run_path(evaluation), {}, [evaluation]) is not None
 
 
 def _pipeline(capsys, raw, out, *flags):

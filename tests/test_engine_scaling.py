@@ -26,4 +26,11 @@ def test_ladder_run_prints_its_timings():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "spread_all over ladder_30 at 64 runs, best of 1"
-    assert lines[1].split() == ["cpus", "engine_s", "draws_s", "engine/draws"]
+    assert lines[1].split() == ["cpus", "engine_s", "draws_s", "engine/draws",
+                                "engine_peak_kib"]
+    cpus = sorted({1, len(os.sched_getaffinity(0))})
+    rows = [line.split() for line in lines[2:2 + len(cpus)]]
+    assert [int(row[0]) for row in rows] == cpus
+    for row in rows:
+        assert all(float(cell) > 0 for cell in row[1:4])
+        assert int(row[4]) > 0  # the engine's traced peak, in KiB

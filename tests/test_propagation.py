@@ -134,11 +134,14 @@ class TestAgainstPerRunOracle:
         self.agree(5, [(0, 1, 0.5), (1, 2, 0.7), (2, 0, 0.2), (1, 3, 0.4), (3, 4, 0.9)],
                    1, runs, master_seed=99)
 
-    @pytest.mark.parametrize("runs", [propagation._CHUNK - 1, propagation._CHUNK + 1,
+    @pytest.mark.parametrize("runs", [propagation._DRAWS - 1, propagation._DRAWS + 1,
+                                      BLOCK + propagation._DRAWS + 3,
+                                      propagation._CHUNK - 1, propagation._CHUNK + 1,
                                       BLOCK + propagation._CHUNK + 3])
     def test_runs_at_chunk_edges(self, runs):
-        # each count ends in a partial byte of rows; the sure edge (1.0) and
-        # the all but dead one (1e-9) fill whole columns with ones and zeros
+        # each count ends in a partial draw, a partial byte of rows or both;
+        # the sure edge (1.0) and the all but dead one (1e-9) fill whole
+        # columns with ones and zeros
         sizes = self.agree(5, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1e-9), (3, 4, 1.0),
                                (2, 0, 0.4), (1, 4, 0.3)], 0, runs, master_seed=31)
         assert sizes.min() == 2
@@ -157,6 +160,7 @@ class TestAgainstPerRunOracle:
     def test_chunk_is_whole_words_of_a_block(self):
         assert propagation._CHUNK % 64 == 0
         assert BLOCK % propagation._CHUNK == 0
+        assert propagation._CHUNK % propagation._DRAWS == 0
 
 
 class TestExactSpread:
@@ -231,6 +235,26 @@ class TestSpreadAll:
         spread_all(ring_with_chords(30), cfg(runs=200),
                    progress=lambda done, total: seen.append((done, total, threading.get_ident())))
         assert seen == [(u + 1, 30, threading.get_ident()) for u in range(30)]
+
+    def test_seeds_without_out_edges_are_not_simulated(self, monkeypatch):
+        net = NETWORKS["synth_campus"]
+        sinks = np.flatnonzero(net.out_degree() == 0).tolist()
+        assert len(sinks) == 10
+        values, errors = bundled_one_by_one("synth_campus", 4160)
+        drawn = []
+        live_edges = propagation._live_edges
+
+        def recorded(lay, seeds, runs, master_seed):
+            drawn.extend(seeds)
+            return live_edges(lay, seeds, runs, master_seed)
+
+        monkeypatch.setattr(propagation, "_live_edges", recorded)
+        est = spread_all(net, cfg(runs=4160, seed=2020))
+        assert sorted(drawn) == sorted(set(range(net.node_count)) - set(sinks))
+        assert est.values.tolist() == values
+        assert est.std_error.tolist() == errors
+        assert est.values[sinks].tolist() == [1.0] * 10
+        assert est.std_error[sinks].tolist() == [0.0] * 10
 
     def test_estimate_validation(self):
         with pytest.raises(ValidationError):
@@ -383,23 +407,30 @@ class TestConcurrentSeeds:
 class TestMemory:
     """A batch's buffers are sized by the chunk and the batch, not by edges x runs."""
 
-    def test_traced_peak_within_the_buffers(self, monkeypatch):
-        workers, runs = 2, 4160
+    @staticmethod
+    def within_the_buffers(monkeypatch, runs):
+        workers = 2
         net = NETWORKS["synth_forum"]
         monkeypatch.setattr(propagation, "_usable_cpus", lambda: workers)
-        config = cfg(runs=runs, seed=3)
-        spread_all(net, config)  # one-off allocations of a first call
+        spread_all(net, cfg(runs=130, seed=3))  # one-off allocations of a first call
         tracemalloc.start()
         try:
-            spread_all(net, config)
+            spread_all(net, cfg(runs=runs, seed=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         m, n, words = net.edge_count, net.node_count, -(-runs // 64)
-        # drawing: the float64 draws, their booleans and packed bytes, next to
-        # the batch's live words; reaching: the live words in edge and reach
-        # order, the fired words, the frontier, idle and grouped-target words,
-        # the unpacked bits and the counts
-        drawing = propagation._CHUNK * m * (8 + 1 + 1 / 8) + 8 * m * words
-        reaching = 24 * m * words + 24 * n * words + 64 * n * words + 512 * words
+        # drawing: the float64 draws, a chunk's booleans and packed bytes, next
+        # to the batch's live words; reaching: the live and fired words, the
+        # frontier, idle and grouped-target words, the unpacked bits of at
+        # most 64 words of columns and the counts
+        drawing = propagation._DRAWS * m * 8 + propagation._CHUNK * m * (1 + 1 / 8) + 8 * m * words
+        reaching = 16 * m * words + 24 * n * words + 64 * n * min(words, 64) + 512 * words
         assert peak <= 1.25 * workers * max(drawing, reaching)
+
+    def test_traced_peak_within_the_buffers(self, monkeypatch):
+        self.within_the_buffers(monkeypatch, 4160)
+
+    def test_traced_peak_within_the_buffers_of_one_seed_batches(self, monkeypatch):
+        # a batch is one seed of 313 words, and reaching outweighs drawing
+        self.within_the_buffers(monkeypatch, 20000)

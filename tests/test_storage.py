@@ -137,7 +137,8 @@ def test_timestamps_toggle(net, tmp_path):
     runs = {}
     for timestamps in (True, False):
         run_file = tmp_path / f"{timestamps}.run.json"
-        storage.write_run(run_file, {"dataset": "g"}, [graph], timestamps=timestamps)
+        storage.write_run(run_file, {"dataset": "g"}, {graph: storage.sha256_of(graph)},
+                          timestamps=timestamps)
         runs[timestamps] = storage.current_run(run_file, {"dataset": "g"}, [graph])
     stamp = runs[True].pop("generated")
     assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", stamp)
@@ -163,8 +164,8 @@ def test_config_json_roundtrip(tmp_path):
     output = tmp_path / "d.evaluation.csv"
     output.write_text("x\n")
     storage.write_run(storage.run_path(output),
-                      cfg.fields(f.name for f in dataclasses.fields(RunConfig)), [output],
-                      timestamps=False)
+                      cfg.fields(f.name for f in dataclasses.fields(RunConfig)),
+                      {output: storage.sha256_of(output)}, timestamps=False)
     payload = storage.current_run(tmp_path / "d.evaluation.run.json", {}, [output])
     assert payload.pop("sha256") == {output.name: storage.sha256_of(output)}
     assert RunConfig(**{**payload, "measures": tuple(payload["measures"])}) == cfg
@@ -177,7 +178,7 @@ def test_current_run_key_survives_json(tmp_path):
     run_file = storage.run_path(output)
     key = RunConfig(measures=("c_os", "sk3"), katz_alpha=0.1).fields(
         ("measures", "katz_alpha", "gravity_radius"))
-    storage.write_run(run_file, key, [output], timestamps=False)
+    storage.write_run(run_file, key, {output: storage.sha256_of(output)}, timestamps=False)
     assert storage.current_run(run_file, key, [output]) == {
         "measures": ["c_os", "sk3"], "katz_alpha": 0.1, "gravity_radius": 3,
         "sha256": {output.name: storage.sha256_of(output)}}
@@ -455,10 +456,11 @@ def test_identical_rewrite_leaves_the_file_untouched(tmp_path, monkeypatch):
     est, config_hash = storage.read_spread(path)
     before = path.stat()
     _spy_replace(monkeypatch, fail=True)
-    storage.write_spread(est, path, config_hash=config_hash)
+    digest = storage.write_spread(est, path, config_hash=config_hash)
     monkeypatch.undo()
     after = path.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert digest == storage.sha256_of(path)  # of the bytes left in place
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spread.csv"]
 
 
@@ -474,8 +476,9 @@ def test_rewrite_that_changes_bytes_replaces_the_file(tmp_path, monkeypatch, old
     else:
         path.write_text(old(want))
     calls = _spy_replace(monkeypatch, fail=False)
-    storage.write_spread(est, path, config_hash=config_hash)
+    digest = storage.write_spread(est, path, config_hash=config_hash)
     monkeypatch.undo()
     assert calls == [path]
     assert path.read_text() == want
+    assert digest == storage.sha256_of(path)  # of the bytes written
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spread.csv"]
