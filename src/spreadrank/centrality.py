@@ -1,10 +1,10 @@
-"""Betweenness, closeness, eigenvector, Katz, and k-shell style centralities.
+"""Betweenness, closeness, gravity, eigenvector, Katz, and k-shell style centralities.
 
-All functions are pure: they take an immutable :class:`GraphView` (or the
-network itself where the measure is inherently directed and weighted) and
-return one float per node.  Distance-based measures expect the caller
-to hand them the appropriate view; by convention weighted distances use
-inverted weights so that a high cascade probability reads as proximity.
+All functions are pure: they take an immutable :class:`GraphView`, or the
+network itself where the measure fixes its own view, and return one float
+per node.  Distance-based measures expect the caller to hand them the
+appropriate view; by convention weighted distances use inverted weights so
+that a high cascade probability reads as proximity.
 
 Betweenness, closeness and gravity take their distances from one kernel,
 :func:`_distances`.  It needs every candidate ``d + w`` to exceed ``d``, as
@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, ValidationError
+from .errors import ConvergenceError, ParameterError
 from .graph import GraphView, Network, ViewKind
 
 EIGEN_TOL = 1e-9
@@ -145,6 +145,24 @@ def closeness(view: GraphView) -> np.ndarray:
     return values
 
 
+def gravity(view: GraphView, mass: np.ndarray, radius: int) -> np.ndarray:
+    """Sum of ``mass[u] * mass[v] / dist(u, v)**2`` over the ``v`` within ``radius`` hops of ``u``.
+
+    Hops count edges traversed; ``dist`` is the shortest path on the view's
+    weights inside that hop neighborhood.  Weighted callers pass inverted weights.
+    """
+    scores = np.zeros(view.n)
+    for sources in _blocks(np.flatnonzero(mass)):
+        members = np.isfinite(_distances(view, sources, hops=radius))
+        members[np.arange(sources.size), sources] = False
+        # hop-reachable implies weight-reachable inside the induced search
+        dist = _distances(view, sources, allowed=members)
+        for u, inside, row in zip(sources.tolist(), members, dist):
+            if inside.any():
+                scores[u] = mass[u] * np.sum(mass[inside] / row[inside] ** 2)
+    return scores
+
+
 def _multiply_adjacency(view: GraphView, x: np.ndarray, incoming: bool) -> np.ndarray:
     """``y[u] = sum_v A[v,u] x[v]`` when incoming, else ``sum_v A[u,v] x[v]``."""
     if incoming:
@@ -152,14 +170,13 @@ def _multiply_adjacency(view: GraphView, x: np.ndarray, incoming: bool) -> np.nd
     return np.bincount(view.src, weights=view.weight * x[view.dst], minlength=view.n)
 
 
-def eigenvector(view: GraphView, tol: float = EIGEN_TOL) -> np.ndarray:
-    """Leading eigenvector of the undirected unweighted adjacency matrix.
+def eigenvector(net: Network, tol: float = EIGEN_TOL) -> np.ndarray:
+    """Leading eigenvector of ``net``'s undirected unweighted adjacency matrix.
 
     Power iteration with an identity shift, which keeps bipartite graphs
     from oscillating; the result is non-negative with unit L2 norm.
     """
-    if view.kind is not ViewKind.UU:
-        raise ValidationError("eigenvector centrality runs on the undirected unweighted view")
+    view = GraphView(ViewKind.UU, net)
     n = view.n
     if n == 0:
         return np.zeros(0)
@@ -254,11 +271,10 @@ def _peel(src: np.ndarray, dst: np.ndarray, weight: np.ndarray, n: int,
     return shell
 
 
-def kshell(view: GraphView) -> np.ndarray:
-    """Iterative-peeling shell index on the undirected unweighted view, by degree."""
-    if view.kind is not ViewKind.UU:
-        raise ValidationError("k-shell decomposition runs on the undirected unweighted view")
-    return _peel(view.src, view.dst, view.weight, view.n, lambda count, _: count)
+def kshell(net: Network) -> np.ndarray:
+    """Iterative-peeling shell index on ``net``'s undirected unweighted view, by degree."""
+    uu = GraphView(ViewKind.UU, net)
+    return _peel(uu.src, uu.dst, uu.weight, uu.n, lambda count, _: count)
 
 
 def weighted_kshell(net: Network) -> np.ndarray:

@@ -54,8 +54,8 @@ def _add_config(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(flag, dest=name, default=getattr(RunConfig, name), **keywords)
 
 
-def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, tuple[str, ...]]:
-    """The configuration a command's options give, and the names of the fields it read.
+def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, dict]:
+    """The configuration a command's options give, and the fields it read, for provenance.
 
     Fields the command has no option for keep their defaults.
     """
@@ -66,7 +66,7 @@ def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, tuple[str, .
     if unknown:
         raise ParameterError(f"unknown measure {', '.join(map(repr, unknown))}; "
                              f"valid ids: {', '.join(measure_ids())}")
-    return cfg, tuple(read)
+    return cfg, read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +190,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     graph_sha256 = storage.sha256_of(args.graph)
     config_hash = storage.simulation_hash(graph_sha256, cfg.runs, cfg.master_seed)
     # everything the spread file's bytes depend on
-    key = {**cfg.fields(read), "engine": ENGINE, "graph_sha256": graph_sha256,
+    key = {**read, "engine": ENGINE, "graph_sha256": graph_sha256,
            "config_hash": config_hash}
     if storage.current_run(run_file, key, [cache_path]) is not None:
         print(f"cache hit: {cache_path} (config_hash={config_hash})")
@@ -218,7 +218,7 @@ def cmd_centrality(args: argparse.Namespace) -> int:
     run_file = storage.run_path(out_path)
     # everything the scores file's bytes depend on
     key = {"format": MEASURES, "measure": args.measure,
-           "graph_sha256": storage.sha256_of(args.graph), **cfg.fields(read)}
+           "graph_sha256": storage.sha256_of(args.graph), **read}
     if storage.current_run(run_file, key, [out_path]) is not None:
         print(f"cache hit: {out_path}")
         return 0
@@ -274,7 +274,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # what the evaluation file was computed from
     key = {"format": MEASURES, "graph_sha256": graph_sha256,
            "spread_sha256": spread_sha256,
-           "dataset": dataset, **cfg.fields(read)}
+           "dataset": dataset, **read}
     storage.write_run(storage.run_path(out_path), key, {out_path: digest},
                       timestamps=not args.no_timestamps)
     print(f"wrote {out_path}")

@@ -2,13 +2,12 @@
 
 ``sc1`` blends out-strength with a folded closeness; the ``sk`` family
 combines out-strength with Katz centrality, whose values drop where
-spread rises, so Katz lands in the denominator.
+spread rises, so Katz lands in the denominator.  Inputs come checked from
+:meth:`.measures.MeasureContext.get`: one finite float64 per node each.
 """
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ValidationError
 
 # Fixed by the paper: the closeness fold point, sc1's weights (the published
 # correlation strengths split over a unit budget), and sk's zero-Katz stand-in.
@@ -16,8 +15,6 @@ DEFAULT_CLOSENESS_THRESHOLD = 0.04
 DEFAULT_GAMMA = 0.64
 DEFAULT_DELTA = 0.36
 DEFAULT_EPS = 1e-12
-
-SK_VARIANTS = ("sk1", "sk2", "sk3")
 
 
 def modified_closeness(c: np.ndarray) -> np.ndarray:
@@ -34,25 +31,27 @@ def modified_closeness(c: np.ndarray) -> np.ndarray:
 def sc1(c_os: np.ndarray, c_mod_closeness: np.ndarray) -> np.ndarray:
     """Convex combination ``gamma * out_strength + delta * folded_closeness``.
 
-    Both inputs are expected max-normalized over the same node set.
+    Both inputs are expected max-normalized.
     """
-    if c_os.shape != c_mod_closeness.shape:
-        raise ValidationError("sc1 inputs must cover the same node set")
     return DEFAULT_GAMMA * c_os + DEFAULT_DELTA * c_mod_closeness
 
 
-def sk_family(c_os: np.ndarray, c_katz: np.ndarray, variant: str) -> np.ndarray:
-    """Strength/Katz combinations; ``DEFAULT_EPS`` replaces zero Katz values.
+def _nonzero(values: np.ndarray) -> np.ndarray:
+    """``values`` with ``DEFAULT_EPS`` in place of each zero: sk's Katz and sk2's ``s + z``."""
+    return np.where(values == 0.0, DEFAULT_EPS, values)
 
-    sk1 = s + s/z      sk2 = s - z/(s+z)      sk3 = s/z
-    """
-    if variant not in SK_VARIANTS:
-        raise ValidationError(f"unknown sk variant {variant!r}")
-    if c_os.shape != c_katz.shape:
-        raise ValidationError("sk inputs must cover the same node set")
-    s, z = c_os, np.where(c_katz == 0.0, DEFAULT_EPS, c_katz)
-    if variant == "sk1":
-        return s + s / z
-    if variant == "sk2":
-        return s - z / np.where(s + z == 0.0, DEFAULT_EPS, s + z)
-    return s / z
+
+def sk1(s: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``s + s/z`` of out-strength ``s`` and Katz ``z``."""
+    return s + s / _nonzero(z)
+
+
+def sk2(s: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``s - z/(s+z)`` of out-strength ``s`` and Katz ``z``."""
+    z = _nonzero(z)
+    return s - z / _nonzero(s + z)
+
+
+def sk3(s: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``s/z`` of out-strength ``s`` and Katz ``z``."""
+    return s / _nonzero(z)

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import ParameterError
 
@@ -44,7 +43,3 @@ class RunConfig:
         # a spread file holds the seed as a signed 64-bit integer
         if not -2**63 <= self.master_seed < 2**63:
             raise ParameterError("master seed must be in [-2**63, 2**63)")
-
-    def fields(self, names: Iterable[str]) -> dict:
-        """The fields ``names``: what a command read, for provenance."""
-        return {name: getattr(self, name) for name in names}

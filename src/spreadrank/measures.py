@@ -8,7 +8,8 @@ unweighted view; ``c_od`` and ``c_os`` are the out-degree and
 out-strength that :class:`Network` counts.  Combination measures
 (``sc1``, ``sk*``) consume max-normalized inputs and use the fixed
 constants of :mod:`.combined`.  Only the Katz attenuation and the
-gravity radius come from the :class:`RunConfig`.
+gravity radius come from the :class:`RunConfig`, which range-checks them;
+every other input comes checked from :meth:`MeasureContext.get`.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import combined, gravity
-from .centrality import betweenness, closeness, eigenvector, katz, weighted_kshell, kshell
+from . import combined
+from .centrality import betweenness, closeness, eigenvector, gravity, katz, kshell, weighted_kshell
 from .config import RunConfig
 from .errors import ValidationError
 from .graph import Network, ViewKind, WeightMode, view
@@ -30,9 +31,9 @@ MEASURES = "measures-1"
 class MeasureContext:
     """Per-network cache so dependency chains compute each vector once."""
 
-    def __init__(self, net: Network, cfg: RunConfig | None = None):
+    def __init__(self, net: Network, cfg: RunConfig):
         self.net = net
-        self.cfg = cfg or RunConfig()
+        self.cfg = cfg
         self._cache: dict[str, np.ndarray] = {}
 
     def get(self, measure_id: str) -> np.ndarray:
@@ -67,6 +68,11 @@ def _peak_scaled(values: np.ndarray) -> np.ndarray:
     return values / peak if peak else values
 
 
+def _ods(net: Network) -> np.ndarray:
+    """Out-degree times out-strength: the mass of ``mgc_ods``, and of ``mgc_wk`` with Katz."""
+    return net.out_degree().astype(np.float64) * net.out_strength()
+
+
 def _c_od(ctx: MeasureContext) -> np.ndarray:
     return ctx.net.out_degree()
 
@@ -96,7 +102,7 @@ def _c_c_dw_mod(ctx: MeasureContext) -> np.ndarray:
 
 
 def _c_e_uu(ctx: MeasureContext) -> np.ndarray:
-    return eigenvector(view(ctx.net, ViewKind.UU))
+    return eigenvector(ctx.net)
 
 
 def _c_katz_du(ctx: MeasureContext) -> np.ndarray:
@@ -108,7 +114,7 @@ def _c_katz_dw_out(ctx: MeasureContext) -> np.ndarray:
 
 
 def _ks(ctx: MeasureContext) -> np.ndarray:
-    return kshell(view(ctx.net, ViewKind.UU))
+    return kshell(ctx.net)
 
 
 def _wks(ctx: MeasureContext) -> np.ndarray:
@@ -117,7 +123,7 @@ def _wks(ctx: MeasureContext) -> np.ndarray:
 
 def _gc(ctx: MeasureContext) -> np.ndarray:
     """Classic gravity: k-shell masses over undirected hop distances."""
-    return gravity.gravity(view(ctx.net, ViewKind.UU), ctx.get("ks"), ctx.cfg.gravity_radius)
+    return gravity(view(ctx.net, ViewKind.UU), ctx.get("ks"), ctx.cfg.gravity_radius)
 
 
 def _sc1(ctx: MeasureContext) -> np.ndarray:
@@ -125,10 +131,10 @@ def _sc1(ctx: MeasureContext) -> np.ndarray:
                         _peak_scaled(ctx.get("c_c_dw_mod")))
 
 
-def _sk(variant: str) -> Callable[[MeasureContext], np.ndarray]:
+def _sk(combine: Callable[..., np.ndarray]) -> Callable[[MeasureContext], np.ndarray]:
+    """``combine`` of peak-scaled out-strength and incoming Katz."""
     def build(ctx: MeasureContext) -> np.ndarray:
-        return combined.sk_family(_peak_scaled(ctx.get("c_os")),
-                                  _peak_scaled(ctx.get("c_katz_du")), variant)
+        return combine(_peak_scaled(ctx.get("c_os")), _peak_scaled(ctx.get("c_katz_du")))
     return build
 
 
@@ -136,8 +142,8 @@ def _mgc(mass: Callable[[MeasureContext], np.ndarray]
          ) -> Callable[[MeasureContext], np.ndarray]:
     """Gravity over inverted weighted distances with the mass ``mass`` builds."""
     def build(ctx: MeasureContext) -> np.ndarray:
-        return gravity.gravity(view(ctx.net, ViewKind.DW, WeightMode.INVERTED), mass(ctx),
-                               ctx.cfg.gravity_radius)
+        return gravity(view(ctx.net, ViewKind.DW, WeightMode.INVERTED), mass(ctx),
+                       ctx.cfg.gravity_radius)
     return build
 
 
@@ -157,12 +163,12 @@ _BUILDERS: dict[str, Callable[[MeasureContext], np.ndarray]] = {
     "gc": _gc,
     "gc_w": _mgc(lambda ctx: ctx.get("wks")),
     "sc1": _sc1,
-    "sk1": _sk("sk1"),
-    "sk2": _sk("sk2"),
-    "sk3": _sk("sk3"),
-    "mgc_ods": _mgc(lambda ctx: gravity.mass_ods(ctx.net)),
+    "sk1": _sk(combined.sk1),
+    "sk2": _sk(combined.sk2),
+    "sk3": _sk(combined.sk3),
+    "mgc_ods": _mgc(lambda ctx: _ods(ctx.net)),
     "mgc_s": _mgc(lambda ctx: ctx.get("c_os")),
     "mgc_sc": _mgc(lambda ctx: ctx.get("sc1")),
     "mgc_sk": _mgc(lambda ctx: ctx.get("sk3")),
-    "mgc_wk": _mgc(lambda ctx: gravity.mass_wk(ctx.net, ctx.get("c_katz_dw_out"))),
+    "mgc_wk": _mgc(lambda ctx: _ods(ctx.net) * ctx.get("c_katz_dw_out")),
 }

@@ -204,7 +204,8 @@ def load_edge_list(path: str | Path, declared_weighted: bool) -> Network:
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: bad weight {parts[2]!r}") from None
             if not 0 < w < np.inf:
-                raise ValidationError(f"{path}: line {lineno}: non-positive weight {w}")
+                raise ValidationError(
+                    f"{path}: line {lineno}: weight {w} must be finite and positive")
         else:
             w = 1.0
         weight.append(w)
@@ -215,14 +216,13 @@ def load_edge_list(path: str | Path, declared_weighted: bool) -> Network:
                    self_loops_dropped=int(loop.sum()), duplicates_dropped=duplicates)
 
 
-def write_edge_list(net: Network, path: str | Path,
-                    comments: dict[str, str] | None = None) -> str:
+def write_edge_list(net: Network, path: str | Path, comments: dict[str, str]) -> str:
     """Canonical whitespace edge list ``u v w`` over dense ids.
 
     A ``# nodes=N`` comment follows ``comments``, so that a node without
     edges keeps its id when the file is read back.
     """
-    return _write_table(path, {**(comments or {}), "nodes": str(net.node_count)}, None,
+    return _write_table(path, {**comments, "nodes": str(net.node_count)}, None,
                         (f"{u} {v} {_fmt(w)}" for u, v, w in net.edges()))
 
 

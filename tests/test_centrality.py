@@ -6,7 +6,8 @@ import pytest
 from spreadrank.centrality import (KATZ_ALPHA_FRACTION, _distances, betweenness,
                                    closeness, eigenvector, katz, kshell,
                                    spectral_radius_estimate, weighted_kshell)
-from spreadrank.errors import ParameterError, ValidationError
+from spreadrank.config import RunConfig
+from spreadrank.errors import ParameterError
 from spreadrank.graph import Network, ViewKind, WeightMode, apply_wcs, view
 from spreadrank.measures import MeasureContext
 
@@ -59,11 +60,11 @@ def star(n=5):
 
 
 def degree(net: Network) -> np.ndarray:
-    return MeasureContext(net).get("c_od")
+    return MeasureContext(net, RunConfig()).get("c_od")
 
 
 def strength(net: Network) -> np.ndarray:
-    return MeasureContext(net).get("c_os")
+    return MeasureContext(net, RunConfig()).get("c_os")
 
 
 class TestDegreeStrength:
@@ -204,34 +205,27 @@ class TestDistances:
 class TestEigenvector:
     def test_regular_graph_uniform(self):
         edges = [(u, (u + 1) % 6) for u in range(6)]
-        g = view(Network.from_edges(6, edges), ViewKind.UU)
-        np.testing.assert_allclose(eigenvector(g), 1 / math.sqrt(6), atol=1e-8)
+        np.testing.assert_allclose(eigenvector(Network.from_edges(6, edges)), 1 / math.sqrt(6),
+                                   atol=1e-8)
 
     def test_edge_plus_isolated(self):
-        net = Network.from_edges(3, [(0, 1)])
-        g = view(net, ViewKind.UU)
-        values = eigenvector(g)
+        values = eigenvector(Network.from_edges(3, [(0, 1)]))
         np.testing.assert_allclose(values[:2], 1 / math.sqrt(2), atol=1e-8)
         assert values[2] < 1e-8
-
-    def test_requires_uu_view(self):
-        with pytest.raises(ValidationError):
-            eigenvector(view(star(), ViewKind.DU))
 
     def test_matches_dense_solver(self):
         rng = np.random.default_rng(44)
         for _ in range(15):
             n, edges = random_connected_undirected(rng, max_n=6)
-            net = Network.from_edges(n, edges)
-            g = view(net, ViewKind.UU)
-            np.testing.assert_allclose(eigenvector(g),
+            np.testing.assert_allclose(eigenvector(Network.from_edges(n, edges)),
                                        bf_eigenvector(n, edges), atol=1e-6)
 
     def test_rayleigh_residual_small(self):
         rng = np.random.default_rng(45)
         n, edges = random_connected_undirected(rng, max_n=8)
-        g = view(Network.from_edges(n, edges), ViewKind.UU)
-        x = eigenvector(g)
+        net = Network.from_edges(n, edges)
+        x = eigenvector(net)
+        g = view(net, ViewKind.UU)
         a = dense_adjacency(g.n, zip(g.src, g.dst, g.weight))
         lam = x @ a @ x
         assert np.linalg.norm(a @ x - lam * x) < 1e-5
@@ -300,7 +294,7 @@ class TestWeightScaleInvariance:
         net = Network.from_edges(n, edges)
         scaled = Network.from_edges(n, [(u, v, 3.75 * w) for u, v, w in edges])
         for builder in (
-            lambda g: MeasureContext(g).get("c_os"),
+            lambda g: MeasureContext(g, RunConfig()).get("c_os"),
             lambda g: closeness(view(g, ViewKind.DW, WeightMode.INVERTED)),
             lambda g: betweenness(view(g, ViewKind.DW, WeightMode.INVERTED)),
         ):
@@ -313,20 +307,17 @@ class TestWeightScaleInvariance:
 class TestKshell:
     def test_cycle_all_two(self):
         edges = [(u, (u + 1) % 5) for u in range(5)]
-        g = view(Network.from_edges(5, edges), ViewKind.UU)
-        assert np.all(kshell(g) == 2.0)
+        assert np.all(kshell(Network.from_edges(5, edges)) == 2.0)
 
     def test_star_all_one(self):
-        g = view(star(), ViewKind.UU)
-        assert np.all(kshell(g) == 1.0)
+        assert np.all(kshell(star()) == 1.0)
 
     def test_matches_subset_enumeration(self):
         rng = np.random.default_rng(66)
         for _ in range(15):
             n, edges = random_undirected(rng, max_n=8)
-            net = Network.from_edges(n, edges)
-            g = view(net, ViewKind.UU)
-            np.testing.assert_array_equal(kshell(g), bf_core_numbers(n, edges))
+            np.testing.assert_array_equal(kshell(Network.from_edges(n, edges)),
+                                          bf_core_numbers(n, edges))
 
 
 class TestWeightedKshell:
@@ -385,7 +376,7 @@ class TestWeightedKshell:
 
     def test_empty_network(self):
         assert weighted_kshell(Network.from_edges(0, [])).size == 0
-        assert kshell(view(Network.from_edges(0, []), ViewKind.UU)).size == 0
+        assert kshell(Network.from_edges(0, [])).size == 0
 
 
 def _per_node_wks(net):

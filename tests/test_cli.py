@@ -134,12 +134,13 @@ class TestIngest:
     @pytest.mark.parametrize("rows, flags, message", [
         ("0 1\n0 1 2 3\n", [], "line 2: expected 'u v' or 'u v w', got '0 1 2 3'"),
         ("0 1 0.5\n1 2 x\n", ["--weighted"], "line 2: bad weight 'x'"),
-        ("0 1 0.5\n1 2 -1\n", ["--weighted"], "line 2: non-positive weight -1.0"),
+        ("0 1 0.5\n1 2 -1\n", ["--weighted"], "line 2: weight -1.0 must be finite and positive"),
         ("0 1 0.5\n1 2 x\n0 1 2 3\n", ["--weighted"], "line 2: bad weight 'x'"),
         ("0\t1\t2\t3\n", [], "line 1: expected 'u v' or 'u v w', got '0\\t1\\t2\\t3'"),
-        ("0 1 0.5\n1 2 nan\n", ["--weighted"], "line 2: non-positive weight nan")],
+        ("0 1 0.5\n1 2 nan\n", ["--weighted"], "line 2: weight nan must be finite and positive"),
+        ("0 1 inf\n", ["--weighted"], "line 1: weight inf must be finite and positive")],
         ids=["bad_row", "bad_weight", "non_positive_weight", "bad_weight_before_bad_row",
-             "tab_separated_bad_row", "nan_weight"])
+             "tab_separated_bad_row", "nan_weight", "inf_weight"])
     def test_row_error_names_the_file(self, tmp_path, capsys, rows, flags, message):
         raw = tmp_path / "bad.txt"
         raw.write_text(rows)

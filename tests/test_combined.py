@@ -1,11 +1,9 @@
 import math
 
 import numpy as np
-import pytest
 
-from spreadrank.combined import (DEFAULT_DELTA, DEFAULT_GAMMA, modified_closeness, sc1,
-                                 sk_family)
-from spreadrank.errors import ValidationError
+from spreadrank.combined import (DEFAULT_DELTA, DEFAULT_GAMMA, modified_closeness, sc1, sk1,
+                                 sk2, sk3)
 
 
 def vec(*values):
@@ -68,47 +66,39 @@ class TestSC1:
         np.testing.assert_allclose(scaled, 3.5 * base, rtol=1e-12)
         assert np.array_equal(np.argsort(base), np.argsort(scaled))
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            sc1(vec(1.0), vec(1.0, 2.0))
-
 
 class TestSKFamily:
     def test_unit_inputs(self):
         s, z = vec(1.0), vec(1.0)
-        assert sk_family(s, z, "sk1")[0] == 2.0
-        assert sk_family(s, z, "sk2")[0] == 0.5
-        assert sk_family(s, z, "sk3")[0] == 1.0
+        assert sk1(s, z)[0] == 2.0
+        assert sk2(s, z)[0] == 0.5
+        assert sk3(s, z)[0] == 1.0
 
     def test_zero_strength(self):
         s, z = vec(0.0), vec(1.0)
-        assert sk_family(s, z, "sk1")[0] == 0.0
-        assert sk_family(s, z, "sk2")[0] == -1.0
-        assert sk_family(s, z, "sk3")[0] == 0.0
+        assert sk1(s, z)[0] == 0.0
+        assert sk2(s, z)[0] == -1.0
+        assert sk3(s, z)[0] == 0.0
 
     def test_zero_katz_guarded(self):
         s, z = vec(1.0), vec(0.0)
-        for variant in ("sk1", "sk2", "sk3"):
-            out = sk_family(s, z, variant)
+        for variant in (sk1, sk2, sk3):
+            out = variant(s, z)
             assert np.all(np.isfinite(out))
-        assert sk_family(s, z, "sk3")[0] == 1e12
+        assert sk3(s, z)[0] == 1e12
 
     def test_sk3_scale_free(self):
         rng = np.random.default_rng(2)
         s = rng.random(30)
         z = rng.random(30) + 0.1
-        a = sk_family(s, z, "sk3")
-        b = sk_family(7 * s, 7 * z, "sk3")
+        a = sk3(s, z)
+        b = sk3(7 * s, 7 * z)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_finite_for_any_nonnegative_inputs(self):
         rng = np.random.default_rng(3)
         s = np.where(rng.random(50) < 0.3, 0.0, rng.random(50))
         z = np.where(rng.random(50) < 0.3, 0.0, rng.random(50))
-        for variant in ("sk1", "sk2", "sk3"):
-            out = sk_family(s, z, variant)
+        for variant in (sk1, sk2, sk3):
+            out = variant(s, z)
             assert np.all(np.isfinite(out))
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValidationError):
-            sk_family(vec(1.0), vec(1.0), "sk9")

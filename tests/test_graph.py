@@ -48,7 +48,7 @@ class TestLoadEdgeList:
             load_edge_list(write(tmp_path, "0 1 heavy\n"), True)
 
     def test_non_positive_weight_rejected(self, tmp_path):
-        with pytest.raises(ValidationError, match="non-positive"):
+        with pytest.raises(ValidationError, match="weight 0.0 must be finite and positive"):
             load_edge_list(write(tmp_path, "0 1 0\n"), True)
 
     def test_third_column_ignored_when_unweighted(self, tmp_path):
@@ -62,7 +62,7 @@ class TestLoadEdgeList:
     def test_roundtrip_identical(self, tmp_path):
         net = load_edge_list(write(tmp_path, "0 1 0.25\n2 0 0.125\n1 2 1\n"), True)
         out = tmp_path / "canonical.edges"
-        write_edge_list(net, out)
+        write_edge_list(net, out, comments={})
         back = read_canonical_network(out)
         assert back.node_count == net.node_count
         assert np.array_equal(back.src, net.src)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from spreadrank.centrality import _distances, kshell
+from spreadrank.centrality import _distances, gravity, kshell
+from spreadrank.config import RunConfig
 from spreadrank.errors import ValidationError
-from spreadrank.gravity import gravity, mass_ods, mass_wk
 from spreadrank.graph import Network, ViewKind, WeightMode, apply_wcs, view
-from spreadrank.measures import MeasureContext
+from spreadrank.measures import MeasureContext, _ods
 
 from oracles import bf_gravity, bf_hop_set, random_digraph
 from test_centrality import inverted, sparse_digraph, undirected_edges
@@ -50,11 +50,6 @@ class TestHopNeighborhood:
             for u, row in zip(sources.tolist(), _distances(g, sources, hops=r)):
                 assert set(np.flatnonzero(np.isfinite(row)).tolist()) - {u} == \
                     bf_hop_set(n, edges, u, r)
-
-    def test_rejects_zero_radius(self):
-        g = view(Network.from_edges(2, [(0, 1)]), ViewKind.DW)
-        with pytest.raises(ValidationError):
-            gravity(g, np.ones(2), 0)
 
 
 class TestGravityKernel:
@@ -125,41 +120,37 @@ class TestGravityKernel:
         # square 0-1-2-3-0 plus chord 0-2, undirected unit distances
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
         net = Network.from_edges(4, edges)
-        uu = view(net, ViewKind.UU)
-        ks = kshell(uu)
+        ks = kshell(net)
         assert ks.tolist() == [2.0, 2.0, 2.0, 2.0]
-        out = gravity(uu, ks, 3)
+        out = gravity(view(net, ViewKind.UU), ks, 3)
         # node 0: neighbors 1,2,3 all at distance 1 -> 3 * (2*2)/1
         assert out[0] == 12.0
-        assert MeasureContext(net).get("gc").tolist() == out.tolist()
-
-    def test_mass_length_checked(self):
-        net = Network.from_edges(3, [(0, 1)])
-        with pytest.raises(ValidationError):
-            gravity(view(net, ViewKind.DW), np.ones(2), 3)
+        assert MeasureContext(net, RunConfig()).get("gc").tolist() == out.tolist()
 
 
 class TestMasses:
     def test_ods_product(self):
         net = Network.from_edges(3, [(0, 1, 0.25), (0, 2, 0.25)])
-        values = mass_ods(net)
+        values = _ods(net)
         assert values[0] == 2 * 0.5
         assert values[1] == 0.0
 
     def test_ods_degree_three_half_strength(self):
         net = Network.from_edges(4, [(0, 1, 0.25), (0, 2, 0.125), (0, 3, 0.125)])
-        assert mass_ods(net)[0] == 1.5
+        assert _ods(net)[0] == 1.5
 
     def test_out_degree_zero_all_zero(self):
         net = Network.from_edges(2, [(0, 1, 0.5)])
-        assert mass_ods(net)[1] == 0.0
-        wk = mass_wk(net, np.array([1.0, 1.0]))
-        assert wk[1] == 0.0
+        assert _ods(net)[1] == 0.0
+        assert MeasureContext(net, RunConfig()).get("mgc_wk")[1] == 0.0
 
     def test_wk_multiplies_katz(self):
-        net = Network.from_edges(2, [(0, 1, 0.5)])
-        wk = mass_wk(net, np.array([0.3, 9.9]))
-        assert np.isclose(wk[0], 1 * 0.5 * 0.3)
+        # a 0.5-cycle: every node's mass is ods 0.5 times the same Katz score,
+        # its successor sits at inverted distance 2 and the next node at 4
+        net = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.5), (2, 0, 0.5)])
+        ctx = MeasureContext(net, RunConfig())
+        mass = 0.5 * ctx.get("c_katz_dw_out")[0]
+        np.testing.assert_allclose(ctx.get("mgc_wk"), mass ** 2 * (1 / 4 + 1 / 16), rtol=1e-12)
 
 
 class TestMGC:
@@ -169,7 +160,7 @@ class TestMGC:
         unit = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), np.ones(3), 3)
         assert unit.tolist() == [2.0, 2.0, 2.0]
         # out-strength 2 everywhere: two neighbors at distance 1, each 2 * 2
-        assert MeasureContext(net).get("mgc_s").tolist() == [8.0, 8.0, 8.0]
+        assert MeasureContext(net, RunConfig()).get("mgc_s").tolist() == [8.0, 8.0, 8.0]
 
     def test_zero_sk3_all_zero(self):
         net = Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.5)])
@@ -180,20 +171,20 @@ class TestMGC:
     def test_unknown_variant(self):
         net = Network.from_edges(2, [(0, 1, 0.5)])
         with pytest.raises(ValidationError):
-            MeasureContext(net).get("mgc_bogus")
+            MeasureContext(net, RunConfig()).get("mgc_bogus")
 
     @pytest.mark.parametrize("variant, mass", [
-        ("ods", lambda ctx: mass_ods(ctx.net)),
+        ("ods", lambda ctx: _ods(ctx.net)),
         ("s", lambda ctx: ctx.get("c_os")),
         ("sc", lambda ctx: ctx.get("sc1")),
         ("sk", lambda ctx: ctx.get("sk3")),
-        ("wk", lambda ctx: mass_wk(ctx.net, ctx.get("c_katz_dw_out"))),
+        ("wk", lambda ctx: _ods(ctx.net) * ctx.get("c_katz_dw_out")),
     ])
     def test_registry_passes_mass_to_gravity(self, variant, mass):
         rng = np.random.default_rng(11)
         n, edges = random_digraph(rng, max_n=8, p=0.35)
         net = apply_wcs(Network.from_edges(n, edges))
-        ctx = MeasureContext(net)
+        ctx = MeasureContext(net, RunConfig())
         expected = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), mass(ctx), 3)
         assert np.array_equal(ctx.get(f"mgc_{variant}"), expected)
 
@@ -203,7 +194,7 @@ class TestMGC:
         rng = np.random.default_rng(10)
         n, edges = random_digraph(rng, max_n=7, p=0.35)
         net = apply_wcs(Network.from_edges(n, edges))
-        direct = MeasureContext(net).get("gc_w")
+        direct = MeasureContext(net, RunConfig()).get("gc_w")
         dw_inv = view(net, ViewKind.DW, WeightMode.INVERTED)
         assembled = gravity(dw_inv, weighted_kshell(net), 3)
         np.testing.assert_allclose(direct, assembled, atol=0)

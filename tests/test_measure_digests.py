@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spreadrank.config import RunConfig
 from spreadrank.graph import Network, apply_wcs
 from spreadrank.measures import MEASURES, MeasureContext, measure_ids
 
@@ -52,7 +53,7 @@ NETWORKS = {**dict(bundled_networks()), "ladder_300": ladder_network(300)}
 
 @functools.cache
 def measures(name: str) -> dict[str, np.ndarray]:
-    ctx = MeasureContext(NETWORKS[name])
+    ctx = MeasureContext(NETWORKS[name], RunConfig())
     return {measure_id: ctx.get(measure_id) for measure_id in measure_ids()}
 
 

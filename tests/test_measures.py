@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from spreadrank import centrality, measures
-from spreadrank.centrality import weighted_kshell
+from spreadrank.centrality import gravity, weighted_kshell
 from spreadrank.config import DEFAULT_MEASURES, RunConfig
 from spreadrank.errors import ValidationError
 from spreadrank.graph import Network, ViewKind, WeightMode, apply_wcs, view
-from spreadrank.gravity import gravity, mass_ods
-from spreadrank.measures import MeasureContext, measure_ids
+from spreadrank.measures import MeasureContext, _ods, measure_ids
 
 from oracles import random_digraph
 
@@ -23,7 +22,7 @@ def net():
 
 
 def test_all_ids_compute(net):
-    ctx = MeasureContext(net)
+    ctx = MeasureContext(net, RunConfig())
     for measure_id in measure_ids():
         scores = ctx.get(measure_id)
         assert scores.shape == (net.node_count,)
@@ -37,11 +36,11 @@ def test_default_measures_are_known():
 
 def test_unknown_id_lists_valid_ones(net):
     with pytest.raises(ValidationError, match="c_od"):
-        MeasureContext(net).get("nope")
+        MeasureContext(net, RunConfig()).get("nope")
 
 
 def test_cache_returns_same_object(net):
-    ctx = MeasureContext(net)
+    ctx = MeasureContext(net, RunConfig())
     assert ctx.get("c_os") is ctx.get("c_os")
 
 
@@ -51,7 +50,7 @@ def test_cache_returns_same_object(net):
     ids=["nan", "inf", "one_too_many", "column"])
 def test_values_not_one_finite_float_per_node_are_refused(net, monkeypatch, values):
     monkeypatch.setitem(measures._BUILDERS, "c_os", lambda ctx: values(ctx.net.node_count))
-    ctx = MeasureContext(net)
+    ctx = MeasureContext(net, RunConfig())
     with pytest.raises(ValidationError, match="'c_os'"):
         ctx.get("c_os")
     # nothing was cached: the next call checks again
@@ -60,17 +59,17 @@ def test_values_not_one_finite_float_per_node_are_refused(net, monkeypatch, valu
 
 
 def test_c_od_is_out_degree(net):
-    values = MeasureContext(net).get("c_od")
+    values = MeasureContext(net, RunConfig()).get("c_od")
     assert np.array_equal(values, net.out_degree().astype(float))
 
 
 def test_c_os_is_wcs_out_strength(net):
-    values = MeasureContext(net).get("c_os")
+    values = MeasureContext(net, RunConfig()).get("c_os")
     np.testing.assert_allclose(values, net.out_strength())
 
 
 def test_modified_closeness_chain(net):
-    ctx = MeasureContext(net)
+    ctx = MeasureContext(net, RunConfig())
     raw = ctx.get("c_c_dw")
     folded = ctx.get("c_c_dw_mod")
     expected = np.where(raw <= 0.04, raw + 0.96, 1.04 - raw)
@@ -82,14 +81,14 @@ def peak_scaled(values):
 
 
 def test_sc1_uses_normalized_inputs(net):
-    ctx = MeasureContext(net)
+    ctx = MeasureContext(net, RunConfig())
     s = peak_scaled(ctx.get("c_os"))
     c = peak_scaled(ctx.get("c_c_dw_mod"))
     np.testing.assert_allclose(ctx.get("sc1"), 0.64 * s + 0.36 * c)
 
 
 def test_sk3_ratio_of_normalized(net):
-    ctx = MeasureContext(net)
+    ctx = MeasureContext(net, RunConfig())
     s = peak_scaled(ctx.get("c_os"))
     z = peak_scaled(ctx.get("c_katz_du"))
     z = np.where(z == 0.0, 1e-12, z)
@@ -97,14 +96,14 @@ def test_sk3_ratio_of_normalized(net):
 
 
 def test_mgc_wk_chain_matches_manual_assembly(net):
-    ctx = MeasureContext(net)
-    mass = mass_ods(net) * ctx.get("c_katz_dw_out")
+    ctx = MeasureContext(net, RunConfig())
+    mass = _ods(net) * ctx.get("c_katz_dw_out")
     manual = gravity(view(net, ViewKind.DW, WeightMode.INVERTED), mass, 3)
     np.testing.assert_allclose(ctx.get("mgc_wk"), manual)
 
 
 def test_gc_w_uses_weighted_shells(net):
-    ctx = MeasureContext(net)
+    ctx = MeasureContext(net, RunConfig())
     manual = gravity(view(net, ViewKind.DW, WeightMode.INVERTED),
                      weighted_kshell(net), 3)
     np.testing.assert_allclose(ctx.get("gc_w"), manual)
@@ -125,7 +124,7 @@ def test_shells_computed_once_per_context(net, monkeypatch):
         for module in [m for key, m in sys.modules.items() if key.startswith("spreadrank")]:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted(name, original))
-    ctx = MeasureContext(net)
+    ctx = MeasureContext(net, RunConfig())
     for measure_id in ("wks", "gc_w", "ks", "gc"):
         ctx.get(measure_id)
     assert calls == {"kshell": 1, "weighted_kshell": 1}

@@ -10,9 +10,14 @@ attribute, from some definition in the package other than its own
 ``__init__.py`` only re-exports, so its references do not count.  Every
 defaulted parameter of a public function or method must be set, by
 keyword or by position, by some call in the package: a default no call
-overrides is a setting that nothing in the pipeline reads.  Names match
+overrides is a setting that nothing in the pipeline reads.  Nor may every
+call in the package set it: a default no call uses serves only the tests.
+A class's ``__init__`` counts as called by the class's name.  Names match
 by spelling alone, so the scans can miss dead code whose name is also
 used for something else, but they never flag code the package uses.
+
+No module imports another module's private name: what two modules share
+is public, or lives in one of them.
 """
 import ast
 import sys
@@ -35,6 +40,13 @@ ALLOWED_DEFAULTS = {
     "cli.main(argv)": "the console script calls main() bare; the benchmark and the tests "
                       "pass an argv",
     "centrality.eigenvector(tol)": "acceptance criterion 2 tightens the tolerance",
+}
+
+# defaulted parameters every call in the package sets, kept for callers outside src/
+ALLOWED_SET_DEFAULTS = {
+    "propagation.spread_all(progress)": "scripts/engine_scaling.py times the engine without one",
+    "storage.read_spread(node_count)": "the benchmark's rerun_cached check reads a spread file "
+                                       "without its graph",
 }
 
 
@@ -103,17 +115,24 @@ def _defaulted(args: ast.arguments, method: bool) -> dict[str, int | None]:
     return params
 
 
-def _sets(call: ast.Call, param: str, index: int | None) -> bool:
-    """Whether ``call`` passes ``param``; an unpacked ``*args`` or ``**kwargs`` may."""
-    if any(isinstance(a, ast.Starred) for a in call.args):
+def _sets(call: ast.Call, param: str, index: int | None, unpacked: bool) -> bool:
+    """Whether ``call`` passes ``param``; ``unpacked`` if only a ``*args`` or ``**kwargs`` may."""
+    if any(k.arg == param for k in call.keywords):
         return True
-    if any(k.arg in (param, None) for k in call.keywords):
+    fixed = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                 len(call.args))
+    if index is not None and index < fixed:
         return True
-    return index is not None and index < len(call.args)
+    return unpacked and (fixed < len(call.args) or any(k.arg is None for k in call.keywords))
 
 
-def _unset_defaults() -> set[str]:
-    """``name(param)`` of each public function's defaulted parameter no call sets."""
+def _public_defaults() -> dict[str, tuple[tuple[str, int | None], list[ast.Call]]]:
+    """``name(param)`` of each public function's defaulted parameter -> (param, index), calls.
+
+    ``index`` is the parameter's position in a call (None if keyword-only), and
+    the calls are every call in the package of a callable spelled like the
+    function; a class's ``__init__`` is called by the class's name.
+    """
     defaulted: dict[str, tuple[str, dict[str, int | None]]] = {}
     calls: dict[str, list[ast.Call]] = {}
     for module, tree in _modules():
@@ -123,16 +142,28 @@ def _unset_defaults() -> set[str]:
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
+                        name = node.name if item.name == "__init__" else item.name
                         defaulted[f"{module}.{node.name}.{item.name}"] = (
-                            item.name, _defaulted(item.args, True))
+                            name, _defaulted(item.args, True))
         for call in ast.walk(tree):
             if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute)):
                 name = call.func.id if isinstance(call.func, ast.Name) else call.func.attr
                 calls.setdefault(name, []).append(call)
-    return {f"{qualified}({param})"
+    return {f"{qualified}({param})": ((param, index), calls.get(name, []))
             for qualified, (name, params) in defaulted.items() if not name.startswith("_")
-            for param, index in params.items()
-            if not any(_sets(call, param, index) for call in calls.get(name, []))}
+            for param, index in params.items()}
+
+
+def _unset_defaults() -> set[str]:
+    """Each public defaulted parameter no call in the package sets."""
+    return {qualified for qualified, (param, calls) in _public_defaults().items()
+            if not any(_sets(call, *param, unpacked=True) for call in calls)}
+
+
+def _always_set_defaults() -> set[str]:
+    """Each public defaulted parameter that calls in the package set, every one of them."""
+    return {qualified for qualified, (param, calls) in _public_defaults().items()
+            if calls and all(_sets(call, *param, unpacked=False) for call in calls)}
 
 
 def _private(qualified: str) -> bool:
@@ -151,11 +182,16 @@ def test_every_defaulted_parameter_is_set_inside_the_package():
     assert _unset_defaults() - set(ALLOWED_DEFAULTS) == set()
 
 
+def test_every_default_is_used_inside_the_package():
+    assert _always_set_defaults() - set(ALLOWED_SET_DEFAULTS) == set()
+
+
 def test_allowlist_is_current():
     checked, _ = _scan()
     assert set(ALLOWED) <= set(checked)
     assert set(ALLOWED) <= _unreferenced()
     assert set(ALLOWED_DEFAULTS) <= _unset_defaults()
+    assert set(ALLOWED_SET_DEFAULTS) <= _always_set_defaults()
 
 
 def _imported_modules() -> set[str]:
@@ -193,3 +229,21 @@ def test_every_module_level_import_is_used():
     assert _unused_imports() == set()
     assert not [path.name for path in PACKAGE.glob("*.py")
                 if "noqa: F401" in path.read_text(encoding="utf-8")]
+
+
+def _private_imports() -> set[str]:
+    """``module: from .other import _name`` of each private name a module imports."""
+    found = set()
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").startswith(PACKAGE.name))):
+                found.update(f"{module}: from {'.' * node.level}{node.module or ''} "
+                             f"import {alias.name}"
+                             for alias in node.names
+                             if alias.name.startswith("_") and not alias.name.endswith("__"))
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    assert _private_imports() == set()

@@ -132,7 +132,7 @@ def test_scatter_rows(tmp_path):
 def test_timestamps_toggle(net, tmp_path):
     # the time goes into the run file only; the table is the same either way
     graph = tmp_path / "g.edges"
-    storage.write_edge_list(net, graph)
+    storage.write_edge_list(net, graph, comments={})
     assert "generated" not in graph.read_text()
     runs = {}
     for timestamps in (True, False):
@@ -164,7 +164,7 @@ def test_config_json_roundtrip(tmp_path):
     output = tmp_path / "d.evaluation.csv"
     output.write_text("x\n")
     storage.write_run(storage.run_path(output),
-                      cfg.fields(f.name for f in dataclasses.fields(RunConfig)),
+                      dataclasses.asdict(cfg),
                       {output: storage.sha256_of(output)}, timestamps=False)
     payload = storage.current_run(tmp_path / "d.evaluation.run.json", {}, [output])
     assert payload.pop("sha256") == {output.name: storage.sha256_of(output)}
@@ -176,8 +176,7 @@ def test_current_run_key_survives_json(tmp_path):
     output = tmp_path / "d.evaluation.csv"
     output.write_text("x\n")
     run_file = storage.run_path(output)
-    key = RunConfig(measures=("c_os", "sk3"), katz_alpha=0.1).fields(
-        ("measures", "katz_alpha", "gravity_radius"))
+    key = {"measures": ("c_os", "sk3"), "katz_alpha": 0.1, "gravity_radius": 3}
     storage.write_run(run_file, key, {output: storage.sha256_of(output)}, timestamps=False)
     assert storage.current_run(run_file, key, [output]) == {
         "measures": ["c_os", "sk3"], "katz_alpha": 0.1, "gravity_radius": 3,
@@ -243,7 +242,7 @@ def _evaluation_file(tmp_path):
 def _edges_file(tmp_path):
     path = tmp_path / "g.edges"
     storage.write_edge_list(Network.from_edges(3, [(0, 1, 0.5), (1, 2, 0.25), (2, 0, 1.0)]),
-                            path)
+                            path, comments={})
     return path
 
 
@@ -416,7 +415,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
 def test_successful_write_unlinks_nothing(net, tmp_path, monkeypatch):
     unlinked = []
     monkeypatch.setattr(os, "unlink", lambda path, *args, **kwargs: unlinked.append(path))
-    storage.write_edge_list(net, tmp_path / "g.edges")
+    storage.write_edge_list(net, tmp_path / "g.edges", comments={})
     storage.write_spread(SpreadEstimate(np.ones(3), np.zeros(3), runs=2, master_seed=1),
                          tmp_path / "spread.csv", config_hash="h")
     monkeypatch.undo()
